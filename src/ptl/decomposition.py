@@ -315,12 +315,6 @@ class TriBlock:
         )
         return g, order
 
-    def plane_subgraph(self, pg: PlaneGraph) -> PlaneGraph:
-        """The block as a plane graph (host labels compacted, rotations
-        restricted, outer face = the block face containing the host's
-        outer region)."""
-        return _restrict_plane(pg, self.edges)[0]
-
 
 def solidify(block: TriBlock) -> TriBlock:
     """Reclassify every 3-cycle hole as a 3-face.

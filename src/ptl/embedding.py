@@ -7,8 +7,7 @@ This module is the structural foundation of the package:
 * Canonical labeling via individualization--refinement (colour refinement
   plus a backtracking search with automorphism pruning), exposed as
   :func:`canonical_form`, :func:`canonical_labeling`,
-  :func:`automorphism_generators`, :func:`vertex_orbits` and
-  :func:`min_set_image`.
+  :func:`automorphism_generators` and :func:`vertex_orbits`.
 * :class:`PlaneGraph` -- an immutable combinatorial plane embedding: a
   rotation system (clockwise neighbour order around every vertex) plus a
   designated outer face.  Faces are recovered by dart traversal.
@@ -51,7 +50,6 @@ __all__ = [
     "embed",
     "is_isomorphic",
     "is_planar",
-    "min_set_image",
     "normalize_edge",
     "plane_graph_from_positions",
     "vertex_orbits",
@@ -497,34 +495,6 @@ def vertex_orbits(g: Graph) -> list[frozenset[int]]:
     for v in range(g.n):
         buckets.setdefault(roots[v], set()).add(v)
     return [frozenset(s) for s in buckets.values()]
-
-
-def min_set_image(
-    n: int, gens: Sequence[Sequence[int]], s: frozenset[int]
-) -> frozenset[int]:
-    """Lexicographically least image of ``s`` under the generated group.
-
-    Sets are compared as sorted tuples.  The whole orbit of ``s`` is
-    closed breadth-first; orbits of small sets in small groups stay tiny
-    (at most ``C(n, |s|)`` elements), so this is cheap.
-    """
-    if not gens:
-        return s
-    best = tuple(sorted(s))
-    seen = {best}
-    frontier = [best]
-    while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for t in frontier:
-            for a in gens:
-                img = tuple(sorted(a[v] for v in t))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-                    if img < best:
-                        best = img
-        frontier = nxt
-    return frozenset(best)
 
 
 # =========================================================================

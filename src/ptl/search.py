@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from . import families
@@ -947,61 +947,125 @@ def _is_triconnected(g: Graph) -> bool:
     )
 
 
-def _all_embeddings(g: Graph, guard: int) -> Iterator[PlaneGraph]:
-    """Every sphere embedding of ``g``, one per rotation system.
+def _insertion_order(g: Graph) -> list[tuple[int, int, bool]]:
+    """Edges of a connected graph as ``(old, other, is_tree)`` steps.
 
-    Rotation systems are enumerated exhaustively (first neighbor fixed
-    per vertex, quotienting cyclic rotations); assignments that violate
-    Euler's formula are discarded.  Intended for the small certification
-    orders only.
+    Vertices are taken in breadth-first order from 0.  Each new vertex
+    arrives by a tree edge from its first reached neighbour, followed at
+    once by closing edges to its other reached neighbours, so cycles
+    close as early as possible and keep the partial embeddings few.
     """
-    total = 1
-    for v in range(g.n):
-        d = len(g.adjacency[v])
-        for k in range(2, d):
-            total *= k
-        if total > guard:
-            raise SearchError(
-                "rotation-system space too large for direct certification"
-            )
-    choices: list[list[tuple[int, ...]]] = []
-    for v in range(g.n):
-        nbrs = sorted(g.adjacency[v])
-        if len(nbrs) <= 2:
-            choices.append([tuple(nbrs)])
-        else:
-            first, rest = nbrs[0], nbrs[1:]
-            choices.append(
-                [(first, *p) for p in permutations(rest)]
-            )
+    order = [0]
+    reached = {0}
+    for v in order:
+        for w in sorted(g.adjacency[v]):
+            if w not in reached:
+                reached.add(w)
+                order.append(w)
+    position = {v: i for i, v in enumerate(order)}
+    steps: list[tuple[int, int, bool]] = []
+    for w in order[1:]:
+        earlier = sorted(
+            (u for u in g.adjacency[w] if position[u] < position[w]),
+            key=position.__getitem__,
+        )
+        steps.append((earlier[0], w, True))
+        steps.extend((u, w, False) for u in earlier[1:])
+    return steps
 
-    def assign(v: int, rotation: list[tuple[int, ...]]) -> Iterator[PlaneGraph]:
-        if v == g.n:
-            try:
-                yield PlaneGraph.build(g, tuple(rotation), outer_walk=None)
-            except ValueError:
-                return
+
+def _corner_faces(rot: Sequence[Sequence[int]]) -> dict[int, list[int]]:
+    """Face id of every corner of a partial rotation system.
+
+    Corner ``i`` of ``v`` sits after ``rot[v][i]``; it lies on the face
+    of dart ``(v, rot[v][i + 1])`` (indices cyclic).  Vertices without
+    neighbours are left out.
+    """
+    index = [{u: i for i, u in enumerate(r)} for r in rot]
+    face: dict[tuple[int, int], int] = {}
+    for v0, r0 in enumerate(rot):
+        for w0 in r0:
+            if (v0, w0) in face:
+                continue
+            fid = len(face)
+            u, v = v0, w0
+            while (u, v) not in face:
+                face[(u, v)] = fid
+                r = rot[v]
+                u, v = v, r[(index[v][u] + 1) % len(r)]
+    return {
+        v: [face[(v, r[(i + 1) % len(r)])] for i in range(len(r))]
+        for v, r in enumerate(rot)
+        if r
+    }
+
+
+def _embeddings_by_insertion(g: Graph) -> Iterator[PlaneGraph]:
+    """Every sphere embedding of a connected graph, one per rotation system.
+
+    Edges are added in the order of :func:`_insertion_order`.  A tree
+    edge goes into any corner of its old endpoint; a closing edge joins
+    two corners, one at each endpoint, that lie on one face, and splits
+    that face.  Every prefix therefore stays plane, so each planar rotation
+    system is reached exactly once and none is rejected (the face and
+    corner bookkeeping of Boyer and Myrvold's edge-addition planarity
+    test, JGAA 8(3), 2004).  Each rotation is rotated to start at its
+    smallest neighbour, and the systems are yielded in sorted order.
+    Every one is still validated by :meth:`PlaneGraph.build`.
+
+    Raises:
+        ValueError: If ``g`` is empty or disconnected.
+    """
+    if not g.is_connected():
+        raise ValueError("plane embeddings need a connected graph")
+    steps = _insertion_order(g)
+    rot: list[list[int]] = [[] for _ in range(g.n)]
+    found: list[tuple[tuple[int, ...], ...]] = []
+
+    def extend(k: int) -> None:
+        if k == len(steps):
+            system = []
+            for r in rot:
+                i = r.index(min(r)) if r else 0
+                system.append(tuple(r[i:] + r[:i]))
+            found.append(tuple(system))
             return
-        for rot in choices[v]:
-            rotation.append(rot)
-            yield from assign(v + 1, rotation)
-            rotation.pop()
+        u, w, is_tree = steps[k]
+        if is_tree:
+            rot[w].append(u)
+            for i in range(max(1, len(rot[u]))):
+                rot[u].insert(i + 1, w)
+                extend(k + 1)
+                rot[u].remove(w)
+            rot[w].pop()
+            return
+        corners = _corner_faces(rot)
+        for i, fu in enumerate(corners[u]):
+            for j, fw in enumerate(corners[w]):
+                if fu != fw:
+                    continue
+                rot[u].insert(i + 1, w)
+                rot[w].insert(j + 1, u)
+                extend(k + 1)
+                rot[u].remove(w)
+                rot[w].remove(u)
 
-    yield from assign(0, [])
+    extend(0)
+    for system in sorted(found):
+        yield PlaneGraph.build(g, system, outer_walk=None)
 
 
 def certify_solid_tbs_direct(
     max_order: int,
     pattern: "PatternSpec | Graph | str",
-    *,
-    guard: int = 3_000_000,
 ) -> dict[int, tuple[str, ...]]:
-    """Independent census of pattern-free solid TBs at orders <= 7.
+    """Independent census of pattern-free solid TBs at orders <= 8.
 
     For every connected planar graph (by :func:`enumerate_graphs`) that
     is 2-connected, pattern-free, and has every edge on a triangle, the
     embeddings are enumerated -- the unique one for 3-connected graphs,
-    all rotation systems otherwise -- and the graph counts iff some
+    every planar rotation system otherwise, built by edge insertion
+    without rejection -- and the graph counts iff some
     embedding and outer-face choice is a single spanning solid TB.  This
     procedure never uses the growth reduction, so it certifies
     :func:`enumerate_solid_tbs` where their ranges overlap; on
@@ -1010,8 +1074,11 @@ def certify_solid_tbs_direct(
     Returns:
         Per order, the sorted canonical graph6 forms (ASCII).
     """
-    if max_order > 7:
-        raise SearchError("direct certification is limited to orders <= 7")
+    if max_order > 8:
+        raise SearchError(
+            "direct certification is limited to orders <= 8 "
+            "(graph enumeration at order 9 is too slow)"
+        )
     if max_order < 3:
         raise SearchError("max_order must be at least 3")
     spec = as_pattern(pattern)
@@ -1029,7 +1096,7 @@ def certify_solid_tbs_direct(
             if _is_triconnected(g):
                 embeddings: Iterable[PlaneGraph] = [embed(g)]
             else:
-                embeddings = _all_embeddings(g, guard)
+                embeddings = _embeddings_by_insertion(g)
             seen: set[bytes] = set()
             hit = False
             for pg in embeddings:
@@ -1177,31 +1244,34 @@ def free_planar_corpus(
 
 
 def plane_embeddings(
-    g: Graph, *, guard: int = 3_000_000, dedupe: bool = False
+    g: Graph, *, dedupe: bool = False
 ) -> Iterator[PlaneGraph]:
     """Every sphere embedding of a connected planar graph.
 
     For 3-connected graphs the embedding is unique up to reflection and
-    is produced directly; otherwise all rotation systems are enumerated.
+    is produced directly; otherwise every planar rotation system is built
+    by edge insertion, once each, in sorted rotation order.
     The outer face of the yielded graphs is arbitrary -- callers that
     care about the inner/outer distinction should fan out with
     :func:`outer_variants`.
 
     Args:
         g: Connected planar graph.
-        guard: Upper bound on the rotation-system search space.
         dedupe: Suppress repeated sphere embeddings (costs one canonical
             plane code per face per embedding; harmless to skip when the
             consumer is checking an embedding-invariant law).
+
+    Raises:
+        ValueError: If ``g`` is empty or disconnected.
     """
     if _is_triconnected(g):
         yield embed(g)
         return
     if not dedupe:
-        yield from _all_embeddings(g, guard)
+        yield from _embeddings_by_insertion(g)
         return
     seen: set[bytes] = set()
-    for pg in _all_embeddings(g, guard):
+    for pg in _embeddings_by_insertion(g):
         key = _sphere_key(pg)
         if key not in seen:
             seen.add(key)
@@ -1316,9 +1386,10 @@ def verify_density_equality(
         canonical_form(families.catalog_block(name).graph): name
         for name in ("B5", "B2p")
     }
+    spec = as_pattern("H5")
     violations: list[str] = []
     for idx, pg in enumerate(corpus):
-        if not is_free(pg.graph, "H5"):
+        if not is_free(pg.graph, spec):
             raise SearchError(f"corpus member {idx} is not H5-free")
         for comp in decompose(pg).components:
             if comp.density != 1:
@@ -1349,9 +1420,10 @@ def verify_theta_pair_laws(
     Raises:
         SearchError: If a corpus member contains C3|Theta4.
     """
+    spec = as_pattern("C3|Theta4")
     violations: list[str] = []
     for idx, pg in enumerate(corpus):
-        if not is_free(pg.graph, "C3|Theta4"):
+        if not is_free(pg.graph, spec):
             raise SearchError(f"corpus member {idx} is not C3|Theta4-free")
         for rec in theta_pair_survey(pg, include_outer=True):
             independent = not (set(rec.e) & set(rec.f))
@@ -1372,9 +1444,7 @@ def verify_theta_pair_laws(
     return tuple(violations)
 
 
-def scan_h4_component_density(
-    *, guard: int = 3_000_000
-) -> tuple[DensityViolation, ...]:
+def scan_h4_component_density() -> tuple[DensityViolation, ...]:
     """Exhaustive order-7 scan of the H4 component-density law.
 
     Builds every connected H4-free planar graph on 7 vertices whose
@@ -1393,14 +1463,12 @@ def scan_h4_component_density(
                 on_triangle[u] = on_triangle[v] = True
         if not all(on_triangle):
             continue
-        for pg in plane_embeddings(g, guard=guard):
+        for pg in plane_embeddings(g):
             planes.extend(outer_variants(pg))
     return verify_component_density(planes, "H4")
 
 
-def scan_h5_component_density(
-    *, guard: int = 3_000_000
-) -> tuple[tuple[str, ...], int]:
+def scan_h5_component_density() -> tuple[tuple[str, ...], int]:
     """Exhaustive scan of the H5 component-density law at orders 3-6.
 
     Fans out all sphere embeddings and outer-face choices of every
@@ -1416,7 +1484,7 @@ def scan_h5_component_density(
     planes: list[PlaneGraph] = []
     for n in range(3, 7):
         for g in free_planar_corpus(n, "H5"):
-            for pg in plane_embeddings(g, guard=guard):
+            for pg in plane_embeddings(g):
                 planes.extend(outer_variants(pg))
     violations = [
         f"{v.note}: member {v.member} vertices {v.vertices} "
@@ -1433,9 +1501,7 @@ def scan_h5_component_density(
     return tuple(violations), hits
 
 
-def scan_theta_pairs(
-    *, max_n: int = 7, guard: int = 3_000_000
-) -> tuple[str, ...]:
+def scan_theta_pairs(*, max_n: int = 7) -> tuple[str, ...]:
     """Exhaustive scan of the theta-pair laws on C3|Theta4-free hosts.
 
     Covers every connected C3|Theta4-free planar graph with 4 to
@@ -1458,6 +1524,6 @@ def scan_theta_pairs(
             if multi < 2:
                 continue
             violations.extend(
-                verify_theta_pair_laws(plane_embeddings(g, guard=guard))
+                verify_theta_pair_laws(plane_embeddings(g))
             )
     return tuple(violations)

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
-from ptl.embedding import Graph, canonical_form, embed, is_planar
+from ptl.embedding import Graph, PlaneGraph, canonical_form, embed, is_planar
 from ptl.families import catalog_block, expected_tb_catalog
-from ptl.patterns import contains_subgraph_bruteforce, is_free
+from ptl.patterns import as_pattern, contains_subgraph_bruteforce, is_free
 from ptl.search import (
     DEFAULT_CEILING,
     CeilingExceededError,
     SearchError,
+    _embeddings_by_insertion,
+    _is_biconnected,
+    _is_triconnected,
     certify_solid_tbs_direct,
     enumerate_graphs,
     enumerate_solid_tbs,
@@ -172,13 +177,22 @@ def test_census_h5_has_one_extra_order_7_block():
 
 
 def test_direct_census_agrees_with_growth():
-    # H5 runs to order 7, where it admits B4p beyond the paper's list
-    for pattern, max_order in (("H4", 6), ("H5", 7)):
+    # H5 runs to order 8: order 7 admits B4p beyond the paper's list, and
+    # order 8 is the highest the direct census reaches
+    for pattern, max_order in (("H4", 6), ("H5", 8)):
         direct = certify_solid_tbs_direct(max_order, pattern)
         grown = enumerate_solid_tbs(max_order, pattern).found
         assert {k: set(v) for k, v in direct.items()} == {
             k: set(v) for k, v in grown.items()
         }
+    assert len(direct[8]) == 2
+
+
+def test_direct_census_order_limit():
+    with pytest.raises(SearchError, match="orders <= 8"):
+        certify_solid_tbs_direct(9, "H5")
+    with pytest.raises(SearchError):
+        certify_solid_tbs_direct(2, "H5")
 
 
 def test_census_report_round_trip():
@@ -195,6 +209,110 @@ def test_free_planar_corpus():
     triangle_free = free_planar_corpus(4, "C3")
     assert len(triangle_free) == 3  # P4, K1,3, C4
     assert all(is_free(g, "C3") for g in triangle_free)
+
+
+def _brute_force_embeddings(g: Graph):
+    """Reference enumerator: every rotation system, kept iff it is plane.
+
+    Each rotation starts at the smallest neighbour and the rest run over
+    all permutations, so the systems come out in sorted order; those that
+    fail Euler's formula are rejected by ``PlaneGraph.build``.
+    """
+    choices = []
+    for v in range(g.n):
+        nbrs = sorted(g.adjacency[v])
+        if len(nbrs) <= 2:
+            choices.append([tuple(nbrs)])
+        else:
+            first, rest = nbrs[0], nbrs[1:]
+            choices.append([(first, *p) for p in permutations(rest)])
+
+    def assign(v, rotation):
+        if v == g.n:
+            try:
+                yield PlaneGraph.build(g, tuple(rotation), outer_walk=None)
+            except ValueError:
+                return
+            return
+        for rot in choices[v]:
+            rotation.append(rot)
+            yield from assign(v + 1, rotation)
+            rotation.pop()
+
+    yield from assign(0, [])
+
+
+def _assert_same_embeddings(g: Graph) -> None:
+    fast = [(pg.rotation, pg.outer) for pg in _embeddings_by_insertion(g)]
+    slow = [(pg.rotation, pg.outer) for pg in _brute_force_embeddings(g)]
+    assert fast == slow, g.edges
+
+
+def test_embeddings_match_brute_force_small():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected=True, planar=True):
+            _assert_same_embeddings(g)
+
+
+def test_embeddings_match_brute_force_direct_candidates_order_7():
+    # the graphs certify_solid_tbs_direct(7, H4|H5) enumerates rotation
+    # systems for: 2- but not 3-connected, every edge on a triangle
+    specs = [as_pattern("H4"), as_pattern("H5")]
+    checked = 0
+    for g in enumerate_graphs(7, connected=True, planar=True):
+        bits = g.adj_bits
+        if not all(bits[u] & bits[v] for u, v in g.edges):
+            continue
+        if not _is_biconnected(g) or _is_triconnected(g):
+            continue
+        if not any(is_free(g, spec) for spec in specs):
+            continue
+        _assert_same_embeddings(g)
+        checked += 1
+    assert checked == 24
+
+
+def _octahedron() -> Graph:
+    return Graph.from_edges(
+        6,
+        [e for e in combinations(range(6), 2) if e not in ((0, 1), (2, 3), (4, 5))],
+    )
+
+
+def _cube() -> Graph:
+    return Graph.from_edges(
+        8,
+        [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b],
+    )
+
+
+def _wheel(k: int) -> Graph:
+    rim = [(i, i % k + 1) for i in range(1, k + 1)]
+    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)] + rim)
+
+
+def test_embedding_counts_closed_forms():
+    # the star K1,k has (k-1)! rotation systems, all plane
+    for k in range(1, 7):
+        star = Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+        assert sum(1 for _ in plane_embeddings(star)) == factorial(k - 1)
+    for n in range(3, 9):
+        assert sum(1 for _ in plane_embeddings(Graph.cycle(n))) == 1
+    # Whitney: a 3-connected planar graph has one embedding and its mirror
+    for g in (Graph.complete(4), _octahedron(), _cube(), _wheel(5)):
+        assert _is_triconnected(g)
+        first, second = _embeddings_by_insertion(g)
+        mirror = tuple(
+            r[r.index(min(r)):] + r[: r.index(min(r))]
+            for r in first.mirrored().rotation
+        )
+        assert mirror == second.rotation
+
+
+def test_plane_embeddings_need_connected_graph():
+    for g in (Graph.from_edges(0, []), Graph.from_edges(3, [(0, 1)])):
+        with pytest.raises(ValueError, match="connected"):
+            list(plane_embeddings(g))
 
 
 def test_plane_embeddings_triconnected_unique():
