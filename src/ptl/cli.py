@@ -23,6 +23,7 @@ Pattern arguments accept the pattern grammar plus a CLI convenience: a
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import os
@@ -319,30 +320,31 @@ def _config_hash(pattern_name: str, ceiling: int) -> str:
 
 
 def _append_jsonl(path: Path, record: dict) -> bool:
-    """Append one record atomically; returns False when an identical
-    (n, pattern, config) key is already present."""
+    """Append one record unless its (n, pattern, config) key is already
+    present; returns False in that case.
+
+    An exclusive ``flock`` on the results file is held across the
+    duplicate check and the append, so concurrent runs sharing one file
+    record each key once.
+    """
     key = (record["n"], record["pattern"], record["config"])
-    if path.exists():
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                old = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if (old.get("n"), old.get("pattern"), old.get("config")) == key:
-                return False
     payload = (json.dumps(record, sort_keys=True) + "\n").encode("ascii")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(
-            path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            os.write(fd, payload)
-        finally:
-            os.close(fd)
+        with open(path, "a+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            fh.seek(0)
+            for line in fh.read().decode("utf-8", "replace").splitlines():
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    old = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if (old.get("n"), old.get("pattern"), old.get("config")) == key:
+                    return False
+            fh.write(payload)
     except OSError as exc:
         raise CliError(f"cannot append to {path}: {exc}") from exc
     return True

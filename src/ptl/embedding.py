@@ -352,23 +352,11 @@ class _CanonState:
         ]
         if not relevant:
             return list(cell)
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in relevant:
-            for v in range(self.n):
-                ra, rb = find(v), find(a[v])
-                if ra != rb:
-                    parent[ra] = rb
+        roots = _orbit_partition(self.n, relevant)
         reps: list[int] = []
         seen_roots: set[int] = set()
         for v in cell:
-            r = find(v)
+            r = roots[v]
             if r not in seen_roots:
                 seen_roots.add(r)
                 reps.append(v)

@@ -31,6 +31,7 @@ arbiter for the fast path.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -376,6 +377,21 @@ def contains_subgraph(
     return None
 
 
+@functools.lru_cache(maxsize=256)
+def _anchored_orders(p: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per automorphism orbit of ``p``, its smallest vertex ``v0`` and the
+    matcher order started at ``v0``, orbits by increasing ``v0``.
+
+    Cached by the pattern graph itself (vertex labels included), so the
+    canonical search behind the orbits runs once per pattern rather than
+    once per anchored match.
+    """
+    return tuple(
+        (v0, _matcher_order(p, start=v0))
+        for v0 in (min(orbit) for orbit in vertex_orbits(p))
+    )
+
+
 def contains_subgraph_at(
     host: Graph, pattern: "PatternSpec | Graph | str", anchor: int
 ) -> dict[int, int] | None:
@@ -390,11 +406,9 @@ def contains_subgraph_at(
         return None
     hbits = host.adj_bits
     hdeg = [host.degree(v) for v in range(host.n)]
-    for orbit in vertex_orbits(p):
-        v0 = min(orbit)
+    for v0, order in _anchored_orders(p):
         if hdeg[anchor] < len(p.adjacency[v0]):
             continue
-        order = _matcher_order(p, start=v0)
         assign = [-1] * p.n
         assign[v0] = anchor
         if _extend(

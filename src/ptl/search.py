@@ -1,6 +1,6 @@
 """Exhaustive small-order search.
 
-Three engines share one canonical-augmentation core:
+The engines:
 
 * :func:`enumerate_graphs` -- isomorph-free generation of all graphs of a
   given order, with optional connectivity / planarity / edge-count filters.
@@ -10,6 +10,12 @@ Three engines share one canonical-augmentation core:
   triangular blocks, grown order by order and diffed against the expected
   catalog; :func:`certify_solid_tbs_direct` is the independent slow census
   used to certify the growth procedure at small orders.
+
+The first, the second and the direct census walk one canonical
+augmentation core, :class:`_Augmentation`.  A child costs at most one
+canonical search, whose labeling and automorphism generators decide
+McKay's test, give the child's subset orbits as a parent and relabel it
+when yielded; the direct census takes every order from one walk.
 
 Determinism contract: every report produced here is byte-identical across
 runs and across worker counts once timing fields are stripped.  To that
@@ -27,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import families
 from .decomposition import TriComponent, decompose, e_i_analysis, theta_pair_survey
@@ -35,14 +41,13 @@ from .embedding import (
     Face,
     Graph,
     PlaneGraph,
-    automorphism_generators,
+    _orbit_partition,
+    canonical_data,
     canonical_form,
-    canonical_labeling,
     embed,
     is_planar,
-    vertex_orbits,
 )
-from .io import graph6_decode, graph6_encode
+from .io import graph6_decode, graph6_encode, load_plane_graph_json
 from .patterns import PatternSpec, as_pattern, contains_subgraph_at, is_free
 
 __all__ = [
@@ -95,17 +100,24 @@ _ROOT_ORDER = 5
 # =========================================================================
 
 
-def _subset_reps(g: Graph) -> list[tuple[int, ...]]:
-    """One representative per Aut(g)-orbit of vertex subsets.
+#: A node of the augmentation tree: the graph, its canonical labeling
+#: (``perm[old] = new``) and generators of its automorphism group, all
+#: from one canonical search.
+_Node = tuple[Graph, tuple[int, ...], list[tuple[int, ...]]]
+
+#: The one-vertex graph every augmentation tree grows from.
+_ROOT: _Node = (Graph.from_edges(1, []), (0,), [])
+
+
+def _subset_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """One representative per orbit of vertex subsets of ``0..n-1`` under
+    the group generated by ``gens``.
 
     Subsets are handled as bitmasks; each orbit is closed breadth-first
-    under the automorphism generators and represented by its smallest
-    mask.  The result is sorted by mask, so iteration order is
-    deterministic.
+    under the generators and represented by its smallest mask.  The
+    result is sorted by mask, so iteration order is deterministic.
     """
-    n = g.n
     total = 1 << n
-    gens = automorphism_generators(g)
     if not gens:
         return [
             tuple(v for v in range(n) if mask >> v & 1) for mask in range(total)
@@ -133,19 +145,66 @@ def _subset_reps(g: Graph) -> list[tuple[int, ...]]:
     return [tuple(v for v in range(n) if mask >> v & 1) for mask in reps]
 
 
-def _is_canonical_child(child: Graph) -> bool:
-    """McKay validity test: keep the child iff the vertex just added lies
-    in the automorphism orbit of the child's canonical deletion vertex
-    (the vertex carrying the last canonical label)."""
-    new = child.n - 1
-    perm = canonical_labeling(child)
-    target = perm.index(child.n - 1)
-    if target == new:
-        return True
-    for orbit in vertex_orbits(child):
-        if target in orbit:
-            return new in orbit
-    raise AssertionError("vertex missing from orbit partition")
+@dataclass
+class _Augmentation:
+    """McKay's canonical augmentation ("Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998), walked depth first to order
+    ``limit``.
+
+    A child is its parent plus one new vertex attached to one
+    representative subset per orbit of the parent's automorphism group.
+    Each child meets, in order: the caller's domain ``prune``, McKay's
+    test (a degree pre-test, then one canonical search that also gives
+    the child's labeling and generators), and planarity if ``planar``.
+    :attr:`pruned` counts the children rejected by ``prune`` or
+    planarity, not those failing McKay's test.
+    """
+
+    limit: int
+    planar: bool
+    prune: Callable[[Graph], bool] | None = None
+    pruned: int = 0
+
+    def children(self, node: _Node) -> list[_Node]:
+        """The kept children of ``node``, in subset-representative order."""
+        g, _, gens = node
+        new = g.n
+        kept: list[_Node] = []
+        for nbrs in _subset_reps(g.n, gens):
+            child = g.with_new_vertex(nbrs)
+            if self.prune is not None and self.prune(child):
+                self.pruned += 1
+                continue
+            # McKay's test: the new vertex must share an automorphism
+            # orbit with the canonical deletion vertex (the vertex
+            # carrying the last canonical label).  Canonical search ranks
+            # vertices by degree in its first refinement and afterwards
+            # only splits cells, so that vertex has maximum degree, and a
+            # new vertex of lower degree fails without a search.
+            bits = child.adj_bits
+            if bits[new].bit_count() < max(map(int.bit_count, bits)):
+                continue
+            perm, child_gens = canonical_data(child)
+            target = perm.index(new)
+            if target != new:
+                roots = _orbit_partition(child.n, child_gens)
+                if roots[target] != roots[new]:
+                    continue
+            if self.planar and not _planar_ok(child):
+                self.pruned += 1
+                continue
+            kept.append((child, perm, child_gens))
+        return kept
+
+    def walk(self, start: _Node) -> Iterator[_Node]:
+        """Every node of the tree below ``start`` (inclusive), in preorder;
+        nodes of order ``limit`` are not expanded."""
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node[0].n < self.limit:
+                stack.extend(reversed(self.children(node)))
 
 
 def _planar_cap(k: int) -> int:
@@ -229,31 +288,21 @@ def enumerate_graphs(
     if n > limit:
         raise CeilingExceededError(f"order {n} exceeds the ceiling {limit}")
 
-    def grow(g: Graph) -> Iterator[Graph]:
-        if g.n == n:
-            if connected and not g.is_connected():
-                return
-            if min_edges is not None and g.m < min_edges:
-                return
-            yield g.relabeled(canonical_labeling(g))
-            return
-        for nbrs in _subset_reps(g):
-            child = g.with_new_vertex(nbrs)
-            if max_edges is not None and child.m > max_edges:
-                continue
-            if min_edges is not None:
-                reach = child.m + sum(range(child.n, n))
-                if planar:
-                    reach = _edge_potential(child.m, child.n, n)
-                if reach < min_edges:
-                    continue
-            if not _is_canonical_child(child):
-                continue
-            if planar and not _planar_ok(child):
-                continue
-            yield from grow(child)
+    def prune(child: Graph) -> bool:
+        if max_edges is not None and child.m > max_edges:
+            return True
+        if min_edges is None:
+            return False
+        if planar:
+            return _edge_potential(child.m, child.n, n) < min_edges
+        return child.m + sum(range(child.n, n)) < min_edges
 
-    yield from grow(Graph.from_edges(1, []))
+    tree = _Augmentation(n, planar=planar, prune=prune)
+    for g, perm, _ in tree.walk(_ROOT):
+        if g.n < n or (connected and not g.is_connected()):
+            continue
+        if min_edges is None or g.m >= min_edges:
+            yield g.relabeled(perm)
 
 
 # =========================================================================
@@ -387,104 +436,66 @@ def _seed_bound(n: int, spec: PatternSpec) -> int:
     return best
 
 
-def _turan_explore(
-    start: Graph, n: int, spec: PatternSpec, seed: int
-) -> tuple[int, int, int, set[bytes]]:
-    """Explore one augmentation subtree for the oracle.
+def _turan_tree(n: int, spec: PatternSpec, seed: int, limit: int) -> _Augmentation:
+    """The oracle's augmentation tree to order ``limit``, pruned when a
+    child cannot reach ``seed`` edges at order ``n`` or contains the
+    pattern through its new vertex (a free parent has no other copy)."""
 
-    Returns ``(enumerated, pruned, best, witnesses)`` where ``best`` is
-    the highest edge count of a connected pattern-free planar graph of
-    order ``n`` found in the subtree (``-1`` if none) and ``witnesses``
-    are the canonical forms attaining it.
-    """
-    enumerated = 0
-    pruned = 0
-    best = -1
-    witnesses: set[bytes] = set()
-    stack = [start]
-    while stack:
-        g = stack.pop()
-        enumerated += 1
-        if g.n == n:
-            if not g.is_connected():
-                continue
-            if g.m > best:
-                best = g.m
-                witnesses = {canonical_form(g)}
-            elif g.m == best:
-                witnesses.add(canonical_form(g))
-            continue
-        for nbrs in _subset_reps(g):
-            child = g.with_new_vertex(nbrs)
-            if _edge_potential(child.m, child.n, n) < seed:
-                pruned += 1
-                continue
-            if contains_subgraph_at(child, spec, child.n - 1) is not None:
-                pruned += 1
-                continue
-            if not _is_canonical_child(child):
-                continue
-            if not _planar_ok(child):
-                pruned += 1
-                continue
-            stack.append(child)
-    return enumerated, pruned, best, witnesses
+    def prune(child: Graph) -> bool:
+        return (
+            _edge_potential(child.m, child.n, n) < seed
+            or contains_subgraph_at(child, spec, child.n - 1) is not None
+        )
+
+    return _Augmentation(limit, planar=True, prune=prune)
 
 
 def _turan_roots(
     n: int, spec: PatternSpec, seed: int, root_order: int
-) -> tuple[int, int, list[Graph]]:
+) -> tuple[int, int, list[_Node]]:
     """Serial phase: grow the tree up to ``root_order`` under the oracle
     prunes.  Returns counts for the orders below ``root_order`` plus the
-    subtree roots (each root is counted by its own subtree later)."""
+    subtree roots (each root is counted by its own subtree later), sorted
+    by canonical form."""
+    tree = _turan_tree(n, spec, seed, root_order)
     enumerated = 0
-    pruned = 0
-    roots: list[Graph] = []
-    stack = [Graph.from_edges(1, [])]
-    while stack:
-        g = stack.pop()
-        if g.n == root_order:
-            roots.append(g)
-            continue
-        enumerated += 1
-        for nbrs in _subset_reps(g):
-            child = g.with_new_vertex(nbrs)
-            if _edge_potential(child.m, child.n, n) < seed:
-                pruned += 1
-                continue
-            if contains_subgraph_at(child, spec, child.n - 1) is not None:
-                pruned += 1
-                continue
-            if not _is_canonical_child(child):
-                continue
-            if not _planar_ok(child):
-                pruned += 1
-                continue
-            stack.append(child)
-    roots.sort(key=canonical_form)
-    return enumerated, pruned, roots
+    roots: list[_Node] = []
+    for node in tree.walk(_ROOT):
+        if node[0].n == root_order:
+            roots.append(node)
+        else:
+            enumerated += 1
+    roots.sort(key=lambda node: graph6_encode(node[0].relabeled(node[1])))
+    return enumerated, tree.pruned, roots
 
 
 def _turan_worker(
-    args: tuple[tuple[bytes, ...], int, str, bytes, int],
+    args: tuple[tuple[_Node, ...], int, PatternSpec, int],
 ) -> tuple[int, int, int, list[bytes]]:
-    """Process one static share of subtree roots (picklable entry point)."""
-    root_codes, n, pattern_name, pattern_g6, seed = args
-    spec = PatternSpec(pattern_name, graph6_decode(pattern_g6))
+    """Explore one static share of subtree roots (picklable entry point).
+
+    Returns ``(enumerated, pruned, best, witnesses)`` where ``best`` is
+    the highest edge count of a connected pattern-free planar graph of
+    order ``n`` found in the share (``-1`` if none) and ``witnesses``
+    are the sorted canonical forms attaining it.
+    """
+    roots, n, spec, seed = args
+    tree = _turan_tree(n, spec, seed, n)
     enumerated = 0
-    pruned = 0
     best = -1
     witnesses: set[bytes] = set()
-    for code in root_codes:
-        e, p, b, wits = _turan_explore(graph6_decode(code), n, spec, seed)
-        enumerated += e
-        pruned += p
-        if b > best:
-            best = b
-            witnesses = set(wits)
-        elif b == best:
-            witnesses |= wits
-    return enumerated, pruned, best, sorted(witnesses)
+    for root in roots:
+        for g, perm, _ in tree.walk(root):
+            enumerated += 1
+            if g.n < n or g.m < best or not g.is_connected():
+                continue
+            form = graph6_encode(g.relabeled(perm))
+            if g.m > best:
+                best = g.m
+                witnesses = {form}
+            else:
+                witnesses.add(form)
+    return enumerated, tree.pruned, best, sorted(witnesses)
 
 
 def exact_planar_turan(
@@ -532,12 +543,7 @@ def exact_planar_turan(
     seed = _seed_bound(n, spec)
     root_order = min(n, _ROOT_ORDER)
     enumerated, pruned, roots = _turan_roots(n, spec, seed, root_order)
-    pattern_g6 = graph6_encode(spec.graph)
-    shares = [
-        tuple(graph6_encode(g) for g in roots[i::workers])
-        for i in range(workers)
-    ]
-    args = [(share, n, spec.name, pattern_g6, seed) for share in shares]
+    args = [(tuple(roots[i::workers]), n, spec, seed) for i in range(workers)]
     if workers == 1:
         results = [_turan_worker(a) for a in args]
     else:
@@ -776,18 +782,15 @@ def _solid_outer_faces(pg: PlaneGraph) -> list[Face]:
 
 def _tb_worker(
     args: tuple[tuple[str, ...], bytes, str],
-) -> list[tuple[bytes, str, bytes]]:
+) -> list[tuple[bytes, str]]:
     """Expand one share of census parents (picklable entry point).
 
-    Returns ``(sphere key, embedding JSON, abstract canonical form)`` for
-    every qualifying child: pattern-free and admitting a solid-TB outer
-    face.
+    Returns ``(sphere key, embedding JSON)`` for every qualifying child:
+    pattern-free and admitting a solid-TB outer face.
     """
     parent_jsons, pattern_g6, pattern_name = args
-    from .io import load_plane_graph_json
-
     spec = PatternSpec(pattern_name, graph6_decode(pattern_g6))
-    out: dict[bytes, tuple[str, bytes]] = {}
+    out: dict[bytes, str] = {}
     for text in parent_jsons:
         parent = load_plane_graph_json(text)
         for child in _grown_children(parent):
@@ -795,14 +798,12 @@ def _tb_worker(
                 continue
             key = _sphere_key(child)
             if key in out:
-                child_text = child.to_json()
-                if child_text < out[key][0]:
-                    out[key] = (child_text, out[key][1])
+                out[key] = min(out[key], child.to_json())
                 continue
             if not _solid_outer_faces(child):
                 continue
-            out[key] = (child.to_json(), canonical_form(child.graph))
-    return sorted((k, v[0], v[1]) for k, v in out.items())
+            out[key] = child.to_json()
+    return sorted(out.items())
 
 
 def enumerate_solid_tbs(
@@ -878,11 +879,9 @@ def enumerate_solid_tbs(
                 results = list(pool.map(_tb_worker, args))
         merged: dict[bytes, str] = {}
         for rows in results:
-            for key, text, _form in rows:
+            for key, text in rows:
                 if key not in merged or text < merged[key]:
                     merged[key] = text
-        from .io import load_plane_graph_json
-
         frontier = {
             key: load_plane_graph_json(text)
             for key, text in sorted(merged.items())
@@ -1061,12 +1060,14 @@ def certify_solid_tbs_direct(
 ) -> dict[int, tuple[str, ...]]:
     """Independent census of pattern-free solid TBs at orders <= 8.
 
-    For every connected planar graph (by :func:`enumerate_graphs`) that
-    is 2-connected, pattern-free, and has every edge on a triangle, the
+    For every connected planar graph of order 3 to ``max_order`` (one
+    walk of the planar augmentation tree, each graph canonically
+    relabeled as :func:`enumerate_graphs` yields it) that is
+    2-connected, pattern-free, and has every edge on a triangle, the
     embeddings are enumerated -- the unique one for 3-connected graphs,
     every planar rotation system otherwise, built by edge insertion
-    without rejection -- and the graph counts iff some
-    embedding and outer-face choice is a single spanning solid TB.  This
+    without rejection -- and the graph counts iff some embedding and
+    outer-face choice is a single spanning solid TB.  This
     procedure never uses the growth reduction, so it certifies
     :func:`enumerate_solid_tbs` where their ranges overlap; on
     disagreement this direct census is authoritative.
@@ -1082,35 +1083,30 @@ def certify_solid_tbs_direct(
     if max_order < 3:
         raise SearchError("max_order must be at least 3")
     spec = as_pattern(pattern)
-    out: dict[int, tuple[str, ...]] = {}
-    for order in range(3, max_order + 1):
-        forms: set[str] = set()
-        for g in enumerate_graphs(order, connected=True, planar=True):
-            bits = g.adj_bits
-            if g.m == 0 or any(not bits[u] & bits[v] for u, v in g.edges):
+    forms: dict[int, set[str]] = {k: set() for k in range(3, max_order + 1)}
+    for g, perm, _ in _Augmentation(max_order, planar=True).walk(_ROOT):
+        if g.n < 3 or not g.is_connected():
+            continue
+        g = g.relabeled(perm)
+        bits = g.adj_bits
+        if any(not bits[u] & bits[v] for u, v in g.edges):
+            continue
+        if not _is_biconnected(g) or not is_free(g, spec):
+            continue
+        if _is_triconnected(g):
+            embeddings: Iterable[PlaneGraph] = [embed(g)]
+        else:
+            embeddings = _embeddings_by_insertion(g)
+        seen: set[bytes] = set()
+        for pg in embeddings:
+            key = _sphere_key(pg)
+            if key in seen:
                 continue
-            if not _is_biconnected(g):
-                continue
-            if not is_free(g, spec):
-                continue
-            if _is_triconnected(g):
-                embeddings: Iterable[PlaneGraph] = [embed(g)]
-            else:
-                embeddings = _embeddings_by_insertion(g)
-            seen: set[bytes] = set()
-            hit = False
-            for pg in embeddings:
-                key = _sphere_key(pg)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if _solid_outer_faces(pg):
-                    hit = True
-                    break
-            if hit:
-                forms.add(canonical_form(g).decode("ascii"))
-        out[order] = tuple(sorted(forms))
-    return out
+            seen.add(key)
+            if _solid_outer_faces(pg):
+                forms[g.n].add(graph6_encode(g).decode("ascii"))
+                break
+    return {k: tuple(sorted(v)) for k, v in forms.items()}
 
 
 # =========================================================================

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from ptl.cli import main
+import ptl
+from ptl.cli import _append_jsonl, main
 from ptl.io import read_graph_lines
 from ptl.patterns import is_free
 
@@ -196,6 +203,42 @@ def test_turan_worker_flag_does_not_change_config(capsys, tmp_path):
                        "C3", "--workers", "2", "--out", str(out_file))
     assert code == 0
     assert "already recorded" in out
+
+
+_APPEND_CHILD = """
+import sys
+from pathlib import Path
+from ptl.cli import _append_jsonl
+print("ready", flush=True)
+print(_append_jsonl(Path(sys.argv[1]), {"n": 4, "pattern": "C3", "config": "k"}))
+"""
+
+
+def test_append_jsonl_holds_a_file_lock(tmp_path):
+    out_file = tmp_path / "r.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ptl.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    with open(out_file, "a+b") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        child = subprocess.Popen(
+            [sys.executable, "-c", _APPEND_CHILD, str(out_file)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            assert child.stdout.readline().strip() == "ready"
+            time.sleep(0.5)
+            assert child.poll() is None  # still waiting for the lock
+            assert out_file.read_text() == ""
+        finally:
+            fcntl.flock(held, fcntl.LOCK_UN)
+    out, _ = child.communicate(timeout=60)
+    assert child.returncode == 0 and out.strip() == "True"
+    record = {"n": 4, "pattern": "C3", "config": "k"}
+    assert _append_jsonl(out_file, record) is False
+    lines = out_file.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [record]
 
 
 def test_turan_invalid_workers_env(capsys, tmp_path, monkeypatch):

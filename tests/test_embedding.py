@@ -120,6 +120,14 @@ def test_canonical_form_label_invariant(g, rnd):
     assert is_isomorphic(g, h)
 
 
+@given(graphs(min_n=1, max_n=8))
+def test_last_canonical_label_has_maximum_degree(g):
+    # canonical augmentation rejects a child whose new vertex is not of
+    # maximum degree before searching; this is the invariant it relies on
+    last = canonical_labeling(g).index(g.n - 1)
+    assert g.degree(last) == max(g.degree(v) for v in range(g.n))
+
+
 def test_canonical_form_separates():
     assert canonical_form(Graph.path(4)) != canonical_form(
         Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -23,6 +25,7 @@ from ptl.patterns import (
     theta,
     wheel,
 )
+from ptl.search import enumerate_graphs
 
 # Orders and sizes of the named catalog patterns.
 _SHAPES = {
@@ -115,6 +118,46 @@ def test_anchor_variant():
     # anchored match must use the anchor
     hit = contains_subgraph_at(host, "P2", 4)
     assert hit is not None and 4 in hit.values()
+
+
+def _anchors_covered(host: Graph, p: Graph) -> set[int]:
+    """Host vertices in the image of some copy of ``p``, by trying every
+    injection."""
+    covered: set[int] = set()
+    for image in permutations(range(host.n), p.n):
+        if all(host.has_edge(image[u], image[v]) for u, v in p.edges):
+            covered.update(image)
+    return covered
+
+
+def test_anchored_matcher_agrees_with_bruteforce():
+    # the patterns are interleaved on every host, so per-pattern cached
+    # state keyed by anything but the pattern graph gives wrong answers;
+    # H4 and H5 share (n, m), and so do C4 and the raw paw below, whose
+    # pendant vertex 0 is an orbit C4 does not have
+    paw = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    pats = [
+        "H4", build_pattern("H5"), "H6", "Theta4", build_pattern("C4"), paw,
+    ]
+    outcomes = set()
+    for n in range(1, 7):
+        for host in enumerate_graphs(n, connected=True):
+            for pat in pats:
+                p = as_pattern(pat).graph
+                covered = _anchors_covered(host, p)
+                for a in range(host.n):
+                    hit = contains_subgraph_at(host, pat, a)
+                    assert (hit is not None) == (a in covered), (
+                        host.edges, p.edges, a,
+                    )
+                    outcomes.add(hit is None)
+                    if hit is None:
+                        continue
+                    assert sorted(hit) == list(range(p.n))
+                    assert len(set(hit.values())) == p.n
+                    assert a in hit.values()
+                    assert all(host.has_edge(hit[u], hit[v]) for u, v in p.edges)
+    assert outcomes == {True, False}
 
 
 def test_known_freeness():

@@ -8,7 +8,14 @@ from math import factorial
 
 import pytest
 
-from ptl.embedding import Graph, PlaneGraph, canonical_form, embed, is_planar
+from ptl.embedding import (
+    Graph,
+    PlaneGraph,
+    canonical_form,
+    canonical_labeling,
+    embed,
+    is_planar,
+)
 from ptl.families import catalog_block, expected_tb_catalog
 from ptl.patterns import as_pattern, contains_subgraph_bruteforce, is_free
 from ptl.search import (
@@ -37,7 +44,8 @@ from ptl.search import (
 # Frozen isomorphism-class counts (OEIS A000088, A001349, A005470, A003094).
 _ALL_GRAPHS = [1, 2, 4, 11, 34]
 _CONNECTED = [1, 1, 2, 6, 21]
-_CONNECTED_PLANAR = [1, 1, 2, 6, 20, 99]
+_PLANAR = {5: 33, 7: 822}
+_CONNECTED_PLANAR = [1, 1, 2, 6, 20, 99, 646]
 
 
 def test_enumerate_graph_counts():
@@ -53,10 +61,24 @@ def test_enumerate_connected_counts():
 
 
 def test_enumerate_planar_counts():
-    assert sum(1 for _ in enumerate_graphs(5, connected=False, planar=True)) == 33
+    for n, expected in _PLANAR.items():
+        got = sum(1 for _ in enumerate_graphs(n, connected=False, planar=True))
+        assert got == expected, n
     for n, expected in enumerate(_CONNECTED_PLANAR, start=1):
         got = sum(1 for _ in enumerate_graphs(n, connected=True, planar=True))
         assert got == expected, n
+
+
+def test_enumerate_planar_order_8_is_canonical():
+    # A005470 and A003094 at n = 8; every graph must come out in its
+    # canonical labeling, which pins the permutation each tree node
+    # carries down to the yield
+    total = connected = 0
+    for g in enumerate_graphs(8, planar=True):
+        assert g == g.relabeled(canonical_labeling(g)), g.edges
+        total += 1
+        connected += g.is_connected()
+    assert (total, connected) == (6966, 5974)
 
 
 def test_enumerate_maximal_planar():
