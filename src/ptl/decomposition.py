@@ -34,6 +34,7 @@ from .embedding import (
     Face,
     Graph,
     PlaneGraph,
+    _union_roots,
     is_isomorphic,
     normalize_edge,
 )
@@ -156,12 +157,7 @@ class ThetaEdge:
 
     def as_graph(self) -> tuple[Graph, tuple[int, ...]]:
         """Abstract copy on ``0..3``; also returns the vertex order used."""
-        order = tuple(sorted(self.vertices))
-        index = {v: i for i, v in enumerate(order)}
-        g = Graph.from_edges(
-            4, [(index[u], index[v]) for u, v in self.edges]
-        )
-        return g, order
+        return Graph.spanned_by(self.edges), tuple(sorted(self.vertices))
 
 
 def theta_of_edge(
@@ -308,12 +304,7 @@ class TriBlock:
 
     def as_graph(self) -> tuple[Graph, tuple[int, ...]]:
         """Abstract copy on ``0..k-1``; also returns the host vertex order."""
-        order = tuple(sorted(self.vertices))
-        index = {v: i for i, v in enumerate(order)}
-        g = Graph.from_edges(
-            len(order), [(index[u], index[v]) for u, v in self.edges]
-        )
-        return g, order
+        return Graph.spanned_by(self.edges), tuple(sorted(self.vertices))
 
 
 def solidify(block: TriBlock) -> TriBlock:
@@ -347,6 +338,11 @@ class TriComponent:
         for b in self.blocks:
             out |= b.vertices
         return out
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """Edges of the member blocks."""
+        return frozenset(e for b in self.blocks for e in b.edges)
 
     @property
     def delta(self) -> int:
@@ -407,21 +403,16 @@ def _restrict_plane(
     # Region analysis: host faces merge across removed edges.
     host_faces = pg.faces()
     face_id = {f: i for i, f in enumerate(host_faces)}
-    parent = list(range(len(host_faces)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in pg.graph.edges:
-        if e not in keep_edges:
-            f1, f2 = pg.faces_of_edge(e)
-            r1, r2 = find(face_id[f1]), find(face_id[f2])
-            if r1 != r2:
-                parent[r1] = r2
-    outer_region = find(face_id[pg.outer])
+    face_of = pg._face_of_dart
+    region = _union_roots(
+        len(host_faces),
+        [
+            (face_id[face_of[(u, v)]], face_id[face_of[(v, u)]])
+            for u, v in pg.graph.edges
+            if (u, v) not in keep_edges
+        ],
+    )
+    outer_region = region[face_id[pg.outer]]
 
     sub = PlaneGraph.build(graph, rotation, outer_walk=None)
     outer_face: Face | None = None
@@ -432,7 +423,7 @@ def _restrict_plane(
             continue
         u, v = darts[0]
         host_face = pg._face_of_dart[(back[u], back[v])]
-        if find(face_id[host_face]) == outer_region:
+        if region[face_id[host_face]] == outer_region:
             outer_face = f
             break
     if outer_face is None:  # pragma: no cover - defensive
@@ -475,28 +466,17 @@ def decompose(pg: PlaneGraph, solid: bool = True) -> Decomposition:
             (the default; pass ``False`` for the raw blocks).
     """
     triangles = list(three_faces(pg, include_outer=False))
-    tri_id = {f: i for i, f in enumerate(triangles)}
-    parent = list(range(len(triangles)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     by_edge: dict[Edge, list[int]] = {}
-    for f in triangles:
+    for i, f in enumerate(triangles):
         for e in f.edge_set:
-            by_edge.setdefault(e, []).append(tri_id[f])
-    for members in by_edge.values():
-        for other in members[1:]:
-            r1, r2 = find(members[0]), find(other)
-            if r1 != r2:
-                parent[r1] = r2
+            by_edge.setdefault(e, []).append(i)
+    tri_root = _union_roots(
+        len(triangles), ((m[0], o) for m in by_edge.values() for o in m[1:])
+    )
 
     classes: dict[int, list[Face]] = {}
-    for f in triangles:
-        classes.setdefault(find(tri_id[f]), []).append(f)
+    for i, f in enumerate(triangles):
+        classes.setdefault(tri_root[i], []).append(f)
     blocks = [
         _block_from_class(pg, faces)
         for faces in classes.values()
@@ -505,15 +485,7 @@ def decompose(pg: PlaneGraph, solid: bool = True) -> Decomposition:
         blocks = [solidify(b) for b in blocks]
     blocks.sort(key=lambda b: sorted(b.vertices))
 
-    # Components: union-find over blocks sharing vertices.
-    bparent = list(range(len(blocks)))
-
-    def bfind(x: int) -> int:
-        while bparent[x] != x:
-            bparent[x] = bparent[bparent[x]]
-            x = bparent[x]
-        return x
-
+    # Components: blocks sharing vertices.
     by_vertex: dict[int, list[int]] = {}
     for i, b in enumerate(blocks):
         for v in b.vertices:
@@ -521,14 +493,12 @@ def decompose(pg: PlaneGraph, solid: bool = True) -> Decomposition:
     junctions = frozenset(
         v for v, members in by_vertex.items() if len(members) > 1
     )
-    for members in by_vertex.values():
-        for other in members[1:]:
-            r1, r2 = bfind(members[0]), bfind(other)
-            if r1 != r2:
-                bparent[r1] = r2
+    block_root = _union_roots(
+        len(blocks), ((m[0], o) for m in by_vertex.values() for o in m[1:])
+    )
     comp_members: dict[int, list[TriBlock]] = {}
     for i, b in enumerate(blocks):
-        comp_members.setdefault(bfind(i), []).append(b)
+        comp_members.setdefault(block_root[i], []).append(b)
     components = tuple(
         sorted(
             (TriComponent(blocks=tuple(bs)) for bs in comp_members.values()),

@@ -117,6 +117,17 @@ class Graph:
         return Graph(n, tuple(sorted(seen)))
 
     @staticmethod
+    def spanned_by(edges: Iterable[Sequence[int]]) -> "Graph":
+        """The graph an edge set spans, relabeled onto ``0..k-1`` in
+        sorted order of the vertices it covers."""
+        edge_list = list(edges)
+        vertices = sorted({v for e in edge_list for v in e})
+        index = {v: i for i, v in enumerate(vertices)}
+        return Graph.from_edges(
+            len(vertices), [(index[a], index[b]) for a, b in edge_list]
+        )
+
+    @staticmethod
     def complete(n: int) -> "Graph":
         """Return the complete graph K_n."""
         return Graph.from_edges(
@@ -219,11 +230,22 @@ class Graph:
         return Graph.from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges])
 
     def with_new_vertex(self, neighbors: Iterable[int]) -> "Graph":
-        """Add vertex ``n`` adjacent to ``neighbors`` (possibly empty)."""
-        nbrs = list(neighbors)
-        return Graph.from_edges(
-            self.n + 1, list(self.edges) + [(u, self.n) for u in nbrs]
-        )
+        """Add vertex ``n`` adjacent to ``neighbors`` (possibly empty).
+
+        Only the new edges are checked; they are merged into the
+        already sorted edge tuple.
+
+        Raises:
+            ValueError: If a neighbour is out of range or repeated.
+        """
+        n = self.n
+        nbrs = sorted(neighbors)
+        if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n):
+            raise ValueError(f"neighbours {nbrs} out of range for n={n}")
+        if len(set(nbrs)) != len(nbrs):
+            raise ValueError(f"repeated neighbour in {nbrs}")
+        new_edges = tuple((u, n) for u in nbrs)
+        return Graph(n + 1, tuple(sorted(self.edges + new_edges)))
 
     def without_vertex(self, v: int) -> "Graph":
         """Delete vertex ``v`` and relabel ``v+1..n-1`` down by one."""
@@ -325,44 +347,46 @@ def _adj_key(n: int, adj: Sequence[int], order: Sequence[int]) -> int:
 
 
 class _CanonState:
-    """Shared state for the canonical search over one graph."""
+    """Shared state for the canonical search over one graph.
 
-    __slots__ = ("n", "adj", "best_key", "best_order", "auts")
+    The search tree is nauty's (McKay 1981; McKay & Piperno 2014): refine,
+    individualize each vertex of the first non-singleton cell in turn,
+    recurse; leaves are compared by :func:`_adj_key`.  Two leaves with
+    equal keys give an automorphism, and the automorphisms prune twice:
+
+    * **Backjump.**  An automorphism found at a leaf maps the best leaf's
+      path onto the current one and fixes their common prefix pointwise,
+      so the rest of the current branch is its image of a branch already
+      explored; the search returns to the depth of that prefix.
+    * **Orbit pruning.**  A candidate is skipped when the automorphisms
+      found so far that fix the current prefix pointwise map it onto a
+      candidate already explored at this node.  The orbits are updated
+      whenever the generator list grows, including inside a sibling's
+      branch.
+
+    A pruned subtree is always the image of one explored earlier, so the
+    first leaf in depth-first order reaching the least key is never
+    pruned: the labeling is the one the unpruned search would give, and
+    the generators still generate the full automorphism group.
+    """
+
+    __slots__ = ("n", "adj", "best_key", "best_order", "best_path", "auts")
 
     def __init__(self, n: int, adj: Sequence[int]):
         self.n = n
         self.adj = adj
         self.best_key: int | None = None
         self.best_order: list[int] | None = None
+        self.best_path: list[int] = []
         self.auts: list[tuple[int, ...]] = []
 
-    def _orbit_reps(
-        self, cell: Sequence[int], fixed: Sequence[int]
-    ) -> list[int]:
-        """Candidates from ``cell`` pruned by known automorphisms.
+    def search(self, colors: list[int], fixed: list[int]) -> int:
+        """Explore the subtree below the individualized path ``fixed``.
 
-        Two candidates are interchangeable when some product of already
-        discovered automorphisms, each fixing every vertex of ``fixed``
-        pointwise, maps one to the other.  Using only the generators that
-        fix the prefix under-approximates the true stabilizer, which is
-        safe: it can only keep extra candidates.
+        Returns the depth the search resumes at: ``len(fixed)`` to go on
+        with the caller's next candidate, or less to backjump past it.
         """
-        relevant = [
-            a for a in self.auts if all(a[v] == v for v in fixed)
-        ]
-        if not relevant:
-            return list(cell)
-        roots = _orbit_partition(self.n, relevant)
-        reps: list[int] = []
-        seen_roots: set[int] = set()
-        for v in cell:
-            r = roots[v]
-            if r not in seen_roots:
-                seen_roots.add(r)
-                reps.append(v)
-        return reps
-
-    def search(self, colors: list[int], fixed: list[int]) -> None:
+        depth = len(fixed)
         colors = _refine(self.n, self.adj, colors)
         cells = _cells(self.n, colors)
         target: list[int] | None = None
@@ -377,23 +401,50 @@ class _CanonState:
             if self.best_key is None or key < self.best_key:
                 self.best_key = key
                 self.best_order = order
-            elif key == self.best_key and self.best_order is not None:
-                # order and best_order are both maps new->old; their
-                # composition is an automorphism old->old.
-                aut = [0] * self.n
-                for i in range(self.n):
-                    aut[self.best_order[i]] = order[i]
-                perm = tuple(aut)
-                if perm != tuple(range(self.n)) and perm not in self.auts:
-                    self.auts.append(perm)
-            return
-        for v in self._orbit_reps(target, fixed):
+                self.best_path = fixed
+                return depth
+            if key > self.best_key:
+                return depth
+            # order and best_order are both maps new->old; their
+            # composition is an automorphism old->old taking the best
+            # path onto this one.
+            assert self.best_order is not None
+            aut = [0] * self.n
+            for i in range(self.n):
+                aut[self.best_order[i]] = order[i]
+            perm = tuple(aut)
+            if perm not in self.auts:
+                self.auts.append(perm)
+            common = 0
+            for a, b in zip(fixed, self.best_path):
+                if a != b:
+                    break
+                common += 1
+            return common
+        explored: list[int] = []
+        roots: list[int] = []
+        known = 0
+        for v in target:
+            if known < len(self.auts):
+                # Orbits under the automorphisms found so far that fix
+                # the prefix pointwise, updated as siblings find more.
+                known = len(self.auts)
+                roots = _orbit_partition(
+                    self.n,
+                    [a for a in self.auts if all(a[u] == u for u in fixed)],
+                )
+            if roots and any(roots[v] == roots[u] for u in explored):
+                continue
+            explored.append(v)
             child = list(colors)
             # Individualize v: give it a colour below its old cell.
             for u in range(self.n):
                 if child[u] >= child[v] and u != v:
                     child[u] += 1
-            self.search(child, fixed + [v])
+            resume = self.search(child, fixed + [v])
+            if resume < depth:
+                return resume
+        return depth
 
 
 def _canon_state(g: Graph) -> _CanonState:
@@ -453,13 +504,18 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Generators of the automorphism group (possibly empty for rigid graphs).
 
     The permutations discovered while exploring the canonical-search tree
-    generate the full automorphism group: every pruned branch is the image
-    of an explored one under a product of already-discovered generators.
+    generate the full automorphism group.  The search prunes a branch only
+    when a product of already-discovered generators maps it onto an
+    explored one: by backjumping once a leaf matches the best leaf, and by
+    skipping candidates in the orbit of an explored sibling (see
+    :class:`_CanonState`).
     """
     return list(_canon_state(g).auts)
 
 
-def _orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
+def _union_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over ``0..n-1``: the root of each index after joining
+    every pair."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -468,12 +524,16 @@ def _orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
             x = parent[x]
         return x
 
-    for a in gens:
-        for v in range(n):
-            ra, rb = find(v), find(a[v])
-            if ra != rb:
-                parent[ra] = rb
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     return [find(v) for v in range(n)]
+
+
+def _orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
+    """Orbit roots of ``0..n-1`` under the group generated by ``gens``."""
+    return _union_roots(n, ((v, a[v]) for a in gens for v in range(n)))
 
 
 def vertex_orbits(g: Graph) -> list[frozenset[int]]:

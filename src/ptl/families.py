@@ -890,7 +890,7 @@ def wheel_ring(k: int) -> FamilyInstance:
         )
     b10 = catalog_block("B10").graph
     for block in dec.blocks:
-        sub = _component_graph(plane, block.edges)
+        sub = Graph.spanned_by(block.edges)
         if not is_isomorphic(sub, b10):
             raise FamilyError(f"wheel_ring({k}): a block is not a copy of B10")
     return _finish(
@@ -1087,14 +1087,6 @@ def family_instance(name: str, **params: int) -> FamilyInstance:
 # Extremal structure verification
 # ---------------------------------------------------------------------------
 
-def _component_graph(pg: PlaneGraph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Relabelled abstract graph spanned by a set of host edges."""
-    edge_list = sorted(tuple(sorted(e)) for e in edges)
-    vertices = sorted({v for e in edge_list for v in e})
-    index = {v: i for i, v in enumerate(vertices)}
-    return Graph.from_edges(len(vertices), [(index[a], index[b]) for a, b in edge_list])
-
-
 @dataclass(frozen=True)
 class ExtremalStructureReport:
     """Outcome of the structural test for edge-maximal ``H5``-free graphs.
@@ -1141,10 +1133,7 @@ def verify_h5_extremal(pg: PlaneGraph) -> ExtremalStructureReport:
     names: list[str] = []
     shapes_ok = True
     for component in dec.components:
-        edges: set[tuple[int, int]] = set()
-        for block in component.blocks:
-            edges.update(block.edges)
-        sub = _component_graph(pg, edges)
+        sub = Graph.spanned_by(component.edges)
         for name, reference in shapes.items():
             if is_isomorphic(sub, reference):
                 names.append(name)

@@ -30,13 +30,14 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import families
-from .decomposition import TriComponent, decompose, e_i_analysis, theta_pair_survey
+from .decomposition import decompose, e_i_analysis, theta_pair_survey
 from .embedding import (
     Face,
     Graph,
@@ -865,35 +866,39 @@ def enumerate_solid_tbs(
     found: dict[int, tuple[str, ...]] = {
         3: (canonical_form(base.graph).decode("ascii"),)
     }
-    for order in range(4, max_order + 1):
-        parents = [frontier[k] for k in sorted(frontier)]
-        shares = [
-            tuple(p.to_json() for p in parents[i::workers])
-            for i in range(workers)
-        ]
-        args = [(share, pattern_g6, spec.name) for share in shares]
-        if workers == 1:
-            results = [_tb_worker(a) for a in args]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+    with (
+        ProcessPoolExecutor(max_workers=workers)
+        if workers > 1
+        else nullcontext()
+    ) as pool:
+        for order in range(4, max_order + 1):
+            parents = [frontier[k] for k in sorted(frontier)]
+            shares = [
+                tuple(p.to_json() for p in parents[i::workers])
+                for i in range(workers)
+            ]
+            args = [(share, pattern_g6, spec.name) for share in shares]
+            if pool is None:
+                results = [_tb_worker(a) for a in args]
+            else:
                 results = list(pool.map(_tb_worker, args))
-        merged: dict[bytes, str] = {}
-        for rows in results:
-            for key, text in rows:
-                if key not in merged or text < merged[key]:
-                    merged[key] = text
-        frontier = {
-            key: load_plane_graph_json(text)
-            for key, text in sorted(merged.items())
-        }
-        for pg in seeds_at(order):
-            key = _sphere_key(pg)
-            frontier.setdefault(key, pg)
-        forms = {
-            canonical_form(pg.graph).decode("ascii")
-            for pg in frontier.values()
-        }
-        found[order] = tuple(sorted(forms))
+            merged: dict[bytes, str] = {}
+            for rows in results:
+                for key, text in rows:
+                    if key not in merged or text < merged[key]:
+                        merged[key] = text
+            frontier = {
+                key: load_plane_graph_json(text)
+                for key, text in sorted(merged.items())
+            }
+            for pg in seeds_at(order):
+                key = _sphere_key(pg)
+                frontier.setdefault(key, pg)
+            forms = {
+                canonical_form(pg.graph).decode("ascii")
+                for pg in frontier.values()
+            }
+            found[order] = tuple(sorted(forms))
 
     expected_graphs = families.expected_tb_catalog(spec.name, max_order)
     expected: dict[int, dict[str, str]] = {}
@@ -1125,18 +1130,6 @@ class DensityViolation:
     note: str
 
 
-def _component_graph(comp: TriComponent) -> Graph:
-    """Abstract copy of a component's block-edge union on ``0..k-1``."""
-    edges: set[tuple[int, int]] = set()
-    for block in comp.blocks:
-        edges |= set(block.edges)
-    order = sorted(comp.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    return Graph.from_edges(
-        len(order), [(index[u], index[v]) for u, v in edges]
-    )
-
-
 def verify_component_density(
     corpus: Iterable[PlaneGraph],
     pattern: "PatternSpec | Graph | str",
@@ -1184,7 +1177,7 @@ def verify_component_density(
                 if size < 7:
                     continue
                 if size in (8, 10) and (
-                    canonical_form(_component_graph(comp)) in exceptions
+                    canonical_form(Graph.spanned_by(comp.edges)) in exceptions
                 ):
                     continue
                 limit = families.bound(size, "lemma2").value
@@ -1390,7 +1383,7 @@ def verify_density_equality(
         for comp in decompose(pg).components:
             if comp.density != 1:
                 continue
-            form = canonical_form(_component_graph(comp))
+            form = canonical_form(Graph.spanned_by(comp.edges))
             if form not in allowed:
                 violations.append(
                     f"member {idx}: density-1 component on vertices "

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import assume, given, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from conftest import graphs
 from ptl.embedding import (
     Graph,
     NonPlanarError,
     PlaneGraph,
+    _CanonState,
     automorphism_generators,
     canonical_form,
     canonical_labeling,
@@ -18,6 +23,9 @@ from ptl.embedding import (
     is_planar,
     vertex_orbits,
 )
+from ptl.families import k2_plus_matching, k2_vee_matching
+from ptl.io import graph6_decode
+from ptl.search import enumerate_graphs
 
 
 # -- basic embeddings ------------------------------------------------------
@@ -157,6 +165,99 @@ def test_automorphism_generators_respect_edges():
         for u in range(4):
             for v in g.adjacency[u]:
                 assert perm[v] in g.adjacency[perm[u]]
+
+
+def _closed_group(n, gens):
+    """Every element of the permutation group generated by ``gens``."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for a in gens:
+                q = tuple(a[p[v]] for v in range(n))
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+def test_automorphism_generators_generate_full_group():
+    # brute-force arbiter for the search's two automorphism prunings:
+    # the closure of the generators must be every automorphism VF2 finds
+    for k in range(1, 8):
+        for g in enumerate_graphs(k):
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(g.n))
+            nxg.add_edges_from(g.edges)
+            brute = {
+                tuple(m[v] for v in range(g.n))
+                for m in GraphMatcher(nxg, nxg).isomorphisms_iter()
+            }
+            gens = automorphism_generators(g)
+            assert _closed_group(g.n, gens) == brute, g.edges
+
+
+def _star(k):
+    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("k2_plus_matching(30)", lambda: k2_plus_matching(30).plane.graph),
+        ("k2_vee_matching(31)", lambda: k2_vee_matching(31).plane.graph),
+        ("K1,40", lambda: _star(40)),
+        ("K20", lambda: Graph.complete(20)),
+    ],
+)
+def test_canonical_form_twin_rich(monkeypatch, name, make):
+    # graphs full of twin vertices made the search exponential before it
+    # pruned by the automorphisms it finds; the call count is exact, so
+    # the bound does not depend on the machine
+    g = make()
+    calls = 0
+    search = _CanonState.search
+
+    def counted(self, colors, fixed):
+        nonlocal calls
+        calls += 1
+        return search(self, colors, fixed)
+
+    monkeypatch.setattr(_CanonState, "search", counted)
+    form = canonical_form(g)
+    assert calls <= g.n * g.n, calls
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    assert canonical_form(g.relabeled(perm)) == form
+    decoded = graph6_decode(form)
+    assert decoded.m == g.m
+    a, b = nx.Graph(), nx.Graph()
+    a.add_nodes_from(range(g.n))
+    a.add_edges_from(g.edges)
+    b.add_nodes_from(range(decoded.n))
+    b.add_edges_from(decoded.edges)
+    assert nx.vf2pp_is_isomorphic(a, b)
+
+
+@given(graphs(min_n=1, max_n=8), st.data())
+def test_with_new_vertex_matches_from_edges(g, data):
+    nbrs = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    child = g.with_new_vertex(nbrs)
+    assert child == Graph.from_edges(
+        g.n + 1, list(g.edges) + [(u, g.n) for u in nbrs]
+    )
+    with pytest.raises(ValueError):
+        g.with_new_vertex(nbrs + [g.n])
+    with pytest.raises(ValueError):
+        g.with_new_vertex([0, 0])
+
+
+def test_spanned_by_relabels_in_sorted_vertex_order():
+    g = Graph.spanned_by([(9, 5), (2, 5), (5, 9)])
+    assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
 # -- sphere structure --------------------------------------------------------

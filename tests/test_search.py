@@ -18,6 +18,7 @@ from ptl.embedding import (
 )
 from ptl.families import catalog_block, expected_tb_catalog
 from ptl.patterns import as_pattern, contains_subgraph_bruteforce, is_free
+from ptl import search
 from ptl.search import (
     DEFAULT_CEILING,
     CeilingExceededError,
@@ -215,6 +216,22 @@ def test_direct_census_order_limit():
         certify_solid_tbs_direct(9, "H5")
     with pytest.raises(SearchError):
         certify_solid_tbs_direct(2, "H5")
+
+
+def test_census_opens_one_pool_per_call(monkeypatch):
+    # the census expands orders 4..max_order; every order shares one pool
+    pools = []
+
+    class CountedPool(search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", CountedPool)
+    report = enumerate_solid_tbs(6, "H4", workers=2)
+    assert len(pools) == 1
+    serial = enumerate_solid_tbs(6, "H4", workers=1)
+    assert report.comparable_json() == serial.comparable_json()
 
 
 def test_census_report_round_trip():
