@@ -509,11 +509,11 @@ def _check_naive_agreement(pattern: str, cfg: RunConfig) -> str:
 
 
 def _check_c3_line(cfg: RunConfig) -> str:
-    for n in (5, 6, 7):
+    for n in range(5, 10):
         got = search.exact_planar_turan(n, "C3", workers=cfg.workers).ex
         if got != 2 * n - 4:
             raise CheckFailure(f"ex_P({n}, C3) = {got}, expected {2 * n - 4}")
-    return "ex_P(n, C3) = 2n-4 for n in {5, 6, 7}"
+    return "ex_P(n, C3) = 2n-4 for n in 5..9"
 
 
 def _check_wheel_ring_suite() -> str:

@@ -16,6 +16,12 @@ augmentation core, :class:`_Augmentation`.  A child costs at most one
 canonical search, whose labeling and automorphism generators decide
 McKay's test, give the child's subset orbits as a parent and relabel it
 when yielded; the direct census takes every order from one walk.
+Planarity needs no test per child.  If ``G`` is planar and a new vertex
+joins the set ``S``, then ``G`` plus that vertex is planar iff every
+component of ``G`` that ``S`` meets has some plane embedding with its
+part of ``S`` on one face.  So each planar parent computes, once, the
+maximal face-vertex bitmasks of each component over all its rotation
+systems, and each child is decided by bitmask tests against them.
 
 Determinism contract: every report produced here is byte-identical across
 runs and across worker counts once timing fields are stripped.  To that
@@ -43,6 +49,7 @@ from .embedding import (
     Graph,
     PlaneGraph,
     _orbit_partition,
+    _union_roots,
     canonical_data,
     canonical_form,
     embed,
@@ -159,6 +166,14 @@ class _Augmentation:
     the child's labeling and generators), and planarity if ``planar``.
     :attr:`pruned` counts the children rejected by ``prune`` or
     planarity, not those failing McKay's test.
+
+    Planarity is read from the parent's cofacial masks
+    (:func:`_cofacial_masks`), computed when its first child reaches
+    that step: a planar parent plus a vertex joined to ``S`` is planar
+    iff, in every component ``S`` meets, ``S`` lies on one face of some
+    embedding.  This needs every parent to be planar, which holds
+    because the tree starts at one vertex and keeps only planar
+    children.
     """
 
     limit: int
@@ -171,6 +186,7 @@ class _Augmentation:
         g, _, gens = node
         new = g.n
         kept: list[_Node] = []
+        masks: list[tuple[int, list[int]]] | None = None
         for nbrs in _subset_reps(g.n, gens):
             child = g.with_new_vertex(nbrs)
             if self.prune is not None and self.prune(child):
@@ -191,9 +207,12 @@ class _Augmentation:
                 roots = _orbit_partition(child.n, child_gens)
                 if roots[target] != roots[new]:
                     continue
-            if self.planar and not _planar_ok(child):
-                self.pruned += 1
-                continue
+            if self.planar:
+                if masks is None:
+                    masks = _cofacial_masks(g)
+                if not _cofacial(masks, bits[new]):
+                    self.pruned += 1
+                    continue
             kept.append((child, perm, child_gens))
         return kept
 
@@ -224,28 +243,46 @@ def _edge_potential(m: int, k: int, n: int) -> int:
     return p
 
 
-def _planar_ok(g: Graph) -> bool:
-    """Planarity with a cycle-rank shortcut (rank ≤ 3 is always planar:
-    a K5 or K3,3 subdivision needs cycle rank ≥ 4)."""
-    if g.n >= 3 and g.m > 3 * g.n - 6:
-        return False
-    components = 0
-    seen = [False] * g.n
-    for start in range(g.n):
-        if seen[start]:
+def _cofacial_masks(g: Graph) -> list[tuple[int, list[int]]]:
+    """The cofacial masks of a planar graph.
+
+    One pair per component with a cycle: the component's vertex bitmask
+    and the maximal vertex bitmasks of its faces over all of its rotation
+    systems.  A tree component has one face, holding all its vertices, so
+    it is left out and nothing is enumerated for it.
+    """
+    roots = _union_roots(g.n, g.edges)
+    spans: dict[int, list[tuple[int, int]]] = {}
+    for e in g.edges:
+        spans.setdefault(roots[e[0]], []).append(e)
+    masks: list[tuple[int, list[int]]] = []
+    for edges in spans.values():
+        verts = sorted({v for e in edges for v in e})
+        if len(edges) < len(verts):
             continue
-        components += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    if g.m - g.n + components <= 3:
-        return True
-    return is_planar(g)
+        faces: set[int] = set()
+        for system in _rotation_systems(Graph.spanned_by(edges)):
+            face_bits: dict[int, int] = {}
+            for v, fids in _corner_faces(system).items():
+                for fid in fids:
+                    face_bits[fid] = face_bits.get(fid, 0) | 1 << verts[v]
+            faces.update(face_bits.values())
+        maximal: list[int] = []
+        for f in sorted(faces, key=int.bit_count, reverse=True):
+            if all(f & ~kept for kept in maximal):
+                maximal.append(f)
+        masks.append((sum(1 << v for v in verts), maximal))
+    return masks
+
+
+def _cofacial(masks: list[tuple[int, list[int]]], s: int) -> bool:
+    """Whether the parent whose :func:`_cofacial_masks` are ``masks``
+    stays planar with a new vertex joined to the vertex bitmask ``s``:
+    within every component it meets, ``s`` lies on one face."""
+    return all(
+        not s & comp or any(not s & comp & ~f for f in faces)
+        for comp, faces in masks
+    )
 
 
 def enumerate_graphs(
@@ -610,7 +647,7 @@ def naive_planar_turan(
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         g = Graph.from_edges(n, edges)
-        if g.m < best or not _planar_ok(g) or not is_free(g, spec):
+        if g.m < best or not is_planar(g) or not is_free(g, spec):
             continue
         if g.m > best:
             best = g.m
@@ -985,27 +1022,27 @@ def _corner_faces(rot: Sequence[Sequence[int]]) -> dict[int, list[int]]:
     of dart ``(v, rot[v][i + 1])`` (indices cyclic).  Vertices without
     neighbours are left out.
     """
-    index = [{u: i for i, u in enumerate(r)} for r in rot]
-    face: dict[tuple[int, int], int] = {}
+    succ = [dict(zip(r, r[1:] + r[:1])) for r in rot]
+    face: list[dict[int, int]] = [{} for _ in rot]
+    fid = 0
     for v0, r0 in enumerate(rot):
         for w0 in r0:
-            if (v0, w0) in face:
+            if w0 in face[v0]:
                 continue
-            fid = len(face)
             u, v = v0, w0
-            while (u, v) not in face:
-                face[(u, v)] = fid
-                r = rot[v]
-                u, v = v, r[(index[v][u] + 1) % len(r)]
+            while v not in face[u]:
+                face[u][v] = fid
+                u, v = v, succ[v][u]
+            fid += 1
     return {
-        v: [face[(v, r[(i + 1) % len(r)])] for i in range(len(r))]
+        v: [face[v][w] for w in r[1:] + r[:1]]
         for v, r in enumerate(rot)
         if r
     }
 
 
-def _embeddings_by_insertion(g: Graph) -> Iterator[PlaneGraph]:
-    """Every sphere embedding of a connected graph, one per rotation system.
+def _rotation_systems(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
+    """Every planar rotation system of a connected graph, sorted.
 
     Edges are added in the order of :func:`_insertion_order`.  A tree
     edge goes into any corner of its old endpoint; a closing edge joins
@@ -1014,8 +1051,7 @@ def _embeddings_by_insertion(g: Graph) -> Iterator[PlaneGraph]:
     system is reached exactly once and none is rejected (the face and
     corner bookkeeping of Boyer and Myrvold's edge-addition planarity
     test, JGAA 8(3), 2004).  Each rotation is rotated to start at its
-    smallest neighbour, and the systems are yielded in sorted order.
-    Every one is still validated by :meth:`PlaneGraph.build`.
+    smallest neighbour.  A non-planar graph has none.
 
     Raises:
         ValueError: If ``g`` is empty or disconnected.
@@ -1055,7 +1091,18 @@ def _embeddings_by_insertion(g: Graph) -> Iterator[PlaneGraph]:
                 rot[w].remove(u)
 
     extend(0)
-    for system in sorted(found):
+    return sorted(found)
+
+
+def _embeddings_by_insertion(g: Graph) -> Iterator[PlaneGraph]:
+    """Every sphere embedding of a connected graph, one per rotation
+    system of :func:`_rotation_systems`, in its order.  Every one is
+    still validated by :meth:`PlaneGraph.build`.
+
+    Raises:
+        ValueError: If ``g`` is empty or disconnected.
+    """
+    for system in _rotation_systems(g):
         yield PlaneGraph.build(g, system, outer_walk=None)
 
 

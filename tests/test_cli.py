@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ptl
-from ptl.cli import _append_jsonl, main
+from ptl.cli import RunConfig, _append_jsonl, _check_c3_line, main
 from ptl.io import read_graph_lines
 from ptl.patterns import is_free
 
@@ -274,6 +274,13 @@ def test_tb_enumerate_bad_pattern(capsys):
     code, _, err = run(capsys, "tb", "enumerate", "--pattern", "C3",
                        "--max", "6")
     assert code == 2
+
+
+# -- verify ----------------------------------------------------------------------
+
+def test_verify_c3_line_runs_to_order_9():
+    cfg = RunConfig(command="verify", theorem="thm1")
+    assert _check_c3_line(cfg) == "ex_P(n, C3) = 2n-4 for n in 5..9"
 
 
 # -- errors ------------------------------------------------------------------------

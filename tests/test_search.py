@@ -23,6 +23,8 @@ from ptl.search import (
     DEFAULT_CEILING,
     CeilingExceededError,
     SearchError,
+    _cofacial,
+    _cofacial_masks,
     _embeddings_by_insertion,
     _is_biconnected,
     _is_triconnected,
@@ -82,6 +84,40 @@ def test_enumerate_planar_order_8_is_canonical():
     assert (total, connected) == (6966, 5974)
 
 
+def test_cofacial_masks_agree_with_networkx():
+    # every planar graph with n <= 6, disconnected ones included, plus a
+    # new vertex joined to every subset of its vertices
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, planar=True):
+            masks = _cofacial_masks(g)
+            for s in range(1 << n):
+                nbrs = [v for v in range(n) if s >> v & 1]
+                child = g.with_new_vertex(nbrs)
+                assert _cofacial(masks, s) == is_planar(child), (g.edges, nbrs)
+    k4 = Graph.complete(4)
+    k23 = Graph.from_edges(5, [(u, w) for u in (0, 1) for w in (2, 3, 4)])
+    forest = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    for g, nbrs, planar in (
+        (k4, (0, 1, 2, 3), False),  # K5
+        (k23, (2, 3, 4), False),  # K3,3
+        (forest, (1, 2, 3, 5, 6), True),  # meets all three trees
+    ):
+        s = sum(1 << v for v in nbrs)
+        assert _cofacial(_cofacial_masks(g), s) is planar
+        assert is_planar(g.with_new_vertex(nbrs)) is planar
+
+
+def test_augmentation_needs_no_planarity_test(monkeypatch):
+    # the tree decides planarity from its parents' faces alone
+    def refuse(g):
+        raise AssertionError("networkx planarity test called")
+
+    monkeypatch.setattr(search, "is_planar", refuse)
+    assert sum(1 for _ in enumerate_graphs(7, planar=True)) == 822
+    assert exact_planar_turan(7, "H5").ex == 13
+    assert certify_solid_tbs_direct(6, "H5")[6]
+
+
 def test_enumerate_maximal_planar():
     # connected planar graphs on 7 vertices with >= 15 = 3n-6 edges are
     # exactly the 5 triangulations
@@ -118,6 +154,21 @@ def test_oracle_values(n, pattern):
     assert report.ex == _EX_TABLE[(n, pattern)]
     assert report.witnesses
     assert report.n == n and report.pattern == pattern
+
+
+def test_oracle_within_literature_bounds():
+    # ex_P(n, C3) = 2n - 4; ex_P(n, C4) <= 15(n - 2)/7 (Dowden, J. Graph
+    # Theory 83, 2016); ex_P(n, Theta4) <= 12(n - 2)/5 (Lan, Shi and Song,
+    # Discrete Math. 342, 2019)
+    bounds = {
+        "C4": lambda n: Fraction(15 * (n - 2), 7),
+        "Theta4": lambda n: Fraction(12 * (n - 2), 5),
+    }
+    for n in range(4, 9):
+        assert exact_planar_turan(n, "C3").ex == 2 * n - 4, n
+        for pattern, bound in bounds.items():
+            ex = exact_planar_turan(n, pattern).ex
+            assert ex <= bound(n), (n, pattern, ex)
 
 
 def test_oracle_witnesses_are_extremal():
