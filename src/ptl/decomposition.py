@@ -27,13 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .embedding import (
     Edge,
     Face,
     Graph,
     PlaneGraph,
+    _min_rotation,
     _union_roots,
     is_isomorphic,
     normalize_edge,
@@ -196,12 +196,7 @@ def classify_theta_pair(
     shared = te.vertices & tf.vertices
     if len(shared) != 2:
         return "Overlapping"
-    vertices = sorted(te.vertices | tf.vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    union = Graph.from_edges(
-        len(vertices),
-        [(index[u], index[v]) for u, v in te.edges | tf.edges],
-    )
+    union = Graph.spanned_by(te.edges | tf.edges)
     for name in ("D1", "D2", "D3"):
         if is_isomorphic(union, fixture(name)):
             return name
@@ -401,29 +396,25 @@ def _restrict_plane(
         len(vertices), [(index[u], index[v]) for u, v in keep_edges]
     )
     # Region analysis: host faces merge across removed edges.
-    host_faces = pg.faces()
-    face_id = {f: i for i, f in enumerate(host_faces)}
-    face_of = pg._face_of_dart
+    host_faces, face_of = pg._traced
     region = _union_roots(
         len(host_faces),
         [
-            (face_id[face_of[(u, v)]], face_id[face_of[(v, u)]])
+            (face_of[u][v], face_of[v][u])
             for u, v in pg.graph.edges
             if (u, v) not in keep_edges
         ],
     )
-    outer_region = region[face_id[pg.outer]]
+    outer_region = region[host_faces.index(pg.outer)]
 
     sub = PlaneGraph.build(graph, rotation, outer_walk=None)
     outer_face: Face | None = None
-    back = {i: v for v, i in index.items()}
     for f in sub.faces():
         darts = f.darts()
         if not darts:
             continue
         u, v = darts[0]
-        host_face = pg._face_of_dart[(back[u], back[v])]
-        if region[face_id[host_face]] == outer_region:
+        if region[face_of[vertices[u]][vertices[v]]] == outer_region:
             outer_face = f
             break
     if outer_face is None:  # pragma: no cover - defensive
@@ -442,7 +433,7 @@ def _block_from_class(pg: PlaneGraph, faces: list[Face]) -> TriBlock:
     holes: list[Face] = []
     for f in sub.inner_faces():
         walk = tuple(order[i] for i in f.walk)
-        host_face = Face(min(walk[i:] + walk[:i] for i in range(len(walk))))
+        host_face = Face(_min_rotation(walk))
         if host_face not in face_set:
             holes.append(host_face)
     return TriBlock(

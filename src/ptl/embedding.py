@@ -34,9 +34,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Edge",
@@ -605,31 +604,45 @@ class Face:
         return self.length == 3 and len(self.vertices) == 3
 
 
-def _trace_faces(
-    n: int, rotation: Sequence[Sequence[int]]
-) -> tuple[Face, ...]:
-    """All faces of a rotation system by dart-orbit traversal."""
-    index: list[dict[int, int]] = [
-        {u: i for i, u in enumerate(rot)} for rot in rotation
-    ]
-    faces: list[Face] = []
-    seen: set[Dart] = set()
-    for v0 in range(n):
-        if not rotation[v0]:
-            faces.append(Face((v0,)))
-            continue
-        for w0 in rotation[v0]:
-            if (v0, w0) in seen:
+def _dart_faces(
+    rotation: Sequence[Sequence[int]],
+) -> tuple[list[dict[int, int]], list[list[int]]]:
+    """The faces of a rotation system, possibly partial, by one walk over
+    the dart orbits.
+
+    Returns ``(face, walks)``: ``face[u][v]`` is the id of the face of
+    dart ``(u, v)`` and ``walks[i]`` lists the tails of face ``i``'s darts
+    in traversal order.  Faces are numbered in the order they are first
+    reached, trying the darts of each vertex in rotation order; vertices
+    without neighbours lie on no walk.
+    """
+    succ = [dict(zip(r, r[1:] + r[:1])) for r in rotation]
+    face: list[dict[int, int]] = [{} for _ in rotation]
+    walks: list[list[int]] = []
+    for v0, r0 in enumerate(rotation):
+        for w0 in r0:
+            if w0 in face[v0]:
                 continue
+            fid = len(walks)
             walk: list[int] = []
             u, v = v0, w0
-            while (u, v) not in seen:
-                seen.add((u, v))
+            while v not in face[u]:
+                face[u][v] = fid
                 walk.append(u)
-                rot = rotation[v]
-                u, v = v, rot[(index[v][u] + 1) % len(rot)]
-            faces.append(Face(_min_rotation(tuple(walk))))
-    return tuple(faces)
+                u, v = v, succ[v][u]
+            walks.append(walk)
+    return face, walks
+
+
+def _trace_faces(
+    rotation: Sequence[Sequence[int]],
+) -> tuple[tuple[Face, ...], list[dict[int, int]]]:
+    """The faces of a connected rotation system, in :func:`_dart_faces`
+    order, and the face id of every dart."""
+    face, walks = _dart_faces(rotation)
+    if not walks:
+        return (Face((0,)),), face
+    return tuple(Face(_min_rotation(tuple(w))) for w in walks), face
 
 
 class NonPlanarError(ValueError):
@@ -694,7 +707,8 @@ class PlaneGraph:
                     f"rotation at vertex {v} does not list its neighbours"
                 )
         rot = tuple(tuple(r) for r in rotation)
-        faces = _trace_faces(graph.n, rot)
+        traced = _trace_faces(rot)
+        faces = traced[0]
         if graph.n - graph.m + len(faces) != 2:
             raise ValueError(
                 "rotation system is not a plane embedding: "
@@ -715,7 +729,7 @@ class PlaneGraph:
                 )
             outer = matches[0]
         pg = PlaneGraph(graph, rot, outer)
-        object.__setattr__(pg, "_faces_cache", faces)
+        object.__setattr__(pg, "_traced", traced)
         return pg
 
     # -- faces -------------------------------------------------------------
@@ -730,13 +744,13 @@ class PlaneGraph:
         """Number of edges."""
         return self.graph.m
 
+    @cached_property
+    def _traced(self) -> tuple[tuple[Face, ...], list[dict[int, int]]]:
+        return _trace_faces(self.rotation)
+
     def faces(self) -> tuple[Face, ...]:
         """All faces (outer included), in deterministic traversal order."""
-        cached = getattr(self, "_faces_cache", None)
-        if cached is None:
-            cached = _trace_faces(self.graph.n, self.rotation)
-            object.__setattr__(self, "_faces_cache", cached)
-        return cached
+        return self._traced[0]
 
     def inner_faces(self) -> tuple[Face, ...]:
         """All faces except the designated outer face."""
@@ -754,15 +768,17 @@ class PlaneGraph:
         u, v = e
         if not self.graph.has_edge(u, v):
             raise ValueError(f"{e} is not an edge")
-        return (self._face_of_dart[(u, v)], self._face_of_dart[(v, u)])
+        faces, face = self._traced
+        return (faces[face[u][v]], faces[face[v][u]])
 
     @cached_property
     def _face_of_dart(self) -> dict[Dart, Face]:
-        mapping: dict[Dart, Face] = {}
-        for f in self.faces():
-            for d in f.darts():
-                mapping[d] = f
-        return mapping
+        faces, face = self._traced
+        return {
+            (u, v): faces[fid]
+            for u, row in enumerate(face)
+            for v, fid in row.items()
+        }
 
     # -- derived embeddings --------------------------------------------------
 
@@ -771,17 +787,17 @@ class PlaneGraph:
         if face not in self.faces():
             raise ValueError("face is not a face of this embedding")
         pg = PlaneGraph(self.graph, self.rotation, face)
-        object.__setattr__(pg, "_faces_cache", self.faces())
+        object.__setattr__(pg, "_traced", self._traced)
         return pg
 
     def mirrored(self) -> "PlaneGraph":
         """The reflected embedding (all rotations reversed)."""
         rot = tuple(tuple(reversed(r)) for r in self.rotation)
-        faces = _trace_faces(self.graph.n, rot)
+        traced = _trace_faces(rot)
         target = _min_rotation(tuple(reversed(self.outer.walk)))
-        outer = next(f for f in faces if f.walk == target)
+        outer = next(f for f in traced[0] if f.walk == target)
         pg = PlaneGraph(self.graph, rot, outer)
-        object.__setattr__(pg, "_faces_cache", faces)
+        object.__setattr__(pg, "_traced", traced)
         return pg
 
     # -- canonical code ------------------------------------------------------
@@ -836,18 +852,14 @@ def _bfs_plane_code(pg: PlaneGraph, start: Dart) -> bytes:
     entry: dict[int, int] = {start[0]: start[1]}
     queue = [start[0]]
     rows: list[list[int]] = []
-    index = [
-        {u: i for i, u in enumerate(rot)} for rot in pg.rotation
-    ]
     head = 0
     while head < len(queue):
         v = queue[head]
         head += 1
         rot = pg.rotation[v]
-        k = index[v][entry[v]]
-        ordered = [rot[(k + i) % len(rot)] for i in range(len(rot))]
+        k = rot.index(entry[v])
         row: list[int] = []
-        for u in ordered:
+        for u in rot[k:] + rot[:k]:
             if u not in label:
                 label[u] = len(label)
                 entry[u] = v
@@ -983,11 +995,5 @@ def plane_graph_from_positions(
     if not g.adjacency[a]:
         raise ValueError("isolated vertex in a multi-vertex drawing")
     b = max(g.adjacency[a], key=lambda u: angle(a, u))
-    faces = _trace_faces(n, rotation)
-    outer = next(
-        f
-        for f in faces
-        for d in f.darts()
-        if d == (a, b)
-    )
-    return PlaneGraph.build(g, rotation, outer_walk=outer.walk)
+    pg = PlaneGraph.build(g, rotation)
+    return pg.with_outer(pg._face_of_dart[(a, b)])

@@ -24,12 +24,12 @@ used anywhere in the numeric contracts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .decomposition import Decomposition, decompose
+from .decomposition import decompose
 from .embedding import (
     Face,
     Graph,
@@ -208,9 +208,10 @@ def _draw_k5_minus_edge() -> PlaneGraph:
     return _pg(5, edges, pos)
 
 
-def _draw_triforce() -> PlaneGraph:
+def _draw_triforce(extra: Sequence[tuple[int, int]] = ()) -> PlaneGraph:
     # Corner vertices 0, 1, 2; rung vertices 3 (bottom), 4 (right), 5 (left)
-    # pulled slightly inward so later corner-corner edges stay straight.
+    # pulled slightly inward so the corner-corner edges in ``extra`` stay
+    # straight.
     pos = {
         0: (0.0, 0.0),
         1: (2.0, 0.0),
@@ -220,21 +221,7 @@ def _draw_triforce() -> PlaneGraph:
         5: (0.68, 0.82),
     }
     edges = [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0), (3, 4), (4, 5), (3, 5)]
-    return _pg(6, edges, pos)
-
-
-def _draw_triforce_plus(extra: Sequence[tuple[int, int]]) -> PlaneGraph:
-    base = _draw_triforce()
-    pos = {
-        0: (0.0, 0.0),
-        1: (2.0, 0.0),
-        2: (1.0, 1.73),
-        3: (1.0, 0.3),
-        4: (1.32, 0.82),
-        5: (0.68, 0.82),
-    }
-    edges = [tuple(sorted(e)) for e in base.graph.edges] + list(extra)
-    return _pg(6, edges, pos)
+    return _pg(6, edges + list(extra), pos)
 
 
 def _draw_octahedron() -> PlaneGraph:
@@ -403,9 +390,9 @@ def _draw_block(name: str, order: int) -> PlaneGraph:
     if name == "B6":
         return _draw_triforce()
     if name == "B7":
-        return _draw_triforce_plus([(0, 1)])
+        return _draw_triforce([(0, 1)])
     if name == "B8":
-        return _draw_triforce_plus([(0, 1), (1, 2)])
+        return _draw_triforce([(0, 1), (1, 2)])
     if name == "B9":
         return _draw_octahedron()
     if name == "B10":
@@ -424,7 +411,7 @@ def _draw_block(name: str, order: int) -> PlaneGraph:
         if name == "B14" and order == 6:
             # The capped strip degenerates at order six: its long face
             # closes into a triangle and the block coincides with B8.
-            return _draw_triforce_plus([(0, 1), (1, 2)])
+            return _draw_triforce([(0, 1), (1, 2)])
         return _draw_capped_strip(order)
     if name == "B15":
         return _draw_antiprism(order)

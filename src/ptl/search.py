@@ -23,6 +23,13 @@ part of ``S`` on one face.  So each planar parent computes, once, the
 maximal face-vertex bitmasks of each component over all its rotation
 systems, and each child is decided by bitmask tests against them.
 
+Rotation systems come from one enumerator, :func:`_rotation_systems`,
+which inserts edges into corners of one face; :func:`plane_embeddings`
+builds on it, and the direct census reads its embeddings from there.
+Every face, of a partial or a complete rotation system, is read from one
+dart-orbit walk, :func:`ptl.embedding._dart_faces`.  Census workers
+receive and return :class:`PlaneGraph` objects, like the oracle's.
+
 Determinism contract: every report produced here is byte-identical across
 runs and across worker counts once timing fields are stripped.  To that
 end the oracle prunes against a fixed, constructively verified seed bound
@@ -33,6 +40,7 @@ all merges are order-insensitive (sums, maxima, sorted unions).
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +56,7 @@ from .embedding import (
     Face,
     Graph,
     PlaneGraph,
+    _dart_faces,
     _orbit_partition,
     _union_roots,
     canonical_data,
@@ -55,7 +64,7 @@ from .embedding import (
     embed,
     is_planar,
 )
-from .io import graph6_decode, graph6_encode, load_plane_graph_json
+from .io import graph6_encode
 from .patterns import PatternSpec, as_pattern, contains_subgraph_at, is_free
 
 __all__ = [
@@ -262,11 +271,11 @@ def _cofacial_masks(g: Graph) -> list[tuple[int, list[int]]]:
             continue
         faces: set[int] = set()
         for system in _rotation_systems(Graph.spanned_by(edges)):
-            face_bits: dict[int, int] = {}
-            for v, fids in _corner_faces(system).items():
-                for fid in fids:
-                    face_bits[fid] = face_bits.get(fid, 0) | 1 << verts[v]
-            faces.update(face_bits.values())
+            for walk in _dart_faces(system)[1]:
+                bits = 0
+                for v in walk:
+                    bits |= 1 << verts[v]
+                faces.add(bits)
         maximal: list[int] = []
         for f in sorted(faces, key=int.bit_count, reverse=True):
             if all(f & ~kept for kept in maximal):
@@ -585,7 +594,10 @@ def exact_planar_turan(
     if workers == 1:
         results = [_turan_worker(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork pool starts all its processes at the first submit, so
+        # it gets no more than the cores; the shares stay ``workers``.
+        cores = min(workers, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=cores) as pool:
             results = list(pool.map(_turan_worker, args))
     best = -1
     witnesses: set[bytes] = set()
@@ -819,29 +831,29 @@ def _solid_outer_faces(pg: PlaneGraph) -> list[Face]:
 
 
 def _tb_worker(
-    args: tuple[tuple[str, ...], bytes, str],
-) -> list[tuple[bytes, str]]:
+    args: tuple[tuple[PlaneGraph, ...], PatternSpec],
+) -> list[tuple[bytes, PlaneGraph]]:
     """Expand one share of census parents (picklable entry point).
 
-    Returns ``(sphere key, embedding JSON)`` for every qualifying child:
-    pattern-free and admitting a solid-TB outer face.
+    Returns ``(sphere key, child)``, sorted by key, for every qualifying
+    child: pattern-free and admitting a solid-TB outer face.  Of children
+    with one key it keeps the one with the least JSON, as the merge does,
+    so the census never depends on the order of expansion.
     """
-    parent_jsons, pattern_g6, pattern_name = args
-    spec = PatternSpec(pattern_name, graph6_decode(pattern_g6))
-    out: dict[bytes, str] = {}
-    for text in parent_jsons:
-        parent = load_plane_graph_json(text)
+    parents, spec = args
+    out: dict[bytes, PlaneGraph] = {}
+    for parent in parents:
         for child in _grown_children(parent):
             if not is_free(child.graph, spec):
                 continue
             key = _sphere_key(child)
             if key in out:
-                out[key] = min(out[key], child.to_json())
+                out[key] = min(out[key], child, key=PlaneGraph.to_json)
                 continue
             if not _solid_outer_faces(child):
                 continue
-            out[key] = child.to_json()
-    return sorted(out.items())
+            out[key] = child
+    return [(key, out[key]) for key in sorted(out)]
 
 
 def enumerate_solid_tbs(
@@ -889,7 +901,6 @@ def enumerate_solid_tbs(
     if workers < 1:
         raise SearchError("worker count must be at least 1")
     start = time.monotonic()
-    pattern_g6 = graph6_encode(spec.graph)
 
     def seeds_at(order: int) -> list[PlaneGraph]:
         if order % 2 == 0 and order >= 6:
@@ -904,30 +915,23 @@ def enumerate_solid_tbs(
         3: (canonical_form(base.graph).decode("ascii"),)
     }
     with (
-        ProcessPoolExecutor(max_workers=workers)
+        ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
         if workers > 1
         else nullcontext()
     ) as pool:
         for order in range(4, max_order + 1):
             parents = [frontier[k] for k in sorted(frontier)]
-            shares = [
-                tuple(p.to_json() for p in parents[i::workers])
-                for i in range(workers)
-            ]
-            args = [(share, pattern_g6, spec.name) for share in shares]
+            args = [(tuple(parents[i::workers]), spec) for i in range(workers)]
             if pool is None:
                 results = [_tb_worker(a) for a in args]
             else:
                 results = list(pool.map(_tb_worker, args))
-            merged: dict[bytes, str] = {}
+            frontier = {}
             for rows in results:
-                for key, text in rows:
-                    if key not in merged or text < merged[key]:
-                        merged[key] = text
-            frontier = {
-                key: load_plane_graph_json(text)
-                for key, text in sorted(merged.items())
-            }
+                for key, pg in rows:
+                    if key in frontier:
+                        pg = min(frontier[key], pg, key=PlaneGraph.to_json)
+                    frontier[key] = pg
             for pg in seeds_at(order):
                 key = _sphere_key(pg)
                 frontier.setdefault(key, pg)
@@ -1015,32 +1019,6 @@ def _insertion_order(g: Graph) -> list[tuple[int, int, bool]]:
     return steps
 
 
-def _corner_faces(rot: Sequence[Sequence[int]]) -> dict[int, list[int]]:
-    """Face id of every corner of a partial rotation system.
-
-    Corner ``i`` of ``v`` sits after ``rot[v][i]``; it lies on the face
-    of dart ``(v, rot[v][i + 1])`` (indices cyclic).  Vertices without
-    neighbours are left out.
-    """
-    succ = [dict(zip(r, r[1:] + r[:1])) for r in rot]
-    face: list[dict[int, int]] = [{} for _ in rot]
-    fid = 0
-    for v0, r0 in enumerate(rot):
-        for w0 in r0:
-            if w0 in face[v0]:
-                continue
-            u, v = v0, w0
-            while v not in face[u]:
-                face[u][v] = fid
-                u, v = v, succ[v][u]
-            fid += 1
-    return {
-        v: [face[v][w] for w in r[1:] + r[:1]]
-        for v, r in enumerate(rot)
-        if r
-    }
-
-
 def _rotation_systems(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
     """Every planar rotation system of a connected graph, sorted.
 
@@ -1079,9 +1057,14 @@ def _rotation_systems(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
                 rot[u].remove(w)
             rot[w].pop()
             return
-        corners = _corner_faces(rot)
-        for i, fu in enumerate(corners[u]):
-            for j, fw in enumerate(corners[w]):
+        # Corner i of v sits after rot[v][i], on the face of the dart
+        # leaving v to the next neighbour.
+        face = _dart_faces(rot)[0]
+        ru, rw = rot[u], rot[w]
+        corners_u = [face[u][x] for x in ru[1:] + ru[:1]]
+        corners_w = [face[w][x] for x in rw[1:] + rw[:1]]
+        for i, fu in enumerate(corners_u):
+            for j, fw in enumerate(corners_w):
                 if fu != fw:
                     continue
                 rot[u].insert(i + 1, w)
@@ -1094,18 +1077,6 @@ def _rotation_systems(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(found)
 
 
-def _embeddings_by_insertion(g: Graph) -> Iterator[PlaneGraph]:
-    """Every sphere embedding of a connected graph, one per rotation
-    system of :func:`_rotation_systems`, in its order.  Every one is
-    still validated by :meth:`PlaneGraph.build`.
-
-    Raises:
-        ValueError: If ``g`` is empty or disconnected.
-    """
-    for system in _rotation_systems(g):
-        yield PlaneGraph.build(g, system, outer_walk=None)
-
-
 def certify_solid_tbs_direct(
     max_order: int,
     pattern: "PatternSpec | Graph | str",
@@ -1115,11 +1086,10 @@ def certify_solid_tbs_direct(
     For every connected planar graph of order 3 to ``max_order`` (one
     walk of the planar augmentation tree, each graph canonically
     relabeled as :func:`enumerate_graphs` yields it) that is
-    2-connected, pattern-free, and has every edge on a triangle, the
-    embeddings are enumerated -- the unique one for 3-connected graphs,
-    every planar rotation system otherwise, built by edge insertion
-    without rejection -- and the graph counts iff some embedding and
-    outer-face choice is a single spanning solid TB.  This
+    2-connected, pattern-free, and has every edge on a triangle, its
+    distinct sphere embeddings are read from
+    ``plane_embeddings(g, dedupe=True)``, and the graph counts iff some
+    embedding and outer-face choice is a single spanning solid TB.  This
     procedure never uses the growth reduction, so it certifies
     :func:`enumerate_solid_tbs` where their ranges overlap; on
     disagreement this direct census is authoritative.
@@ -1145,19 +1115,9 @@ def certify_solid_tbs_direct(
             continue
         if not _is_biconnected(g) or not is_free(g, spec):
             continue
-        if _is_triconnected(g):
-            embeddings: Iterable[PlaneGraph] = [embed(g)]
-        else:
-            embeddings = _embeddings_by_insertion(g)
-        seen: set[bytes] = set()
-        for pg in embeddings:
-            key = _sphere_key(pg)
-            if key in seen:
-                continue
-            seen.add(key)
-            if _solid_outer_faces(pg):
-                forms[g.n].add(graph6_encode(g).decode("ascii"))
-                break
+        embeddings = plane_embeddings(g, dedupe=True)
+        if any(_solid_outer_faces(pg) for pg in embeddings):
+            forms[g.n].add(graph6_encode(g).decode("ascii"))
     return {k: tuple(sorted(v)) for k, v in forms.items()}
 
 
@@ -1285,8 +1245,9 @@ def plane_embeddings(
     """Every sphere embedding of a connected planar graph.
 
     For 3-connected graphs the embedding is unique up to reflection and
-    is produced directly; otherwise every planar rotation system is built
-    by edge insertion, once each, in sorted rotation order.
+    is produced directly; otherwise there is one per rotation system of
+    :func:`_rotation_systems`, built by edge insertion, once each, in
+    sorted rotation order.
     The outer face of the yielded graphs is arbitrary -- callers that
     care about the inner/outer distinction should fan out with
     :func:`outer_variants`.
@@ -1303,11 +1264,14 @@ def plane_embeddings(
     if _is_triconnected(g):
         yield embed(g)
         return
+    embeddings = (
+        PlaneGraph.build(g, system) for system in _rotation_systems(g)
+    )
     if not dedupe:
-        yield from _embeddings_by_insertion(g)
+        yield from embeddings
         return
     seen: set[bytes] = set()
-    for pg in _embeddings_by_insertion(g):
+    for pg in embeddings:
         key = _sphere_key(pg)
         if key not in seen:
             seen.add(key)

@@ -25,7 +25,7 @@ from ptl.embedding import (
 )
 from ptl.families import k2_plus_matching, k2_vee_matching
 from ptl.io import graph6_decode
-from ptl.search import enumerate_graphs
+from ptl.search import _rotation_systems, enumerate_graphs
 
 
 # -- basic embeddings ------------------------------------------------------
@@ -286,6 +286,50 @@ def test_faces_of_edge():
                 fs = pg.faces_of_edge((u, v))
                 assert len(fs) == 2
                 assert all({u, v} <= set(f.vertices) for f in fs)
+
+
+def _reference_faces(n, rotation):
+    """Independent face tracer: per-vertex index maps and a seen-set of
+    darts, walking ``(u, v) -> (v, rot[v][index(u) + 1])``."""
+    index = [{u: i for i, u in enumerate(rot)} for rot in rotation]
+    walks = []
+    seen = set()
+    for v0 in range(n):
+        if not rotation[v0]:
+            walks.append((v0,))
+            continue
+        for w0 in rotation[v0]:
+            if (v0, w0) in seen:
+                continue
+            walk = []
+            u, v = v0, w0
+            while (u, v) not in seen:
+                seen.add((u, v))
+                walk.append(u)
+                rot = rotation[v]
+                u, v = v, rot[(index[v][u] + 1) % len(rot)]
+            walks.append(min(walk[i:] + walk[:i] for i in range(len(walk))))
+    return [tuple(w) for w in walks]
+
+
+def test_faces_match_reference_tracer():
+    # the 778 plane rotation systems of the connected planar graphs with
+    # n <= 6, and their mirror images
+    checked = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected=True, planar=True):
+            for system in _rotation_systems(g):
+                pg = PlaneGraph.build(g, system)
+                for pg in (pg, pg.mirrored()):
+                    walks = [f.walk for f in pg.faces()]
+                    assert walks == _reference_faces(n, pg.rotation)
+                    darts = {d: f for f in pg.faces() for d in f.darts()}
+                    assert pg._face_of_dart == darts
+                    for u, v in g.edges:
+                        sides = (darts[(u, v)], darts[(v, u)])
+                        assert pg.faces_of_edge((u, v)) == sides
+                    checked += 1
+    assert checked == 2 * 778
 
 
 def test_build_validates_euler():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -16,7 +17,7 @@ from ptl.embedding import (
     embed,
     is_planar,
 )
-from ptl.families import catalog_block, expected_tb_catalog
+from ptl.families import catalog_block
 from ptl.patterns import as_pattern, contains_subgraph_bruteforce, is_free
 from ptl import search
 from ptl.search import (
@@ -25,9 +26,9 @@ from ptl.search import (
     SearchError,
     _cofacial,
     _cofacial_masks,
-    _embeddings_by_insertion,
     _is_biconnected,
     _is_triconnected,
+    _rotation_systems,
     certify_solid_tbs_direct,
     enumerate_graphs,
     enumerate_solid_tbs,
@@ -285,6 +286,33 @@ def test_census_opens_one_pool_per_call(monkeypatch):
     assert report.comparable_json() == serial.comparable_json()
 
 
+def test_pools_start_no_more_processes_than_cores(monkeypatch):
+    # a fork pool starts max_workers processes at its first submit; this
+    # stand-in records the size asked for and maps serially in-process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    turan = exact_planar_turan(6, "H4", workers=64)
+    census = enumerate_solid_tbs(7, "H5", workers=64)
+    assert len(sizes) == 2
+    assert all(1 <= size <= os.cpu_count() for size in sizes)
+    assert turan.comparable_json() == exact_planar_turan(6, "H4").comparable_json()
+    assert census.comparable_json() == enumerate_solid_tbs(7, "H5").comparable_json()
+
+
 def test_census_report_round_trip():
     report = enumerate_solid_tbs(5, "H4")
     record = report.to_record()
@@ -333,9 +361,9 @@ def _brute_force_embeddings(g: Graph):
 
 
 def _assert_same_embeddings(g: Graph) -> None:
-    fast = [(pg.rotation, pg.outer) for pg in _embeddings_by_insertion(g)]
-    slow = [(pg.rotation, pg.outer) for pg in _brute_force_embeddings(g)]
-    assert fast == slow, g.edges
+    # the outer face of both is build()'s choice from the rotation
+    slow = [pg.rotation for pg in _brute_force_embeddings(g)]
+    assert _rotation_systems(g) == slow, g.edges
 
 
 def test_embeddings_match_brute_force_small():
@@ -391,12 +419,13 @@ def test_embedding_counts_closed_forms():
     # Whitney: a 3-connected planar graph has one embedding and its mirror
     for g in (Graph.complete(4), _octahedron(), _cube(), _wheel(5)):
         assert _is_triconnected(g)
-        first, second = _embeddings_by_insertion(g)
-        mirror = tuple(
-            r[r.index(min(r)):] + r[: r.index(min(r))]
-            for r in first.mirrored().rotation
-        )
-        assert mirror == second.rotation
+        first, second = _rotation_systems(g)
+        mirror = []
+        for r in first:
+            r = r[::-1]
+            i = r.index(min(r))
+            mirror.append(r[i:] + r[:i])
+        assert tuple(mirror) == second
 
 
 def test_plane_embeddings_need_connected_graph():
