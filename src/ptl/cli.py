@@ -12,9 +12,9 @@ One binary, subcommand style::
 
 All numeric output is exact -- rationals are printed ``p/q``; no floating
 point appears in any report.  Configuration precedence is flags, then the
-environment (``PTL_CEILING``, ``PTL_WORKERS``), then defaults.  The exit
-code is 0 exactly when every requested check passed; usage and input
-errors exit 2.
+environment (``PTL_CEILING``, ``PTL_WORKERS``), then defaults; a variable
+applies only to commands that take its flag.  The exit code is 0 exactly
+when every requested check passed; usage and input errors exit 2.
 
 Pattern arguments accept the pattern grammar plus a CLI convenience: a
 ``+`` joins disjoint-union parts, so ``C3+Theta4`` means ``C3|Theta4``.
@@ -742,16 +742,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, workers: bool = False) -> None:
-        p.add_argument(
-            "--ceiling", type=int, default=None,
-            help="enumeration ceiling (default: PTL_CEILING or library default)",
-        )
-        if workers:
+    def add_search_options(p: argparse.ArgumentParser, ceiling: bool = True) -> None:
+        if ceiling:
             p.add_argument(
-                "--workers", type=int, default=None,
-                help="worker processes (default: PTL_WORKERS or 1)",
+                "--ceiling", type=int, default=None,
+                help="enumeration ceiling (default: PTL_CEILING or library default)",
             )
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes (default: PTL_WORKERS or 1)",
+        )
 
     p_family = sub.add_parser("family", help="extremal-family constructions")
     family_sub = p_family.add_subparsers(dest="action", required=True)
@@ -792,7 +792,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="JSONL result catalog (default: results.jsonl)")
     p_exact.add_argument("--witness-dir", type=Path, default=None,
                          help="directory for witness .g6 files")
-    add_common(p_exact, workers=True)
+    add_search_options(p_exact)
 
     p_tb = sub.add_parser("tb", help="solid triangular-block census")
     tb_sub = p_tb.add_subparsers(dest="action", required=True)
@@ -802,19 +802,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max", dest="max_order", type=int, required=True)
     p_enum.add_argument("--out", type=Path, default=None,
                         help="write the full report JSON here")
-    add_common(p_enum, workers=True)
+    add_search_options(p_enum)
 
     p_verify = sub.add_parser("verify", help="acceptance bundles")
     p_verify.add_argument("theorem", choices=["thm1", "thm2", "thm3"])
-    add_common(p_verify, workers=True)
+    # The bundles need orders up to 9 whatever the ceiling, so they take none.
+    add_search_options(p_verify, ceiling=False)
 
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    ceiling = _resolve_ceiling(getattr(args, "ceiling", None))
-    workers = _resolve_workers(getattr(args, "workers", None))
+    # The environment applies only to commands that take the flag.
+    ceiling = _resolve_ceiling(args.ceiling) if "ceiling" in args else None
+    workers = _resolve_workers(args.workers) if "workers" in args else 1
     pattern = None
     if getattr(args, "pattern", None) is not None:
         pattern = _cli_pattern(args.pattern)

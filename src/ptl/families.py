@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .decomposition import decompose
 from .embedding import (
@@ -76,44 +76,6 @@ class FamilyError(ValueError):
 # Block catalogue
 # ---------------------------------------------------------------------------
 
-#: Orders of the blocks that exist at a single size only.
-_FIXED_ORDERS: dict[str, int] = {
-    "B1": 3,
-    "B2": 4,
-    "B3": 5,
-    "B4": 5,
-    "B5": 5,
-    "B6": 6,
-    "B7": 6,
-    "B8": 6,
-    "B9": 6,
-    "B10": 7,
-    "B1p": 6,
-    "B2p": 6,
-    "B3p": 7,
-    "B4p": 7,
-}
-
-#: Parity ("even"/"odd"/"any") and minimum order of the parametric blocks.
-_PARAMETRIC: dict[str, tuple[str, int]] = {
-    "B11": ("even", 4),
-    "B12": ("odd", 5),
-    "B13": ("odd", 7),
-    "B14": ("even", 6),
-    "B15": ("even", 6),
-    "W": ("any", 4),
-    "F": ("any", 4),
-}
-
-#: Blocks whose defining property is freeness of this pattern.
-_BLOCK_PATTERN: dict[str, str] = {
-    **{name: "H4" for name in ("B1", "B2", "B3", "B4", "B5", "B6", "B7",
-                               "B8", "B9", "B10", "B11", "B12", "B13",
-                               "B14", "B15")},
-    **{name: "H5" for name in ("B1p", "B2p", "B3p", "B4p", "W", "F")},
-}
-
-
 @dataclass(frozen=True)
 class CatalogBlock:
     """A certified catalogue entry: one solid triangular block.
@@ -140,29 +102,20 @@ class CatalogBlock:
     @property
     def display_name(self) -> str:
         """Name with the order attached for parametric blocks."""
-        if self.name in _FIXED_ORDERS:
+        if self.name in _FIXED:
             return self.name
         return f"{self.name}({self.order})"
 
 
-def _pg(
-    n: int,
-    edges: Iterable[Sequence[int]],
-    pos: Mapping[int, Point],
-    bends: Mapping[tuple[int, int], Point] | None = None,
-    outer_walk: Sequence[int] | None = None,
-) -> PlaneGraph:
-    return plane_graph_from_positions(n, edges, pos, bends=bends, outer_walk=outer_walk)
-
-
 def _draw_triangle() -> PlaneGraph:
-    return _pg(3, [(0, 1), (1, 2), (0, 2)], {0: (0, 0), 1: (2, 0), 2: (1, 1.7)})
+    pos = {0: (0, 0), 1: (2, 0), 2: (1, 1.7)}
+    return plane_graph_from_positions(3, [(0, 1), (1, 2), (0, 2)], pos)
 
 
 def _draw_k4() -> PlaneGraph:
     pos = {0: (0, 0), 1: (4, 0), 2: (2, 3.4), 3: (2, 1.1)}
     edges = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)]
-    return _pg(4, edges, pos)
+    return plane_graph_from_positions(4, edges, pos)
 
 
 def _draw_triple_book() -> PlaneGraph:
@@ -171,7 +124,7 @@ def _draw_triple_book() -> PlaneGraph:
     # spine and the third nested, giving four inner 3-faces.
     pos = {3: (0, 1), 4: (0, -1), 0: (-1.4, 0), 1: (0.7, 0), 2: (1.8, 0)}
     edges = [(3, 4), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (1, 2)]
-    return _pg(5, edges, pos)
+    return plane_graph_from_positions(5, edges, pos)
 
 
 def _draw_wheel(order: int) -> PlaneGraph:
@@ -184,7 +137,7 @@ def _draw_wheel(order: int) -> PlaneGraph:
         pos[1 + i] = (2 * math.cos(a), 2 * math.sin(a))
     edges = [(0, 1 + i) for i in range(rim)]
     edges += [(1 + i, 1 + (i + 1) % rim) for i in range(rim)]
-    return _pg(order, edges, pos)
+    return plane_graph_from_positions(order, edges, pos)
 
 
 def _draw_fan(order: int) -> PlaneGraph:
@@ -197,7 +150,7 @@ def _draw_fan(order: int) -> PlaneGraph:
         pos[1 + i] = (2 * math.cos(a), 2 * math.sin(a))
     edges = [(0, 1 + i) for i in range(path)]
     edges += [(1 + i, 2 + i) for i in range(path - 1)]
-    return _pg(order, edges, pos)
+    return plane_graph_from_positions(order, edges, pos)
 
 
 def _draw_k5_minus_edge() -> PlaneGraph:
@@ -205,7 +158,7 @@ def _draw_k5_minus_edge() -> PlaneGraph:
     # {0, 1, 3} inside the face (0, 1, 3); the missing pair is (2, 4).
     pos = {0: (0, 0), 1: (4, 0), 2: (2, 3.46), 3: (2, 1.15), 4: (2, 0.5)}
     edges = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (3, 4)]
-    return _pg(5, edges, pos)
+    return plane_graph_from_positions(5, edges, pos)
 
 
 def _draw_triforce(extra: Sequence[tuple[int, int]] = ()) -> PlaneGraph:
@@ -221,7 +174,7 @@ def _draw_triforce(extra: Sequence[tuple[int, int]] = ()) -> PlaneGraph:
         5: (0.68, 0.82),
     }
     edges = [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0), (3, 4), (4, 5), (3, 5)]
-    return _pg(6, edges + list(extra), pos)
+    return plane_graph_from_positions(6, edges + list(extra), pos)
 
 
 def _draw_octahedron() -> PlaneGraph:
@@ -238,7 +191,7 @@ def _draw_octahedron() -> PlaneGraph:
         (3, 4), (4, 5), (3, 5),
         (0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5),
     ]
-    return _pg(6, edges, pos)
+    return plane_graph_from_positions(6, edges, pos)
 
 
 def _draw_eared_wheel() -> PlaneGraph:
@@ -258,7 +211,7 @@ def _draw_eared_wheel() -> PlaneGraph:
         (1, 2), (2, 3), (3, 4), (4, 1),
         (5, 1), (5, 2), (6, 3), (6, 4),
     ]
-    return _pg(7, edges, pos)
+    return plane_graph_from_positions(7, edges, pos)
 
 
 def _b1p_positions() -> dict[int, Point]:
@@ -281,7 +234,7 @@ def _b1p_edges() -> list[tuple[int, int]]:
 
 
 def _draw_b1p() -> PlaneGraph:
-    return _pg(6, _b1p_edges(), _b1p_positions())
+    return plane_graph_from_positions(6, _b1p_edges(), _b1p_positions())
 
 
 def _b2p_positions() -> dict[int, Point]:
@@ -301,12 +254,12 @@ def _b2p_edges() -> list[tuple[int, int]]:
 def _draw_b2p() -> PlaneGraph:
     # K5 minus one edge with an extra ear below the bottom edge (0, 1); the
     # outer face becomes the quadrilateral (2, 0, 5, 1).
-    return _pg(6, _b2p_edges(), _b2p_positions())
+    return plane_graph_from_positions(6, _b2p_edges(), _b2p_positions())
 
 
 def _draw_b3p() -> PlaneGraph:
     edges = _b1p_edges() + [(0, 6), (1, 6)]
-    return _pg(7, edges, _b1p_positions())
+    return plane_graph_from_positions(7, edges, _b1p_positions())
 
 
 def _draw_b4p() -> PlaneGraph:
@@ -325,7 +278,7 @@ def _draw_b4p() -> PlaneGraph:
     # density is 6/7, so no bound changes.  The abstract alone does not
     # say whether the paper's lemma omits it or the list was copied short.
     edges = _b2p_edges() + [(0, 6), (3, 6)]
-    return _pg(7, edges, _b2p_positions())
+    return plane_graph_from_positions(7, edges, _b2p_positions())
 
 
 def _draw_strip(order: int) -> PlaneGraph:
@@ -333,12 +286,16 @@ def _draw_strip(order: int) -> PlaneGraph:
     pos = {i: (float(i), float(i % 2)) for i in range(order)}
     edges = [(i, i + 1) for i in range(order - 1)]
     edges += [(i, i + 2) for i in range(order - 2)]
-    return _pg(order, edges, pos)
+    return plane_graph_from_positions(order, edges, pos)
 
 
 def _draw_capped_strip(order: int) -> PlaneGraph:
     # Zigzag strip on order-1 vertices plus an apex below, joined to both
     # end rungs; the two apex edges to the top rail curve around the strip.
+    if order == 6:
+        # The capped strip degenerates at order six: its long face
+        # closes into a triangle and the block coincides with B8.
+        return _draw_triforce([(0, 1), (1, 2)])
     n = order
     strip = n - 1
     w = n - 1
@@ -355,7 +312,7 @@ def _draw_capped_strip(order: int) -> PlaneGraph:
         (top_end, w): (float(n), -1.0),
     }
     outer = (w,) + tuple(range(1, top_end + 1, 2))
-    return _pg(n, edges, pos, bends=bends, outer_walk=outer)
+    return plane_graph_from_positions(n, edges, pos, bends=bends, outer_walk=outer)
 
 
 def _draw_antiprism(order: int) -> PlaneGraph:
@@ -373,72 +330,44 @@ def _draw_antiprism(order: int) -> PlaneGraph:
     edges += [(k + i, k + (i + 1) % k) for i in range(k)]
     edges += [(i, k + i) for i in range(k)]
     edges += [((i + 1) % k, k + i) for i in range(k)]
-    return _pg(order, edges, pos)
+    return plane_graph_from_positions(order, edges, pos)
 
 
-def _draw_block(name: str, order: int) -> PlaneGraph:
-    if name == "B1":
-        return _draw_triangle()
-    if name == "B2":
-        return _draw_k4()
-    if name == "B3":
-        return _draw_triple_book()
-    if name == "B4":
-        return _draw_wheel(5)
-    if name == "B5":
-        return _draw_k5_minus_edge()
-    if name == "B6":
-        return _draw_triforce()
-    if name == "B7":
-        return _draw_triforce([(0, 1)])
-    if name == "B8":
-        return _draw_triforce([(0, 1), (1, 2)])
-    if name == "B9":
-        return _draw_octahedron()
-    if name == "B10":
-        return _draw_eared_wheel()
-    if name == "B1p":
-        return _draw_b1p()
-    if name == "B2p":
-        return _draw_b2p()
-    if name == "B3p":
-        return _draw_b3p()
-    if name == "B4p":
-        return _draw_b4p()
-    if name in ("B11", "B12"):
-        return _draw_strip(order)
-    if name in ("B13", "B14"):
-        if name == "B14" and order == 6:
-            # The capped strip degenerates at order six: its long face
-            # closes into a triangle and the block coincides with B8.
-            return _draw_triforce([(0, 1), (1, 2)])
-        return _draw_capped_strip(order)
-    if name == "B15":
-        return _draw_antiprism(order)
-    if name == "W":
-        return _draw_wheel(order)
-    if name == "F":
-        return _draw_fan(order)
-    raise FamilyError(f"unknown block name: {name!r}")
+#: Blocks that exist at one order only: name -> (pattern avoided, order,
+#: counted 3-faces, drawing).
+_FIXED: dict[str, tuple[str, int, int, Callable[[], PlaneGraph]]] = {
+    "B1": ("H4", 3, 1, _draw_triangle),
+    "B2": ("H4", 4, 3, _draw_k4),
+    "B3": ("H4", 5, 4, _draw_triple_book),
+    "B4": ("H4", 5, 4, lambda: _draw_wheel(5)),
+    "B5": ("H4", 5, 5, _draw_k5_minus_edge),
+    "B6": ("H4", 6, 4, _draw_triforce),
+    "B7": ("H4", 6, 5, lambda: _draw_triforce([(0, 1)])),
+    "B8": ("H4", 6, 6, lambda: _draw_triforce([(0, 1), (1, 2)])),
+    "B9": ("H4", 6, 7, _draw_octahedron),
+    "B10": ("H4", 7, 6, _draw_eared_wheel),
+    "B1p": ("H5", 6, 5, _draw_b1p),
+    "B2p": ("H5", 6, 6, _draw_b2p),
+    "B3p": ("H5", 7, 6, _draw_b3p),
+    "B4p": ("H5", 7, 6, _draw_b4p),
+}
 
-
-def _expected_delta(name: str, order: int) -> int:
-    fixed = {
-        "B1": 1, "B2": 3, "B3": 4, "B4": 4, "B5": 5,
-        "B6": 4, "B7": 5, "B8": 6, "B9": 7, "B10": 6,
-        "B1p": 5, "B2p": 6, "B3p": 6, "B4p": 6,
-    }
-    if name in fixed:
-        return fixed[name]
-    if name in ("B11", "B12", "F"):
-        return order - 2
-    if name in ("B13", "W"):
-        return order - 1
-    if name == "B14":
-        return order if order == 6 else order - 1
-    if name == "B15":
-        return 7 if order == 6 else order
-    raise FamilyError(f"unknown block name: {name!r}")
+#: Blocks with one member per admissible order: name -> (pattern avoided,
+#: parity "even"/"odd"/"any", minimum order, counted 3-faces at order n,
+#: drawing at order n, density formula, density-table order).
+_PARAMETRIC: dict[str, tuple[
+    str, str, int, Callable[[int], int], Callable[[int], PlaneGraph], str, int
+]] = {
+    "B11": ("H4", "even", 4, lambda n: n - 2, _draw_strip, "(n-2)/n", 4),
+    "B12": ("H4", "odd", 5, lambda n: n - 2, _draw_strip, "(n-2)/n", 5),
+    "B13": ("H4", "odd", 7, lambda n: n - 1, _draw_capped_strip, "(n-1)/n", 7),
+    "B14": ("H4", "even", 6, lambda n: n if n == 6 else n - 1,
+            _draw_capped_strip, "(n-1)/n", 8),
+    "B15": ("H4", "even", 6, lambda n: 7 if n == 6 else n, _draw_antiprism,
+            "1", 8),
+    "F": ("H5", "any", 4, lambda n: n - 2, _draw_fan, "(n-2)/n", 6),
+    "W": ("H5", "any", 4, lambda n: n - 1, _draw_wheel, "(n-1)/n", 6),
+}
 
 
 def _normalise_block_name(name: str) -> str:
@@ -446,14 +375,19 @@ def _normalise_block_name(name: str) -> str:
     if cleaned.startswith("B'") and cleaned[2:].isdigit():
         cleaned = "B" + cleaned[2:] + "'"
     cleaned = cleaned.replace("'", "p")
-    if cleaned in _FIXED_ORDERS or cleaned in _PARAMETRIC:
+    if cleaned in _FIXED or cleaned in _PARAMETRIC:
         return cleaned
     raise FamilyError(f"unknown block name: {name!r}")
 
 
 @lru_cache(maxsize=None)
 def _catalog_block(name: str, order: int) -> CatalogBlock:
-    plane = _draw_block(name, order)
+    if name in _FIXED:
+        pattern, _, delta, draw = _FIXED[name]
+        plane = draw()
+    else:
+        pattern, _, _, count, draw_at, _, _ = _PARAMETRIC[name]
+        plane, delta = draw_at(order), count(order)
     if plane.n != order:
         raise FamilyError(f"{name}: drew {plane.n} vertices, expected {order}")
     dec = decompose(plane)
@@ -467,13 +401,11 @@ def _catalog_block(name: str, order: int) -> CatalogBlock:
         raise FamilyError(f"{name}({order}): block does not span all vertices")
     if not block.is_solid:
         raise FamilyError(f"{name}({order}): block is not solid")
-    delta = _expected_delta(name, order)
     if block.delta != delta:
         raise FamilyError(
             f"{name}({order}): drawing has {block.delta} counted 3-faces, "
             f"expected {delta}"
         )
-    pattern = _BLOCK_PATTERN[name]
     if not is_free(plane.graph, pattern):
         raise FamilyError(f"{name}({order}): drawing is not {pattern}-free")
     return CatalogBlock(
@@ -500,20 +432,18 @@ def catalog_block(name: str, order: int | None = None) -> CatalogBlock:
             self-certification of the drawing.
     """
     key = _normalise_block_name(name)
-    if key in _FIXED_ORDERS:
-        fixed = _FIXED_ORDERS[key]
+    if key in _FIXED:
+        fixed = _FIXED[key][1]
         if order is not None and order != fixed:
             raise FamilyError(f"{key} exists only at order {fixed}, not {order}")
         return _catalog_block(key, fixed)
-    parity, minimum = _PARAMETRIC[key]
+    _, parity, minimum, *_ = _PARAMETRIC[key]
     if order is None:
         raise FamilyError(f"{key} is parametric: an order is required")
     if order < minimum:
         raise FamilyError(f"{key} requires order >= {minimum}, got {order}")
-    if parity == "even" and order % 2 != 0:
-        raise FamilyError(f"{key} requires an even order, got {order}")
-    if parity == "odd" and order % 2 != 1:
-        raise FamilyError(f"{key} requires an odd order, got {order}")
+    if parity not in ("any", ("even", "odd")[order % 2]):
+        raise FamilyError(f"{key} requires an {parity} order, got {order}")
     return _catalog_block(key, order)
 
 
@@ -543,17 +473,6 @@ class DensityRow:
     formula: str
 
 
-#: Representative orders used for the parametric table rows.
-_TABLE_REPRESENTATIVES: dict[str, int] = {
-    "B11": 4, "B12": 5, "B13": 7, "B14": 8, "B15": 8, "W": 6, "F": 6,
-}
-
-_TABLE_FORMULAS: dict[str, str] = {
-    "B11": "(n-2)/n", "B12": "(n-2)/n", "F": "(n-2)/n",
-    "B13": "(n-1)/n", "B14": "(n-1)/n", "W": "(n-1)/n",
-    "B15": "1",
-}
-
 _H4_TABLE = ("B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9", "B10",
              "B11", "B12", "B13", "B14", "B15")
 _H5_TABLE = ("B1p", "B2p", "B3p", "W", "F")
@@ -566,34 +485,46 @@ def density_table_rows(which: str = "all") -> tuple[DensityRow, ...]:
         which: ``"H4"``, ``"H5"`` or ``"all"``.
     """
     key = which.upper()
-    if key == "ALL":
-        names = [("H4", n) for n in _H4_TABLE] + [("H5", n) for n in _H5_TABLE]
-    elif key == "H4":
-        names = [("H4", n) for n in _H4_TABLE]
-    elif key == "H5":
-        names = [("H5", n) for n in _H5_TABLE]
-    else:
+    tables = {"H4": _H4_TABLE, "H5": _H5_TABLE}
+    if key != "ALL" and key not in tables:
         raise FamilyError(f"unknown table selector: {which!r}")
     rows = []
-    for table, name in names:
-        order = _TABLE_REPRESENTATIVES.get(name)
-        entry = catalog_block(name, order)
-        rows.append(
-            DensityRow(
-                table=table,
-                name=entry.display_name,
-                order=entry.order,
-                delta=entry.delta,
-                density=entry.density,
-                formula=_TABLE_FORMULAS.get(name, ""),
+    for table, names in tables.items():
+        if key not in ("ALL", table):
+            continue
+        for name in names:
+            formula, order = "", None
+            if name in _PARAMETRIC:
+                formula, order = _PARAMETRIC[name][5:]
+            entry = catalog_block(name, order)
+            rows.append(
+                DensityRow(
+                    table=table,
+                    name=entry.display_name,
+                    order=entry.order,
+                    delta=entry.delta,
+                    density=entry.density,
+                    formula=formula,
+                )
             )
-        )
     return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
 # Expected block catalogues by order
 # ---------------------------------------------------------------------------
+
+_SHARED_SMALL = {3: ("B1",), 4: ("B2", "B11"), 5: ("B3", "B4", "B5", "B12")}
+
+#: The solid blocks at orders 3-7, where the lists follow no rule.  Above
+#: order 7 a pattern's list is its parametric blocks that exist there.
+_SMALL_CATALOG: dict[str, dict[int, tuple[str, ...]]] = {
+    "H4": {**_SHARED_SMALL, 6: ("B6", "B7", "B8", "B9", "B11"),
+           7: ("B10", "B12", "B13")},
+    "H5": {**_SHARED_SMALL, 6: ("B1p", "B2p", "B6", "F", "W"),
+           7: ("B3p", "B4p", "F", "W")},
+}
+
 
 def expected_tb_catalog(pattern: str, max_order: int) -> dict[int, dict[str, Graph]]:
     """The complete list of solid triangular blocks per order.
@@ -612,46 +543,21 @@ def expected_tb_catalog(pattern: str, max_order: int) -> dict[int, dict[str, Gra
         Mapping ``order -> {display name -> abstract graph}``.
     """
     key = pattern.upper()
-    if key not in ("H4", "H5"):
+    if key not in _SMALL_CATALOG:
         raise FamilyError(f"unknown pattern for block catalogue: {pattern!r}")
     if max_order < 3:
         raise FamilyError("max_order must be at least 3")
     out: dict[int, dict[str, Graph]] = {}
     for order in range(3, max_order + 1):
-        names: list[tuple[str, int | None]]
-        if key == "H4":
-            if order == 3:
-                names = [("B1", None)]
-            elif order == 4:
-                names = [("B2", None), ("B11", 4)]
-            elif order == 5:
-                names = [("B3", None), ("B4", None), ("B5", None), ("B12", 5)]
-            elif order == 6:
-                names = [("B6", None), ("B7", None), ("B8", None),
-                         ("B9", None), ("B11", 6)]
-            elif order == 7:
-                names = [("B10", None), ("B12", 7), ("B13", 7)]
-            elif order % 2 == 0:
-                names = [("B11", order), ("B14", order), ("B15", order)]
-            else:
-                names = [("B12", order), ("B13", order)]
-        else:
-            if order == 3:
-                names = [("B1", None)]
-            elif order == 4:
-                names = [("B2", None), ("B11", 4)]
-            elif order == 5:
-                names = [("B3", None), ("B4", None), ("B5", None), ("B12", 5)]
-            elif order == 6:
-                names = [("B1p", None), ("B2p", None), ("B6", None),
-                         ("F", 6), ("W", 6)]
-            elif order == 7:
-                names = [("B3p", None), ("B4p", None), ("F", 7), ("W", 7)]
-            else:
-                names = [("F", order), ("W", order)]
+        names = _SMALL_CATALOG[key].get(order) or [
+            name
+            for name, (pat, parity, minimum, *_) in _PARAMETRIC.items()
+            if pat == key and order >= minimum
+            and parity in ("any", ("even", "odd")[order % 2])
+        ]
         row: dict[str, Graph] = {}
-        for name, size in names:
-            entry = catalog_block(name, size)
+        for name in names:
+            entry = catalog_block(name, order)
             row[entry.display_name] = entry.graph
         out[order] = row
     return out
@@ -739,7 +645,7 @@ def k2_plus_matching(n: int) -> FamilyInstance:
     else:
         outer = (x, 2 * m + 1, y)
     bends = {(x, y): (-2.0, 0.0), (y, x): (-2.0, 0.0)}
-    plane = _pg(n, edges, pos, bends=bends, outer_walk=outer)
+    plane = plane_graph_from_positions(n, edges, pos, bends=bends, outer_walk=outer)
     return _finish(
         FamilyInstance(
             name="k2_plus_matching",
@@ -779,7 +685,9 @@ def k2_vee_matching(n: int) -> FamilyInstance:
     pos[u] = (3.0, 0.0)
     edges += [(u, b1), (u, a2)]
     bends = {(x, y): (-2.0, 0.0), (y, x): (-2.0, 0.0)}
-    plane = _pg(n, edges, pos, bends=bends, outer_walk=(x, 2 * m + 1, y))
+    plane = plane_graph_from_positions(
+        n, edges, pos, bends=bends, outer_walk=(x, 2 * m + 1, y)
+    )
     return _finish(
         FamilyInstance(
             name="k2_vee_matching",

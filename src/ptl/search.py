@@ -44,7 +44,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -110,6 +110,19 @@ TB_DEFAULT_CEILING = {"H4": 9, "H5": 10}
 
 #: Order at which the oracle's search tree is split into worker subtrees.
 _ROOT_ORDER = 5
+
+
+@contextmanager
+def _share_map(workers: int) -> Iterator[Callable]:
+    """A ``map`` over ``workers`` static shares: the builtin one at one
+    worker, else a process pool's.  A fork pool starts all its processes
+    at the first submit, so it gets no more than the cores; the shares
+    stay ``workers``, so results do not depend on the machine."""
+    if workers == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        yield pool.map
 
 
 # =========================================================================
@@ -300,7 +313,6 @@ def enumerate_graphs(
     connected: bool = False,
     planar: bool = False,
     min_edges: int | None = None,
-    max_edges: int | None = None,
     ceiling: int | None = None,
 ) -> Iterator[Graph]:
     """Stream one canonically labeled representative per isomorphism class.
@@ -319,7 +331,6 @@ def enumerate_graphs(
         planar: Keep only planar graphs (hereditary, so non-planar partial
             graphs are pruned during growth).
         min_edges: Minimum edge count at the final order.
-        max_edges: Maximum edge count (hereditary prune).
         ceiling: Enumeration ceiling; defaults to :data:`DEFAULT_CEILING`.
 
     Yields:
@@ -336,8 +347,6 @@ def enumerate_graphs(
         raise CeilingExceededError(f"order {n} exceeds the ceiling {limit}")
 
     def prune(child: Graph) -> bool:
-        if max_edges is not None and child.m > max_edges:
-            return True
         if min_edges is None:
             return False
         if planar:
@@ -591,14 +600,8 @@ def exact_planar_turan(
     root_order = min(n, _ROOT_ORDER)
     enumerated, pruned, roots = _turan_roots(n, spec, seed, root_order)
     args = [(tuple(roots[i::workers]), n, spec, seed) for i in range(workers)]
-    if workers == 1:
-        results = [_turan_worker(a) for a in args]
-    else:
-        # A fork pool starts all its processes at the first submit, so
-        # it gets no more than the cores; the shares stay ``workers``.
-        cores = min(workers, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=cores) as pool:
-            results = list(pool.map(_turan_worker, args))
+    with _share_map(workers) as share_map:
+        results = list(share_map(_turan_worker, args))
     best = -1
     witnesses: set[bytes] = set()
     for e, p, b, wits in results:
@@ -914,18 +917,11 @@ def enumerate_solid_tbs(
     found: dict[int, tuple[str, ...]] = {
         3: (canonical_form(base.graph).decode("ascii"),)
     }
-    with (
-        ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
-        if workers > 1
-        else nullcontext()
-    ) as pool:
+    with _share_map(workers) as share_map:
         for order in range(4, max_order + 1):
             parents = [frontier[k] for k in sorted(frontier)]
             args = [(tuple(parents[i::workers]), spec) for i in range(workers)]
-            if pool is None:
-                results = [_tb_worker(a) for a in args]
-            else:
-                results = list(pool.map(_tb_worker, args))
+            results = list(share_map(_tb_worker, args))
             frontier = {}
             for rows in results:
                 for key, pg in rows:
@@ -1211,30 +1207,24 @@ def verify_component_density(
 
 
 def free_planar_corpus(
-    n: int,
-    pattern: "PatternSpec | Graph | str",
-    *,
-    connected: bool = True,
-    ceiling: int | None = None,
+    n: int, pattern: "PatternSpec | Graph | str"
 ) -> tuple[Graph, ...]:
-    """All pattern-free planar graphs of order ``n``, up to isomorphism.
+    """All connected pattern-free planar graphs of order ``n``, up to
+    isomorphism.
+
+    Connected graphs suffice for laws quantified over components: a
+    triangular component, and likewise a theta configuration, lives
+    inside one connectivity component, and material nested in another
+    component's face can only remove host 3-faces.
 
     Args:
         n: Order of the corpus members.
         pattern: The pattern every member must avoid.
-        connected: Restrict to connected graphs (the default).  Laws
-            quantified over components are unaffected: a triangular
-            component, and likewise a theta configuration, lives inside
-            one connectivity component, and material nested in another
-            component's face can only remove host 3-faces.
-        ceiling: Enumeration ceiling override.
     """
     spec = as_pattern(pattern)
     return tuple(
         g
-        for g in enumerate_graphs(
-            n, connected=connected, planar=True, ceiling=ceiling
-        )
+        for g in enumerate_graphs(n, connected=True, planar=True)
         if is_free(g, spec)
     )
 
@@ -1298,35 +1288,17 @@ def random_plane_corpus(
         max_n: Maximum order (minimum is 1).
         seed: RNG seed.
     """
+    import networkx as nx
+
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, max_n)
+        # Uniform random tree via a random Pruefer sequence.
+        seq = [rng.randrange(n) for _ in range(n - 2)]
         edges: set[tuple[int, int]] = set()
         if n >= 2:
-            # Uniform random tree via a random Pruefer sequence.
-            if n == 2:
-                edges.add((0, 1))
-            else:
-                seq = [rng.randrange(n) for _ in range(n - 2)]
-                degree = [1] * n
-                for v in seq:
-                    degree[v] += 1
-                ptr = 0
-                leaf = -1
-                for v in seq:
-                    if leaf < 0:
-                        while degree[ptr] != 1:
-                            ptr += 1
-                        leaf = ptr
-                    edges.add(tuple(sorted((leaf, v))))
-                    degree[leaf] -= 1
-                    degree[v] -= 1
-                    if degree[v] == 1 and v < ptr:
-                        leaf = v
-                    else:
-                        leaf = -1
-                last = [v for v in range(n) if degree[v] == 1]
-                edges.add(tuple(sorted(last)))
+            tree = nx.from_prufer_sequence(seq)
+            edges = {(min(u, v), max(u, v)) for u, v in tree.edges}
         g = Graph.from_edges(n, sorted(edges))
         non_edges = [
             (u, v)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ptl
-from ptl.cli import RunConfig, _append_jsonl, _check_c3_line, main
+from ptl.cli import RunConfig, _append_jsonl, _build_parser, _check_c3_line, main
 from ptl.io import read_graph_lines
 from ptl.patterns import is_free
 
@@ -43,6 +43,24 @@ def test_density_table_all_writes_csv(capsys, tmp_path):
     assert code == 0
     assert target.read_text().strip().splitlines()[0].startswith("table,name")
     assert len(target.read_text().strip().splitlines()) == 21
+
+
+def test_density_table_ignores_search_env(capsys, monkeypatch):
+    # the environment applies only to commands that take the flag
+    for name, value in (("PTL_CEILING", "2"), ("PTL_WORKERS", "zero")):
+        monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, "density", "table", "--set", "H5")
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 6
+        monkeypatch.delenv(name)
+
+
+def test_verify_takes_no_ceiling():
+    # the bundles need orders up to 9 whatever the ceiling is
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["verify", "thm1", "--ceiling", "5"])
+    args = _build_parser().parse_args(["verify", "thm1", "--workers", "2"])
+    assert args.workers == 2
 
 
 # -- family gen + check free ---------------------------------------------------

@@ -89,15 +89,29 @@ def test_catalog_block_freeness():
 
 
 def test_parametric_blocks_scale():
-    for order in (6, 8, 10):
-        assert catalog_block("B11", order).density == Fraction(order - 2, order)
-    for order in (7, 9):
-        assert catalog_block("B13", order).density == Fraction(order - 1, order)
-    for order in (8, 10):
-        assert catalog_block("B15", order).density == Fraction(1)
-    for order in (5, 6, 9):
-        assert catalog_block("W", order).density == Fraction(order - 1, order)
-        assert catalog_block("F", order).density == Fraction(order - 2, order)
+    # name -> (valid orders up to 16, counted 3-faces at order n); B14(6)
+    # is the B8 drawing and B15(6) the octahedron
+    blocks = {
+        "B11": (range(4, 17, 2), lambda n: n - 2),
+        "B12": (range(5, 17, 2), lambda n: n - 2),
+        "B13": (range(7, 17, 2), lambda n: n - 1),
+        "B14": (range(6, 17, 2), lambda n: 6 if n == 6 else n - 1),
+        "B15": (range(6, 17, 2), lambda n: 7 if n == 6 else n),
+        "W": (range(4, 17), lambda n: n - 1),
+        "F": (range(4, 17), lambda n: n - 2),
+    }
+    for name, (orders, delta) in blocks.items():
+        for order in range(1, 17):
+            if order not in orders:
+                with pytest.raises(FamilyError):
+                    catalog_block(name, order)
+                continue
+            entry = catalog_block(name, order)
+            assert entry.order == entry.plane.n == order
+            assert entry.delta == delta(order), (name, order)
+            assert entry.density == Fraction(entry.delta, order)
+            assert entry.display_name == f"{name}({order})"
+    assert is_isomorphic(catalog_block("B14", 6).graph, catalog_block("B8").graph)
 
 
 def test_catalog_block_errors():
@@ -121,7 +135,7 @@ def test_prime_name_normalisation():
 
 
 def test_expected_tb_catalog_names():
-    h4 = expected_tb_catalog("H4", 8)
+    h4 = expected_tb_catalog("H4", 16)
     assert {k: sorted(v) for k, v in h4.items()} == {
         3: ["B1"],
         4: ["B11(4)", "B2"],
@@ -129,8 +143,16 @@ def test_expected_tb_catalog_names():
         6: ["B11(6)", "B6", "B7", "B8", "B9"],
         7: ["B10", "B12(7)", "B13(7)"],
         8: ["B11(8)", "B14(8)", "B15(8)"],
+        9: ["B12(9)", "B13(9)"],
+        10: ["B11(10)", "B14(10)", "B15(10)"],
+        11: ["B12(11)", "B13(11)"],
+        12: ["B11(12)", "B14(12)", "B15(12)"],
+        13: ["B12(13)", "B13(13)"],
+        14: ["B11(14)", "B14(14)", "B15(14)"],
+        15: ["B12(15)", "B13(15)"],
+        16: ["B11(16)", "B14(16)", "B15(16)"],
     }
-    h5 = expected_tb_catalog("H5", 9)
+    h5 = expected_tb_catalog("H5", 16)
     assert {k: sorted(v) for k, v in h5.items()} == {
         3: ["B1"],
         4: ["B11(4)", "B2"],
@@ -139,6 +161,13 @@ def test_expected_tb_catalog_names():
         7: ["B3p", "B4p", "F(7)", "W(7)"],
         8: ["F(8)", "W(8)"],
         9: ["F(9)", "W(9)"],
+        10: ["F(10)", "W(10)"],
+        11: ["F(11)", "W(11)"],
+        12: ["F(12)", "W(12)"],
+        13: ["F(13)", "W(13)"],
+        14: ["F(14)", "W(14)"],
+        15: ["F(15)", "W(15)"],
+        16: ["F(16)", "W(16)"],
     }
     with pytest.raises(FamilyError):
         expected_tb_catalog("H6", 5)
