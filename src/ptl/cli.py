@@ -556,7 +556,7 @@ def _check_counting_identity(cfg: RunConfig) -> str:
 
 def _check_thm2_small_bound(cfg: RunConfig) -> str:
     notes = []
-    for n in (6, 7):
+    for n in range(6, 10):
         got = search.exact_planar_turan(n, "H5", workers=cfg.workers).ex
         limit = families.bound(n, "thm2")
         if not limit.in_range or got > limit.value:

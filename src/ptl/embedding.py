@@ -446,26 +446,32 @@ class _CanonState:
         return depth
 
 
-def _canon_state(g: Graph) -> _CanonState:
+def _canon_state(g: Graph, root: list[int] | None = None) -> _CanonState:
     state = _CanonState(g.n, g.adj_bits)
     if g.n == 0:
         state.best_order = []
         state.best_key = 0
         return state
-    state.search([0] * g.n, [])
+    state.search([0] * g.n if root is None else root, [])
     return state
 
 
 def canonical_data(
-    g: Graph,
+    g: Graph, *, _root: list[int] | None = None
 ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """Canonical labeling and automorphism generators from one search.
+
+    ``_root`` is for a caller that has already refined the trivial
+    colouring: it must be ``_refine(g.n, g.adj_bits, [0] * g.n)``.  The
+    search starts by refining its colouring, and :func:`_refine` returns
+    an equitable colouring unchanged, so the result is the same as
+    without it; only that first refinement is saved.
 
     Returns:
         ``(perm, gens)`` where ``perm[old] = new`` is the canonical
         relabeling and ``gens`` generates the automorphism group.
     """
-    state = _canon_state(g)
+    state = _canon_state(g, _root)
     assert state.best_order is not None
     perm = [0] * g.n
     for new, old in enumerate(state.best_order):

@@ -371,7 +371,7 @@ def contains_subgraph(
     assign = [-1] * p.n
     if _extend(
         p, order, 0, assign, 0, host.adj_bits,
-        [host.degree(v) for v in range(host.n)], host.n,
+        [b.bit_count() for b in host.adj_bits], host.n,
     ):
         return {v: assign[v] for v in range(p.n)}
     return None
@@ -405,7 +405,7 @@ def contains_subgraph_at(
     if p.n > host.n or p.m > host.m or p.n == 0:
         return None
     hbits = host.adj_bits
-    hdeg = [host.degree(v) for v in range(host.n)]
+    hdeg = [b.bit_count() for b in hbits]
     for v0, order in _anchored_orders(p):
         if hdeg[anchor] < len(p.adjacency[v0]):
             continue

@@ -12,12 +12,15 @@ The engines:
   used to certify the growth procedure at small orders.
 
 The first, the second and the direct census walk one canonical
-augmentation core, :class:`_Augmentation`.  A child costs at most one
+augmentation core, :class:`_Augmentation`.  A child meets its tests
+cheapest first: McKay's degree pre-test and planarity are read from the
+parent before the child is built, then come the caller's domain prune
+and the child's refined trivial colouring, and only then at most one
 canonical search, whose labeling and automorphism generators decide
 McKay's test, give the child's subset orbits as a parent and relabel it
 when yielded; the direct census takes every order from one walk.
-Planarity needs no test per child.  If ``G`` is planar and a new vertex
-joins the set ``S``, then ``G`` plus that vertex is planar iff every
+Planarity needs no graph test per child.  If ``G`` is planar and a new
+vertex joins the set ``S``, then ``G`` plus that vertex is planar iff every
 component of ``G`` that ``S`` meets has some plane embedding with its
 part of ``S`` on one face.  So each planar parent computes, once, the
 maximal face-vertex bitmasks of each component over all its rotation
@@ -45,7 +48,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
@@ -58,6 +61,7 @@ from .embedding import (
     PlaneGraph,
     _dart_faces,
     _orbit_partition,
+    _refine,
     _union_roots,
     canonical_data,
     canonical_form,
@@ -139,19 +143,17 @@ _Node = tuple[Graph, tuple[int, ...], list[tuple[int, ...]]]
 _ROOT: _Node = (Graph.from_edges(1, []), (0,), [])
 
 
-def _subset_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _subset_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
     """One representative per orbit of vertex subsets of ``0..n-1`` under
-    the group generated by ``gens``.
+    the group generated by ``gens``, as a vertex bitmask.
 
-    Subsets are handled as bitmasks; each orbit is closed breadth-first
-    under the generators and represented by its smallest mask.  The
-    result is sorted by mask, so iteration order is deterministic.
+    Each orbit is closed breadth-first under the generators and
+    represented by its smallest mask.  The result is sorted, so iteration
+    order is deterministic.
     """
     total = 1 << n
     if not gens:
-        return [
-            tuple(v for v in range(n) if mask >> v & 1) for mask in range(total)
-        ]
+        return list(range(total))
     seen = bytearray(total)
     reps: list[int] = []
     for mask in range(total):
@@ -172,7 +174,34 @@ def _subset_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[tuple[int, ...
                 if not seen[img]:
                     seen[img] = 1
                     stack.append(img)
-    return [tuple(v for v in range(n) if mask >> v & 1) for mask in reps]
+    return reps
+
+
+def _degree_rejects(g: Graph) -> Callable[[int], bool]:
+    """McKay's degree pre-test, read from the parent ``g``: whether a new
+    vertex joined to the vertex bitmask ``s`` has lower degree than some
+    vertex of the child.
+
+    That holds iff ``|s|`` is below the parent's maximum degree or some
+    vertex of ``s`` already has degree at least ``|s|``.
+    """
+    deg = [b.bit_count() for b in g.adj_bits]
+    top = max(deg)
+    # at_least[k]: the vertices of degree at least k
+    at_least = [
+        sum(1 << v for v in range(g.n) if deg[v] >= k) for k in range(g.n + 1)
+    ]
+
+    def rejects(s: int) -> bool:
+        k = s.bit_count()
+        return k < top or bool(s & at_least[k])
+
+    return rejects
+
+
+#: The tests a child meets in :meth:`_Augmentation.children`, in order;
+#: a rejected child is counted under the first one it fails.
+FATES = ("degree", "planarity", "domain", "mckay")
 
 
 @dataclass
@@ -183,11 +212,15 @@ class _Augmentation:
 
     A child is its parent plus one new vertex attached to one
     representative subset per orbit of the parent's automorphism group.
-    Each child meets, in order: the caller's domain ``prune``, McKay's
-    test (a degree pre-test, then one canonical search that also gives
-    the child's labeling and generators), and planarity if ``planar``.
-    :attr:`pruned` counts the children rejected by ``prune`` or
-    planarity, not those failing McKay's test.
+    Each child meets, in order, cheapest first: McKay's degree pre-test
+    and planarity if ``planar``, both read from the parent before the
+    child is built; the caller's domain ``prune``; and the rest of
+    McKay's test (the child's root refinement, then one canonical search
+    that also gives the child's labeling and generators).  Every test is
+    exact, so the order changes which tests run, never which children
+    are kept.  :attr:`rejected` counts the children by the first test
+    they fail (keys :data:`FATES`); the oracle reports the planarity and
+    ``prune`` counts together as ``pruned``, which leaves out McKay's.
 
     Planarity is read from the parent's cofacial masks
     (:func:`_cofacial_masks`), computed when its first child reaches
@@ -201,39 +234,55 @@ class _Augmentation:
     limit: int
     planar: bool
     prune: Callable[[Graph], bool] | None = None
-    pruned: int = 0
+    rejected: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(FATES, 0)
+    )
 
     def children(self, node: _Node) -> list[_Node]:
         """The kept children of ``node``, in subset-representative order."""
         g, _, gens = node
         new = g.n
+        rejected = self.rejected
+        degree_rejects = _degree_rejects(g)
         kept: list[_Node] = []
         masks: list[tuple[int, list[int]]] | None = None
-        for nbrs in _subset_reps(g.n, gens):
-            child = g.with_new_vertex(nbrs)
-            if self.prune is not None and self.prune(child):
-                self.pruned += 1
-                continue
-            # McKay's test: the new vertex must share an automorphism
-            # orbit with the canonical deletion vertex (the vertex
-            # carrying the last canonical label).  Canonical search ranks
+        for s in _subset_reps(g.n, gens):
+            # The canonical deletion vertex (the vertex carrying the last
+            # canonical label) has maximum degree: canonical search ranks
             # vertices by degree in its first refinement and afterwards
-            # only splits cells, so that vertex has maximum degree, and a
-            # new vertex of lower degree fails without a search.
-            bits = child.adj_bits
-            if bits[new].bit_count() < max(map(int.bit_count, bits)):
+            # only splits cells.  So a new vertex of lower degree fails
+            # McKay's test.
+            if degree_rejects(s):
+                rejected["degree"] += 1
                 continue
-            perm, child_gens = canonical_data(child)
+            if self.planar:
+                if masks is None:
+                    masks = _cofacial_masks(g)
+                if not _cofacial(masks, s):
+                    rejected["planarity"] += 1
+                    continue
+            child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
+            if self.prune is not None and self.prune(child):
+                rejected["domain"] += 1
+                continue
+            # The rest of McKay's test: the new vertex must share an
+            # automorphism orbit with the canonical deletion vertex.
+            # Refinement and individualization only split cells and keep
+            # them in order, so that vertex lies in the last cell of the
+            # refined trivial colouring; orbits lie inside the cells of
+            # that equitable colouring, so a new vertex outside the last
+            # cell fails without a search.  The search starts from the
+            # same colouring, which it refines to itself.
+            colors = _refine(child.n, child.adj_bits, [0] * child.n)
+            if colors[new] != max(colors):
+                rejected["mckay"] += 1
+                continue
+            perm, child_gens = canonical_data(child, _root=colors)
             target = perm.index(new)
             if target != new:
                 roots = _orbit_partition(child.n, child_gens)
                 if roots[target] != roots[new]:
-                    continue
-            if self.planar:
-                if masks is None:
-                    masks = _cofacial_masks(g)
-                if not _cofacial(masks, bits[new]):
-                    self.pruned += 1
+                    rejected["mckay"] += 1
                     continue
             kept.append((child, perm, child_gens))
         return kept
@@ -379,8 +428,10 @@ class SearchReport:
             sorted.
         enumerated: Isomorphism classes visited in the augmentation tree,
             over all orders.
-        pruned: Candidate children discarded by the domain prunes
-            (edge-potential, pattern containment, non-planarity).
+        rejected: Children of the augmentation tree rejected, by the
+            first test they fail (keys :data:`FATES`): McKay's degree
+            pre-test, non-planarity, the domain prunes (edge potential,
+            pattern containment) and the rest of McKay's test.
         elapsed_ms: Wall-clock time; excluded from determinism
             comparisons.
         bound_name: Name of the theorem bound relevant to the pattern
@@ -394,11 +445,16 @@ class SearchReport:
     ex: int
     witnesses: tuple[str, ...]
     enumerated: int
-    pruned: int
+    rejected: dict[str, int]
     elapsed_ms: int
     bound_name: str | None
     bound_value: Fraction | None
     bound_in_range: bool | None
+
+    @property
+    def pruned(self) -> int:
+        """Children discarded as non-planar or by the domain prunes."""
+        return self.rejected["planarity"] + self.rejected["domain"]
 
     def to_record(self) -> dict:
         """Full JSON-ready record (timing included)."""
@@ -418,6 +474,7 @@ class SearchReport:
             "witnesses": list(self.witnesses),
             "enumerated": self.enumerated,
             "pruned": self.pruned,
+            "rejected": dict(self.rejected),
             "elapsed_ms": self.elapsed_ms,
             "bound": bound,
         }
@@ -508,7 +565,7 @@ def _turan_tree(n: int, spec: PatternSpec, seed: int, limit: int) -> _Augmentati
 
 def _turan_roots(
     n: int, spec: PatternSpec, seed: int, root_order: int
-) -> tuple[int, int, list[_Node]]:
+) -> tuple[int, dict[str, int], list[_Node]]:
     """Serial phase: grow the tree up to ``root_order`` under the oracle
     prunes.  Returns counts for the orders below ``root_order`` plus the
     subtree roots (each root is counted by its own subtree later), sorted
@@ -522,15 +579,15 @@ def _turan_roots(
         else:
             enumerated += 1
     roots.sort(key=lambda node: graph6_encode(node[0].relabeled(node[1])))
-    return enumerated, tree.pruned, roots
+    return enumerated, tree.rejected, roots
 
 
 def _turan_worker(
     args: tuple[tuple[_Node, ...], int, PatternSpec, int],
-) -> tuple[int, int, int, list[bytes]]:
+) -> tuple[int, dict[str, int], int, list[bytes]]:
     """Explore one static share of subtree roots (picklable entry point).
 
-    Returns ``(enumerated, pruned, best, witnesses)`` where ``best`` is
+    Returns ``(enumerated, rejected, best, witnesses)`` where ``best`` is
     the highest edge count of a connected pattern-free planar graph of
     order ``n`` found in the share (``-1`` if none) and ``witnesses``
     are the sorted canonical forms attaining it.
@@ -551,7 +608,7 @@ def _turan_worker(
                 witnesses = {form}
             else:
                 witnesses.add(form)
-    return enumerated, tree.pruned, best, sorted(witnesses)
+    return enumerated, tree.rejected, best, sorted(witnesses)
 
 
 def exact_planar_turan(
@@ -598,15 +655,16 @@ def exact_planar_turan(
     start = time.monotonic()
     seed = _seed_bound(n, spec)
     root_order = min(n, _ROOT_ORDER)
-    enumerated, pruned, roots = _turan_roots(n, spec, seed, root_order)
+    enumerated, rejected, roots = _turan_roots(n, spec, seed, root_order)
     args = [(tuple(roots[i::workers]), n, spec, seed) for i in range(workers)]
     with _share_map(workers) as share_map:
         results = list(share_map(_turan_worker, args))
     best = -1
     witnesses: set[bytes] = set()
-    for e, p, b, wits in results:
+    for e, r, b, wits in results:
         enumerated += e
-        pruned += p
+        for fate in FATES:
+            rejected[fate] += r[fate]
         if b > best:
             best = b
             witnesses = set(wits)
@@ -635,7 +693,7 @@ def exact_planar_turan(
         ex=best,
         witnesses=tuple(w.decode("ascii") for w in sorted(witnesses)),
         enumerated=enumerated,
-        pruned=pruned,
+        rejected=rejected,
         elapsed_ms=elapsed_ms,
         bound_name=bound_name,
         bound_value=bound_value,

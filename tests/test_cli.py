@@ -13,7 +13,14 @@ from pathlib import Path
 import pytest
 
 import ptl
-from ptl.cli import RunConfig, _append_jsonl, _build_parser, _check_c3_line, main
+from ptl.cli import (
+    RunConfig,
+    _append_jsonl,
+    _build_parser,
+    _check_c3_line,
+    _check_thm2_small_bound,
+    main,
+)
 from ptl.io import read_graph_lines
 from ptl.patterns import is_free
 
@@ -299,6 +306,14 @@ def test_tb_enumerate_bad_pattern(capsys):
 def test_verify_c3_line_runs_to_order_9():
     cfg = RunConfig(command="verify", theorem="thm1")
     assert _check_c3_line(cfg) == "ex_P(n, C3) = 2n-4 for n in 5..9"
+
+
+def test_verify_thm2_small_bound_runs_to_order_9():
+    cfg = RunConfig(command="verify", theorem="thm2")
+    assert _check_thm2_small_bound(cfg) == (
+        "ex_P(6, H5) = 11 <= 11; ex_P(7, H5) = 13 <= 13; "
+        "ex_P(8, H5) = 15 <= 16; ex_P(9, H5) = 18 <= 18"
+    )
 
 
 # -- errors ------------------------------------------------------------------------

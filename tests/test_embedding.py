@@ -15,7 +15,10 @@ from ptl.embedding import (
     NonPlanarError,
     PlaneGraph,
     _CanonState,
+    _orbit_partition,
+    _refine,
     automorphism_generators,
+    canonical_data,
     canonical_form,
     canonical_labeling,
     embed,
@@ -134,6 +137,32 @@ def test_last_canonical_label_has_maximum_degree(g):
     # maximum degree before searching; this is the invariant it relies on
     last = canonical_labeling(g).index(g.n - 1)
     assert g.degree(last) == max(g.degree(v) for v in range(g.n))
+
+
+def _graphs_to_order_7():
+    for k in range(1, 8):
+        yield from enumerate_graphs(k)
+
+
+def test_canonical_deletion_orbit_lies_in_last_root_cell():
+    # canonical augmentation rejects a new vertex outside the last cell of
+    # the refined trivial colouring without a search; no such vertex may
+    # share an orbit with the vertex carrying the last canonical label
+    for g in _graphs_to_order_7():
+        colors = _refine(g.n, g.adj_bits, [0] * g.n)
+        perm, gens = canonical_data(g)
+        roots = _orbit_partition(g.n, gens)
+        last = perm.index(g.n - 1)
+        assert colors[last] == max(colors), g.edges
+        for v in range(g.n):
+            if colors[v] != max(colors):
+                assert roots[v] != roots[last], (g.edges, v)
+
+
+def test_root_refinement_seed_changes_no_canonical_data():
+    for g in _graphs_to_order_7():
+        colors = _refine(g.n, g.adj_bits, [0] * g.n)
+        assert canonical_data(g, _root=colors) == canonical_data(g), g.edges
 
 
 def test_canonical_form_separates():

@@ -22,13 +22,18 @@ from ptl.patterns import as_pattern, contains_subgraph_bruteforce, is_free
 from ptl import search
 from ptl.search import (
     DEFAULT_CEILING,
+    FATES,
     CeilingExceededError,
     SearchError,
+    _ROOT,
+    _Augmentation,
     _cofacial,
     _cofacial_masks,
+    _degree_rejects,
     _is_biconnected,
     _is_triconnected,
     _rotation_systems,
+    _subset_reps,
     certify_solid_tbs_direct,
     enumerate_graphs,
     enumerate_solid_tbs,
@@ -83,6 +88,40 @@ def test_enumerate_planar_order_8_is_canonical():
         total += 1
         connected += g.is_connected()
     assert (total, connected) == (6966, 5974)
+
+
+def test_enumerate_planar_order_9_counts():
+    # A005470 and A003094 at n = 9, counted in one walk
+    total = connected = 0
+    for g in enumerate_graphs(9, planar=True):
+        total += 1
+        connected += g.is_connected()
+    assert (total, connected) == (79853, 71885)
+
+
+def test_degree_pretest_matches_child_degrees():
+    # the pre-test reads the parent's degrees; it must reject exactly the
+    # children whose new vertex has less than the child's maximum degree
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, planar=True):
+            rejects = _degree_rejects(g)
+            for s in range(1 << n):
+                child = g.with_new_vertex(v for v in range(n) if s >> v & 1)
+                bits = child.adj_bits
+                low = bits[n].bit_count() < max(map(int.bit_count, bits))
+                assert rejects(s) == low, (g.edges, s)
+
+
+def test_every_child_has_one_fate():
+    # each offered child is kept or counted under exactly one rejection
+    tree = _Augmentation(7, planar=True, prune=Graph.has_triangle)
+    nodes = list(tree.walk(_ROOT))
+    offered = sum(
+        len(_subset_reps(g.n, gens)) for g, _, gens in nodes if g.n < 7
+    )
+    assert set(tree.rejected) == set(FATES)
+    assert all(tree.rejected.values())
+    assert offered == sum(tree.rejected.values()) + len(nodes) - 1
 
 
 def test_cofacial_masks_agree_with_networkx():
@@ -165,7 +204,7 @@ def test_oracle_within_literature_bounds():
         "C4": lambda n: Fraction(15 * (n - 2), 7),
         "Theta4": lambda n: Fraction(12 * (n - 2), 5),
     }
-    for n in range(4, 9):
+    for n in range(4, 10):
         assert exact_planar_turan(n, "C3").ex == 2 * n - 4, n
         for pattern, bound in bounds.items():
             ex = exact_planar_turan(n, pattern).ex
@@ -213,6 +252,16 @@ def test_worker_determinism_quick():
         for w in (1, 2)
     ]
     assert reports[0] == reports[1]
+
+
+def test_fate_counts_do_not_depend_on_workers():
+    reports = [exact_planar_turan(7, "H4", workers=w) for w in (1, 2)]
+    assert reports[0].rejected == reports[1].rejected
+    for report in reports:
+        rejected = report.to_record()["rejected"]
+        assert rejected == report.rejected and set(rejected) == set(FATES)
+        assert report.pruned == rejected["planarity"] + rejected["domain"]
+        assert report.to_record()["pruned"] == report.pruned
 
 
 def test_jsonl_record_shape():
