@@ -27,12 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .embedding import (
     Edge,
     Face,
     Graph,
     PlaneGraph,
+    _dart_faces,
     _min_rotation,
     _union_roots,
     is_isomorphic,
@@ -373,69 +375,61 @@ class Decomposition:
     junctions: frozenset[int]
 
 
-def _restrict_plane(
-    pg: PlaneGraph, keep_edges: frozenset[Edge]
-) -> tuple[PlaneGraph, tuple[int, ...]]:
-    """Plane subgraph on ``keep_edges`` with rotations inherited.
-
-    Returns the subgraph (labels compacted to ``0..k-1``) and the host
-    vertex order realising the compaction.  The subgraph's outer face is
-    the face whose region contains the host's outer face.
-    """
-    vertices = sorted({v for e in keep_edges for v in e})
-    index = {v: i for i, v in enumerate(vertices)}
-    rotation = [
-        tuple(
-            index[u]
-            for u in pg.rotation[v]
-            if normalize_edge(v, u) in keep_edges
-        )
-        for v in vertices
-    ]
-    graph = Graph.from_edges(
-        len(vertices), [(index[u], index[v]) for u, v in keep_edges]
+def _triangle_classes(triangles: Sequence[Face]) -> list[list[Face]]:
+    """3-faces grouped into blocks: two share a block when a chain of
+    3-faces, consecutive ones sharing an edge, links them.  Classes come
+    in order of their first member."""
+    by_edge: dict[Edge, list[int]] = {}
+    for i, f in enumerate(triangles):
+        for e in f.edge_set:
+            by_edge.setdefault(e, []).append(i)
+    root = _union_roots(
+        len(triangles), ((m[0], o) for m in by_edge.values() for o in m[1:])
     )
-    # Region analysis: host faces merge across removed edges.
+    classes: dict[int, list[Face]] = {}
+    for i, f in enumerate(triangles):
+        classes.setdefault(root[i], []).append(f)
+    return list(classes.values())
+
+
+def _block_from_class(pg: PlaneGraph, faces: list[Face]) -> TriBlock:
+    """The block of one class of inner 3-faces, its holes traced on the
+    host's rotation restricted to the block's edges.
+
+    Host faces merge into regions across the edges outside the block.  The
+    block face whose darts bound the host outer face's region is the
+    block's outer face; every other block face that is not one of
+    ``faces`` is a hole.
+    """
+    vertices: set[int] = set()
+    edges: set[Edge] = set()
+    for f in faces:
+        vertices |= f.vertices
+        edges |= f.edge_set
     host_faces, face_of = pg._traced
     region = _union_roots(
         len(host_faces),
         [
             (face_of[u][v], face_of[v][u])
             for u, v in pg.graph.edges
-            if (u, v) not in keep_edges
+            if (u, v) not in edges
         ],
     )
     outer_region = region[host_faces.index(pg.outer)]
-
-    sub = PlaneGraph.build(graph, rotation, outer_walk=None)
-    outer_face: Face | None = None
-    for f in sub.faces():
-        darts = f.darts()
-        if not darts:
-            continue
-        u, v = darts[0]
-        if region[face_of[vertices[u]][vertices[v]]] == outer_region:
-            outer_face = f
-            break
-    if outer_face is None:  # pragma: no cover - defensive
-        raise AssertionError("no subgraph face contains the outer region")
-    return sub.with_outer(outer_face), tuple(vertices)
-
-
-def _block_from_class(pg: PlaneGraph, faces: list[Face]) -> TriBlock:
-    vertices: set[int] = set()
-    edges: set[Edge] = set()
-    for f in faces:
-        vertices |= f.vertices
-        edges |= f.edge_set
-    sub, order = _restrict_plane(pg, frozenset(edges))
+    _, walks = _dart_faces(
+        [
+            tuple(u for u in rot if normalize_edge(v, u) in edges)
+            for v, rot in enumerate(pg.rotation)
+        ]
+    )
     face_set = set(faces)
     holes: list[Face] = []
-    for f in sub.inner_faces():
-        walk = tuple(order[i] for i in f.walk)
-        host_face = Face(_min_rotation(walk))
-        if host_face not in face_set:
-            holes.append(host_face)
+    for walk in walks:
+        if region[face_of[walk[0]][walk[1]]] == outer_region:
+            continue
+        face = Face(_min_rotation(tuple(walk)))
+        if face not in face_set:
+            holes.append(face)
     return TriBlock(
         faces=tuple(sorted(faces, key=lambda f: f.walk)),
         holes=tuple(sorted(holes, key=lambda f: f.walk)),
@@ -456,21 +450,9 @@ def decompose(pg: PlaneGraph, solid: bool = True) -> Decomposition:
         solid: Reclassify 3-cycle holes as 3-faces in every block
             (the default; pass ``False`` for the raw blocks).
     """
-    triangles = list(three_faces(pg, include_outer=False))
-    by_edge: dict[Edge, list[int]] = {}
-    for i, f in enumerate(triangles):
-        for e in f.edge_set:
-            by_edge.setdefault(e, []).append(i)
-    tri_root = _union_roots(
-        len(triangles), ((m[0], o) for m in by_edge.values() for o in m[1:])
-    )
-
-    classes: dict[int, list[Face]] = {}
-    for i, f in enumerate(triangles):
-        classes.setdefault(tri_root[i], []).append(f)
     blocks = [
         _block_from_class(pg, faces)
-        for faces in classes.values()
+        for faces in _triangle_classes(three_faces(pg, include_outer=False))
     ]
     if solid:
         blocks = [solidify(b) for b in blocks]

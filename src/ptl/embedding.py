@@ -777,15 +777,6 @@ class PlaneGraph:
         faces, face = self._traced
         return (faces[face[u][v]], faces[face[v][u]])
 
-    @cached_property
-    def _face_of_dart(self) -> dict[Dart, Face]:
-        faces, face = self._traced
-        return {
-            (u, v): faces[fid]
-            for u, row in enumerate(face)
-            for v, fid in row.items()
-        }
-
     # -- derived embeddings --------------------------------------------------
 
     def with_outer(self, face: Face) -> "PlaneGraph":
@@ -813,16 +804,19 @@ class PlaneGraph:
 
         Two plane graphs get equal codes iff some isomorphism of the
         underlying graphs maps rotations to rotations (up to global
-        reflection) and outer face to outer face.
+        reflection) and outer face to outer face.  The code is the least
+        :func:`_bfs_plane_code` over the darts of the outer face, and over
+        their reverses in the mirror image, whose outer face they walk.
+        A start dart lies on the outer face, so the code fixes it.
         """
-        best: bytes | None = None
-        for pg in (self, self.mirrored()):
-            for dart in pg.outer.darts() or ((pg.outer.walk[0], None),):
-                code = _bfs_plane_code(pg, dart)
-                if best is None or code < best:
-                    best = code
-        assert best is not None
-        return best
+        darts = self.outer.darts()
+        if not darts:
+            return b"K1"
+        mirror = tuple(tuple(reversed(r)) for r in self.rotation)
+        return min(
+            min(_bfs_plane_code(self.rotation, d) for d in darts),
+            min(_bfs_plane_code(mirror, (v, u)) for u, v in darts),
+        )
 
     def to_json(self) -> str:
         """Serialise as an embedding JSON object (see :mod:`ptl.io`)."""
@@ -843,26 +837,25 @@ class PlaneGraph:
         )
 
 
-def _bfs_plane_code(pg: PlaneGraph, start: Dart) -> bytes:
-    """Deterministic relabeling code from a start dart.
+def _bfs_plane_code(rotation: Sequence[Sequence[int]], start: Dart) -> bytes:
+    """Deterministic relabeling code of a connected rotation system from a
+    start dart.
 
     Vertices are labeled in discovery order; each vertex's neighbour list
     is read in rotation order starting from the neighbour through which it
-    was discovered, making the code depend only on (embedding, start dart,
-    orientation).
+    was discovered (``start[1]`` for ``start[0]``).  The rows spell the
+    relabeled rotation system, so two codes are equal iff some isomorphism
+    of the rotation systems maps one start dart onto the other.
     """
-    n = pg.graph.n
-    if start[1] is None:  # single-vertex graph
-        return b"K1"
     label = {start[0]: 0}
-    entry: dict[int, int] = {start[0]: start[1]}
+    entry = {start[0]: start[1]}
     queue = [start[0]]
     rows: list[list[int]] = []
     head = 0
     while head < len(queue):
         v = queue[head]
         head += 1
-        rot = pg.rotation[v]
+        rot = rotation[v]
         k = rot.index(entry[v])
         row: list[int] = []
         for u in rot[k:] + rot[:k]:
@@ -872,13 +865,7 @@ def _bfs_plane_code(pg: PlaneGraph, start: Dart) -> bytes:
                 queue.append(u)
             row.append(label[u])
         rows.append(row)
-    outer = tuple(label[v] for v in pg.outer.walk)
-    payload = {
-        "n": n,
-        "rows": rows,
-        "outer": _min_rotation(outer),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(rows, separators=(",", ":")).encode()
 
 
 # =========================================================================
@@ -1002,4 +989,5 @@ def plane_graph_from_positions(
         raise ValueError("isolated vertex in a multi-vertex drawing")
     b = max(g.adjacency[a], key=lambda u: angle(a, u))
     pg = PlaneGraph.build(g, rotation)
-    return pg.with_outer(pg._face_of_dart[(a, b)])
+    faces, face = pg._traced
+    return pg.with_outer(faces[face[a][b]])

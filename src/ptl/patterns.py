@@ -291,12 +291,14 @@ def as_pattern(pattern: "PatternSpec | Graph | str") -> PatternSpec:
 # =========================================================================
 
 
+@functools.lru_cache(maxsize=256)
 def _matcher_order(p: Graph, start: int | None = None) -> tuple[int, ...]:
     """Deterministic branching order: most-constrained vertex first.
 
     The first vertex is ``start`` (or the highest-degree vertex); each
     subsequent vertex maximises (placed neighbours, degree), ties broken
-    by lowest index.
+    by lowest index.  Cached by the pattern graph, like
+    :func:`_anchored_orders`, since every match of one pattern uses it.
     """
     placed: list[int] = []
     placed_set: set[int] = set()

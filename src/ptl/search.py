@@ -30,7 +30,12 @@ Rotation systems come from one enumerator, :func:`_rotation_systems`,
 which inserts edges into corners of one face; :func:`plane_embeddings`
 builds on it, and the direct census reads its embeddings from there.
 Every face, of a partial or a complete rotation system, is read from one
-dart-orbit walk, :func:`ptl.embedding._dart_faces`.  Census workers
+dart-orbit walk, :func:`ptl.embedding._dart_faces`.  The censuses build
+no plane graph only to read faces back: a grown child is tested for
+freeness on its abstract graph before its plane graph is built, sphere
+embeddings are told apart by :func:`_sphere_key`, which reads plane codes
+from the darts of a rotation system, and the solid outer faces of an
+embedding come from its 3-faces by one union-find.  Census workers
 receive and return :class:`PlaneGraph` objects, like the oracle's.
 
 Determinism contract: every report produced here is byte-identical across
@@ -54,11 +59,17 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import families
-from .decomposition import decompose, e_i_analysis, theta_pair_survey
+from .decomposition import (
+    _triangle_classes,
+    decompose,
+    e_i_analysis,
+    theta_pair_survey,
+)
 from .embedding import (
     Face,
     Graph,
     PlaneGraph,
+    _bfs_plane_code,
     _dart_faces,
     _orbit_partition,
     _refine,
@@ -810,13 +821,16 @@ def _arc_runs_ok(mask: int, length: int) -> bool:
     return True
 
 
-def _grown_children(pg: PlaneGraph) -> Iterator[PlaneGraph]:
-    """All one-vertex plane extensions of ``pg`` whose new spokes land on
-    cyclic runs of >= 2 consecutive boundary vertices of a single face.
+def _grown_children(pg: PlaneGraph, spec: PatternSpec) -> Iterator[PlaneGraph]:
+    """All pattern-free one-vertex plane extensions of ``pg`` whose new
+    spokes land on cyclic runs of >= 2 consecutive boundary vertices of a
+    single face.
 
     In a solid TB every spoke of a removable vertex lies on an inner
     3-face, which forces exactly this run structure, so these moves invert
-    the vertex deletion of the classification's reduction step.
+    the vertex deletion of the classification's reduction step.  Freeness
+    is tested on the child's abstract graph, so a plane graph is built
+    only for a pattern-free child.
     """
     new = pg.graph.n
     for face in pg.faces():
@@ -828,22 +842,33 @@ def _grown_children(pg: PlaneGraph) -> Iterator[PlaneGraph]:
             if not _arc_runs_ok(mask, length):
                 continue
             sel = [i for i in range(length) if mask >> i & 1]
+            graph = pg.graph.with_new_vertex(walk[i] for i in sel)
+            if not is_free(graph, spec):
+                continue
             rotation = [list(r) for r in pg.rotation]
             rotation.append([walk[i] for i in reversed(sel)])
             for i in sel:
                 w = walk[i]
                 prev = walk[(i - 1) % length]
                 rotation[w].insert(rotation[w].index(prev) + 1, new)
-            graph = pg.graph.with_new_vertex(walk[i] for i in sel)
             yield PlaneGraph.build(
                 graph, tuple(tuple(r) for r in rotation), outer_walk=None
             )
 
 
-def _sphere_key(pg: PlaneGraph) -> bytes:
-    """Canonical key of the embedding ignoring the outer-face choice."""
+def _sphere_key(rotation: Sequence[Sequence[int]]) -> bytes:
+    """Canonical key of a connected rotation system up to isomorphism and
+    reflection: the least plane code from any dart of it or of its mirror
+    image.  It needs no faces, so no outer face either."""
+    mirror = tuple(tuple(reversed(r)) for r in rotation)
     return min(
-        pg.with_outer(face).canonical_plane_code() for face in pg.faces()
+        (
+            _bfs_plane_code(rot, (v, w))
+            for rot in (rotation, mirror)
+            for v, r in enumerate(rot)
+            for w in r
+        ),
+        default=b"K1",
     )
 
 
@@ -851,43 +876,21 @@ def _solid_outer_faces(pg: PlaneGraph) -> list[Face]:
     """Faces whose designation as outer makes ``pg`` a single spanning
     solid TB.
 
-    The four admissibility checks: the non-outer 3-faces form one
-    triangular-connected class (single block), every edge lies on at
-    least one of them (the block spans all edges), no hole is bounded by
-    a 3-cycle, and 2-connectivity -- which is implied by the first two,
-    since a union of triangles chained through shared edges is
-    2-connected by ear induction.
+    With outer face ``f`` the inner 3-faces are every 3-face but ``f``.
+    They form one block spanning ``pg`` iff every edge lies on one of
+    them and they are chained through shared edges.  Such a block is
+    solid: its plane subgraph is ``pg`` itself, so its holes are the
+    inner faces that are not 3-faces, and none of them is bounded by a
+    3-cycle.  (It is also 2-connected, by ear induction over the chain.)
     """
-    g = pg.graph
-    bits = g.adj_bits
-    if any(not bits[u] & bits[v] for u, v in g.edges):
-        return []
     faces = pg.faces()
-    triangles_of_edge: dict[tuple[int, int], list[Face]] = {}
-    for face in faces:
-        if face.is_triangle():
-            for e in face.edge_set:
-                triangles_of_edge.setdefault(e, []).append(face)
-    if any(e not in triangles_of_edge for e in g.edges):
-        return []
-    forced = {
-        covers[0] for covers in triangles_of_edge.values() if len(covers) == 1
-    }
+    triangles = [f for f in faces if f.is_triangle()]
     result: list[Face] = []
-    for face in faces:
-        if face.is_triangle() and face in forced:
-            continue
-        candidate = pg.with_outer(face)
-        dec = decompose(candidate, solid=False)
-        if len(dec.blocks) != 1:
-            continue
-        block = dec.blocks[0]
-        if (
-            block.vertices == frozenset(range(g.n))
-            and block.edges == frozenset(g.edges)
-            and block.is_solid
-        ):
-            result.append(face)
+    for outer in faces:
+        inner = [t for t in triangles if t != outer]
+        covered = {e for t in inner for e in t.edge_set}
+        if len(covered) == pg.graph.m and len(_triangle_classes(inner)) == 1:
+            result.append(outer)
     return result
 
 
@@ -904,10 +907,8 @@ def _tb_worker(
     parents, spec = args
     out: dict[bytes, PlaneGraph] = {}
     for parent in parents:
-        for child in _grown_children(parent):
-            if not is_free(child.graph, spec):
-                continue
-            key = _sphere_key(child)
+        for child in _grown_children(parent, spec):
+            key = _sphere_key(child.rotation)
             if key in out:
                 out[key] = min(out[key], child, key=PlaneGraph.to_json)
                 continue
@@ -971,7 +972,7 @@ def enumerate_solid_tbs(
         return []
 
     base = families.catalog_block("B1").plane
-    frontier: dict[bytes, PlaneGraph] = {_sphere_key(base): base}
+    frontier: dict[bytes, PlaneGraph] = {_sphere_key(base.rotation): base}
     found: dict[int, tuple[str, ...]] = {
         3: (canonical_form(base.graph).decode("ascii"),)
     }
@@ -987,8 +988,7 @@ def enumerate_solid_tbs(
                         pg = min(frontier[key], pg, key=PlaneGraph.to_json)
                     frontier[key] = pg
             for pg in seeds_at(order):
-                key = _sphere_key(pg)
-                frontier.setdefault(key, pg)
+                frontier.setdefault(_sphere_key(pg.rotation), pg)
             forms = {
                 canonical_form(pg.graph).decode("ascii")
                 for pg in frontier.values()
@@ -1135,7 +1135,7 @@ def certify_solid_tbs_direct(
     max_order: int,
     pattern: "PatternSpec | Graph | str",
 ) -> dict[int, tuple[str, ...]]:
-    """Independent census of pattern-free solid TBs at orders <= 8.
+    """Independent census of pattern-free solid TBs at orders <= 9.
 
     For every connected planar graph of order 3 to ``max_order`` (one
     walk of the planar augmentation tree, each graph canonically
@@ -1151,10 +1151,10 @@ def certify_solid_tbs_direct(
     Returns:
         Per order, the sorted canonical graph6 forms (ASCII).
     """
-    if max_order > 8:
+    if max_order > 9:
         raise SearchError(
-            "direct certification is limited to orders <= 8 "
-            "(graph enumeration at order 9 is too slow)"
+            "direct certification is limited to orders <= 9 "
+            "(it walks every planar graph of each order up to max_order)"
         )
     if max_order < 3:
         raise SearchError("max_order must be at least 3")
@@ -1302,8 +1302,9 @@ def plane_embeddings(
 
     Args:
         g: Connected planar graph.
-        dedupe: Suppress repeated sphere embeddings (costs one canonical
-            plane code per face per embedding; harmless to skip when the
+        dedupe: Suppress repeated sphere embeddings (costs one plane code
+            per dart of each rotation system and of its mirror image, read
+            before the embedding is built; harmless to skip when the
             consumer is checking an embedding-invariant law).
 
     Raises:
@@ -1312,18 +1313,14 @@ def plane_embeddings(
     if _is_triconnected(g):
         yield embed(g)
         return
-    embeddings = (
-        PlaneGraph.build(g, system) for system in _rotation_systems(g)
-    )
-    if not dedupe:
-        yield from embeddings
-        return
     seen: set[bytes] = set()
-    for pg in embeddings:
-        key = _sphere_key(pg)
-        if key not in seen:
+    for system in _rotation_systems(g):
+        if dedupe:
+            key = _sphere_key(system)
+            if key in seen:
+                continue
             seen.add(key)
-            yield pg
+        yield PlaneGraph.build(g, system)
 
 
 def outer_variants(pg: PlaneGraph) -> Iterator[PlaneGraph]:

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given
 
 from conftest import graphs
+from ptl import decomposition
 from ptl.decomposition import (
+    TriBlock,
     classify_theta_pair,
     decompose,
     e_i_analysis,
@@ -19,10 +21,20 @@ from ptl.decomposition import (
     three_faces,
     triangle_density,
 )
-from ptl.embedding import Graph, embed, is_isomorphic, is_planar
-from ptl.families import k2_plus_matching
+from ptl.embedding import (
+    Face,
+    Graph,
+    PlaneGraph,
+    _min_rotation,
+    _union_roots,
+    embed,
+    is_isomorphic,
+    is_planar,
+    normalize_edge,
+)
+from ptl.families import family_instance, k2_plus_matching
 from ptl.patterns import fixture
-from ptl.search import plane_embeddings
+from ptl.search import outer_variants, plane_embeddings, random_plane_corpus
 
 
 def _octahedron() -> Graph:
@@ -244,3 +256,83 @@ def test_disjoint_triangles_two_components():
     assert len(dec.blocks) == 2
     assert len(dec.components) == 2
     assert dec.junctions == frozenset()
+
+
+# -- holes from the restricted rotation ---------------------------------------
+
+def _restricted_block(pg: PlaneGraph, faces: list[Face]) -> TriBlock:
+    """Reference block builder: relabel the block into its own validated
+    plane graph, whose outer face is the one whose region holds the
+    host's outer face, and map its inner faces back to host labels."""
+    vertices = sorted({v for f in faces for v in f.vertices})
+    edges = frozenset(e for f in faces for e in f.edge_set)
+    index = {v: i for i, v in enumerate(vertices)}
+    rotation = [
+        tuple(index[u] for u in pg.rotation[v] if normalize_edge(v, u) in edges)
+        for v in vertices
+    ]
+    graph = Graph.from_edges(
+        len(vertices), [(index[u], index[v]) for u, v in edges]
+    )
+    host_faces, face_of = pg._traced
+    region = _union_roots(
+        len(host_faces),
+        [
+            (face_of[u][v], face_of[v][u])
+            for u, v in pg.graph.edges
+            if (u, v) not in edges
+        ],
+    )
+    outer_region = region[host_faces.index(pg.outer)]
+    sub = PlaneGraph.build(graph, rotation)
+    outer = [
+        f
+        for f in sub.faces()
+        if region[face_of[vertices[f.walk[0]]][vertices[f.walk[1]]]]
+        == outer_region
+    ]
+    assert len(outer) == 1
+    holes = []
+    for f in sub.with_outer(outer[0]).inner_faces():
+        host_face = Face(_min_rotation(tuple(vertices[i] for i in f.walk)))
+        if host_face not in faces:
+            holes.append(host_face)
+    return TriBlock(
+        faces=tuple(sorted(faces, key=lambda f: f.walk)),
+        holes=tuple(sorted(holes, key=lambda f: f.walk)),
+        vertices=frozenset(vertices),
+        edges=edges,
+    )
+
+
+_FAMILY_MEMBERS = (
+    ("k2_plus_matching", {"n": 6}),
+    ("k2_plus_matching", {"n": 9}),
+    ("k2_vee_matching", {"n": 9}),
+    ("apex_outerplanar", {"n": 9}),
+    ("wheel_ring", {"k": 3}),
+    ("b5_ring", {"k": 4}),
+    ("b5_ring_augmented", {"x": 2, "y": 1}),
+)
+
+
+def test_decompose_matches_restricted_plane_route(monkeypatch):
+    # every outer face of 600 random plane graphs and of a member of each
+    # construction family; raw and solid blocks, components, junctions
+    planes = list(random_plane_corpus(600, max_n=12, seed=3))
+    planes += [family_instance(name, **kw).plane for name, kw in _FAMILY_MEMBERS]
+    variants = [v for pg in planes for v in outer_variants(pg)]
+
+    def records():
+        return [
+            (d.blocks, d.components, d.junctions)
+            for v in variants
+            for d in (decompose(v, solid=False), decompose(v))
+        ]
+
+    traced = records()
+    monkeypatch.setattr(decomposition, "_block_from_class", _restricted_block)
+    assert traced == records()
+    blocks = [b for bs, _, _ in traced for b in bs]
+    assert len(blocks) > len(variants)
+    assert not all(b.is_solid for b in blocks)

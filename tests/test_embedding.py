@@ -353,7 +353,6 @@ def test_faces_match_reference_tracer():
                     walks = [f.walk for f in pg.faces()]
                     assert walks == _reference_faces(n, pg.rotation)
                     darts = {d: f for f in pg.faces() for d in f.darts()}
-                    assert pg._face_of_dart == darts
                     for u, v in g.edges:
                         sides = (darts[(u, v)], darts[(v, u)])
                         assert pg.faces_of_edge((u, v)) == sides

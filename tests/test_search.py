@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -9,9 +10,11 @@ from math import factorial
 
 import pytest
 
+from ptl.decomposition import decompose
 from ptl.embedding import (
     Graph,
     PlaneGraph,
+    _min_rotation,
     canonical_form,
     canonical_labeling,
     embed,
@@ -33,6 +36,8 @@ from ptl.search import (
     _is_biconnected,
     _is_triconnected,
     _rotation_systems,
+    _solid_outer_faces,
+    _sphere_key,
     _subset_reps,
     certify_solid_tbs_direct,
     enumerate_graphs,
@@ -301,8 +306,8 @@ def test_census_h5_has_one_extra_order_7_block():
 
 
 def test_direct_census_agrees_with_growth():
-    # H5 runs to order 8: order 7 admits B4p beyond the paper's list, and
-    # order 8 is the highest the direct census reaches
+    # H5 runs to order 8: order 7 admits B4p beyond the paper's list; the
+    # direct census reaches order 9, which is left out here for its time
     for pattern, max_order in (("H4", 6), ("H5", 8)):
         direct = certify_solid_tbs_direct(max_order, pattern)
         grown = enumerate_solid_tbs(max_order, pattern).found
@@ -313,8 +318,8 @@ def test_direct_census_agrees_with_growth():
 
 
 def test_direct_census_order_limit():
-    with pytest.raises(SearchError, match="orders <= 8"):
-        certify_solid_tbs_direct(9, "H5")
+    with pytest.raises(SearchError, match="orders <= 9"):
+        certify_solid_tbs_direct(10, "H5")
     with pytest.raises(SearchError):
         certify_solid_tbs_direct(2, "H5")
 
@@ -360,6 +365,52 @@ def test_pools_start_no_more_processes_than_cores(monkeypatch):
     assert all(1 <= size <= os.cpu_count() for size in sizes)
     assert turan.comparable_json() == exact_planar_turan(6, "H4").comparable_json()
     assert census.comparable_json() == enumerate_solid_tbs(7, "H5").comparable_json()
+
+
+def test_census_builds_only_pattern_free_children(monkeypatch):
+    # freeness is read from the child's abstract graph, so every plane
+    # graph the census builds is a pattern-free child
+    built = []
+
+    class CountedPlaneGraph(PlaneGraph):
+        @staticmethod
+        def build(graph, rotation, outer_walk=None):
+            built.append(graph)
+            return PlaneGraph.build(graph, rotation, outer_walk)
+
+    monkeypatch.setattr(search, "PlaneGraph", CountedPlaneGraph)
+    report = enumerate_solid_tbs(10, "H5")
+    assert report.diff_is_empty
+    assert len(built) > 100
+    assert all(is_free(g, "H5") for g in built)
+
+
+def _reference_solid_outer_faces(pg: PlaneGraph):
+    """The definition: faces whose designation as outer leaves one raw
+    block, spanning every vertex and edge, with no 3-cycle hole."""
+    result = []
+    for face in pg.faces():
+        blocks = decompose(pg.with_outer(face), solid=False).blocks
+        if (
+            len(blocks) == 1
+            and blocks[0].vertices == frozenset(range(pg.n))
+            and blocks[0].edges == frozenset(pg.graph.edges)
+            and blocks[0].is_solid
+        ):
+            result.append(face)
+    return result
+
+
+def test_solid_outer_faces_match_decompose_definition():
+    # every plane embedding of every connected planar graph with n <= 7
+    solid = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected=True, planar=True):
+            for pg in plane_embeddings(g):
+                faces = _solid_outer_faces(pg)
+                assert faces == _reference_solid_outer_faces(pg), pg.rotation
+                solid += bool(faces)
+    assert solid == 214
 
 
 def test_census_report_round_trip():
@@ -475,6 +526,71 @@ def test_embedding_counts_closed_forms():
             i = r.index(min(r))
             mirror.append(r[i:] + r[:i])
         assert tuple(mirror) == second
+
+
+def _reference_bfs_code(pg: PlaneGraph, start) -> bytes:
+    """The plane code with the order and the relabeled outer walk in its
+    payload, read from a plane graph."""
+    if start[1] is None:
+        return b"K1"
+    label = {start[0]: 0}
+    entry = {start[0]: start[1]}
+    queue = [start[0]]
+    rows = []
+    for v in queue:
+        rot = pg.rotation[v]
+        k = rot.index(entry[v])
+        row = []
+        for u in rot[k:] + rot[:k]:
+            if u not in label:
+                label[u] = len(label)
+                entry[u] = v
+                queue.append(u)
+            row.append(label[u])
+        rows.append(row)
+    outer = _min_rotation(tuple(label[v] for v in pg.outer.walk))
+    payload = {"n": pg.n, "rows": rows, "outer": outer}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _reference_plane_code(pg: PlaneGraph) -> bytes:
+    """Least reference code over the outer-face darts of ``pg`` and of its
+    traced mirror image."""
+    return min(
+        _reference_bfs_code(q, dart)
+        for q in (pg, pg.mirrored())
+        for dart in q.outer.darts() or ((q.outer.walk[0], None),)
+    )
+
+
+def _same_partition(a, b) -> bool:
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+def test_sphere_key_and_plane_code_partition_as_before():
+    # the 778 plane rotation systems of the connected planar graphs with
+    # n <= 6; the plane code also with each face designated outer
+    systems = 0
+    for n in range(1, 7):
+        planes = [
+            PlaneGraph.build(g, system)
+            for g in enumerate_graphs(n, connected=True, planar=True)
+            for system in _rotation_systems(g)
+        ]
+        systems += len(planes)
+        keys = [_sphere_key(pg.rotation) for pg in planes]
+        old_keys = [
+            min(_reference_plane_code(v) for v in outer_variants(pg))
+            for pg in planes
+        ]
+        assert _same_partition(keys, old_keys)
+        rooted = [v for pg in planes for v in outer_variants(pg)]
+        codes = [v.canonical_plane_code() for v in rooted]
+        assert _same_partition(codes, [_reference_plane_code(v) for v in rooted])
+        if n >= 4:
+            assert len(set(keys)) < len(planes)
+            assert len(set(codes)) < len(rooted)
+    assert systems == 778
 
 
 def test_plane_embeddings_need_connected_graph():
