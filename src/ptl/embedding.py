@@ -174,12 +174,14 @@ class Graph:
 
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``."""
-        return len(self.adjacency[v])
+        return self.adj_bits[v].bit_count()
 
     @cached_property
     def degree_sequence(self) -> tuple[int, ...]:
         """Degrees sorted in non-increasing order."""
-        return tuple(sorted((len(s) for s in self.adjacency), reverse=True))
+        return tuple(
+            sorted((b.bit_count() for b in self.adj_bits), reverse=True)
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``uv`` is an edge."""
@@ -787,16 +789,6 @@ class PlaneGraph:
         object.__setattr__(pg, "_traced", self._traced)
         return pg
 
-    def mirrored(self) -> "PlaneGraph":
-        """The reflected embedding (all rotations reversed)."""
-        rot = tuple(tuple(reversed(r)) for r in self.rotation)
-        traced = _trace_faces(rot)
-        target = _min_rotation(tuple(reversed(self.outer.walk)))
-        outer = next(f for f in traced[0] if f.walk == target)
-        pg = PlaneGraph(self.graph, rot, outer)
-        object.__setattr__(pg, "_traced", traced)
-        return pg
-
     # -- canonical code ------------------------------------------------------
 
     def canonical_plane_code(self) -> bytes:
@@ -805,18 +797,11 @@ class PlaneGraph:
         Two plane graphs get equal codes iff some isomorphism of the
         underlying graphs maps rotations to rotations (up to global
         reflection) and outer face to outer face.  The code is the least
-        :func:`_bfs_plane_code` over the darts of the outer face, and over
-        their reverses in the mirror image, whose outer face they walk.
-        A start dart lies on the outer face, so the code fixes it.
+        :func:`_least_plane_code` from the darts of the outer face, whose
+        reverses walk the outer face of the mirror image.  A start dart
+        lies on the outer face, so the code fixes it.
         """
-        darts = self.outer.darts()
-        if not darts:
-            return b"K1"
-        mirror = tuple(tuple(reversed(r)) for r in self.rotation)
-        return min(
-            min(_bfs_plane_code(self.rotation, d) for d in darts),
-            min(_bfs_plane_code(mirror, (v, u)) for u, v in darts),
-        )
+        return _least_plane_code(self.rotation, self.outer.darts())
 
     def to_json(self) -> str:
         """Serialise as an embedding JSON object (see :mod:`ptl.io`)."""
@@ -866,6 +851,26 @@ def _bfs_plane_code(rotation: Sequence[Sequence[int]], start: Dart) -> bytes:
             row.append(label[u])
         rows.append(row)
     return json.dumps(rows, separators=(",", ":")).encode()
+
+
+def _least_plane_code(
+    rotation: Sequence[Sequence[int]], darts: Iterable[Dart]
+) -> bytes:
+    """The least :func:`_bfs_plane_code` from the given darts of a
+    rotation system and from their reverses in its mirror image (every
+    rotation reversed); ``b"K1"`` when there are no darts."""
+    mirror = tuple(tuple(reversed(r)) for r in rotation)
+    return min(
+        (
+            code
+            for u, v in darts
+            for code in (
+                _bfs_plane_code(rotation, (u, v)),
+                _bfs_plane_code(mirror, (v, u)),
+            )
+        ),
+        default=b"K1",
+    )
 
 
 # =========================================================================

@@ -24,7 +24,8 @@ graphs ``D1, D2, D3, D11, D12`` used to classify how two
 edge-on-two-triangle configurations can overlap.
 
 The module offers a fast backtracking matcher (:func:`contains_subgraph`,
-:func:`contains_subgraph_at`) and an independent brute-force oracle
+:func:`contains_subgraph_at`), its negation :func:`is_free`, which adds no
+filters of its own, and an independent brute-force oracle
 (:func:`contains_subgraph_bruteforce`) that the test suite uses as the
 arbiter for the fast path.
 """
@@ -421,23 +422,14 @@ def contains_subgraph_at(
 
 
 def is_free(host: Graph, pattern: "PatternSpec | Graph | str") -> bool:
-    """Whether ``host`` contains no copy of ``pattern``.
-
-    Fast necessary conditions (vertex/edge counts, sorted degree
-    dominance, triangle existence) short-circuit the matcher; each filter
-    is answer-preserving, so the result always equals
+    """Whether ``host`` contains no copy of ``pattern``:
     ``contains_subgraph(host, pattern) is None``.
+
+    It has no filters of its own.  The matcher already rejects a host
+    with too few vertices or edges, and a host vertex of too low degree
+    as soon as it is tried.
     """
-    p = as_pattern(pattern).graph
-    if p.n > host.n or p.m > host.m:
-        return True
-    hdeg = host.degree_sequence
-    for i, d in enumerate(p.degree_sequence):
-        if hdeg[i] < d:
-            return True
-    if p.has_triangle() and not host.has_triangle():
-        return True
-    return contains_subgraph(host, p) is None
+    return contains_subgraph(host, pattern) is None
 
 
 def contains_subgraph_bruteforce(

@@ -3,9 +3,10 @@
 The engines:
 
 * :func:`enumerate_graphs` -- isomorph-free generation of all graphs of a
-  given order, with optional connectivity / planarity / edge-count filters.
+  given order, with optional connectivity / planarity filters.
 * :func:`exact_planar_turan` -- the exact oracle for the maximum edge count
-  of a pattern-free planar graph on ``n`` vertices, with witnesses.
+  of a pattern-free planar graph on ``n`` vertices, with witnesses, for
+  bridgeless patterns.
 * :func:`enumerate_solid_tbs` -- the census of pattern-free solid
   triangular blocks, grown order by order and diffed against the expected
   catalog; :func:`certify_solid_tbs_direct` is the independent slow census
@@ -28,15 +29,17 @@ systems, and each child is decided by bitmask tests against them.
 
 Rotation systems come from one enumerator, :func:`_rotation_systems`,
 which inserts edges into corners of one face; :func:`plane_embeddings`
-builds on it, and the direct census reads its embeddings from there.
+builds on it, and the direct census reads every embedding from there.
 Every face, of a partial or a complete rotation system, is read from one
 dart-orbit walk, :func:`ptl.embedding._dart_faces`.  The censuses build
 no plane graph only to read faces back: a grown child is tested for
-freeness on its abstract graph before its plane graph is built, sphere
-embeddings are told apart by :func:`_sphere_key`, which reads plane codes
-from the darts of a rotation system, and the solid outer faces of an
-embedding come from its 3-faces by one union-find.  Census workers
-receive and return :class:`PlaneGraph` objects, like the oracle's.
+freeness on its abstract graph before its plane graph is built, and the
+solid outer faces of an embedding come from its 3-faces by one
+union-find.  Only the growth census tells sphere embeddings apart, by
+:func:`_sphere_key`; the direct census checks every embedding and reads
+no plane code, so it stays independent of the census it certifies.
+Census workers receive and return :class:`PlaneGraph` objects, like the
+oracle's.
 
 Determinism contract: every report produced here is byte-identical across
 runs and across worker counts once timing fields are stripped.  To that
@@ -69,8 +72,8 @@ from .embedding import (
     Face,
     Graph,
     PlaneGraph,
-    _bfs_plane_code,
     _dart_faces,
+    _least_plane_code,
     _orbit_partition,
     _refine,
     _union_roots,
@@ -372,7 +375,6 @@ def enumerate_graphs(
     *,
     connected: bool = False,
     planar: bool = False,
-    min_edges: int | None = None,
     ceiling: int | None = None,
 ) -> Iterator[Graph]:
     """Stream one canonically labeled representative per isomorphism class.
@@ -390,7 +392,6 @@ def enumerate_graphs(
             pruned by it).
         planar: Keep only planar graphs (hereditary, so non-planar partial
             graphs are pruned during growth).
-        min_edges: Minimum edge count at the final order.
         ceiling: Enumeration ceiling; defaults to :data:`DEFAULT_CEILING`.
 
     Yields:
@@ -405,19 +406,8 @@ def enumerate_graphs(
         raise SearchError("order must be at least 1")
     if n > limit:
         raise CeilingExceededError(f"order {n} exceeds the ceiling {limit}")
-
-    def prune(child: Graph) -> bool:
-        if min_edges is None:
-            return False
-        if planar:
-            return _edge_potential(child.m, child.n, n) < min_edges
-        return child.m + sum(range(child.n, n)) < min_edges
-
-    tree = _Augmentation(n, planar=planar, prune=prune)
-    for g, perm, _ in tree.walk(_ROOT):
-        if g.n < n or (connected and not g.is_connected()):
-            continue
-        if min_edges is None or g.m >= min_edges:
+    for g, perm, _ in _Augmentation(n, planar=planar).walk(_ROOT):
+        if g.n == n and (not connected or g.is_connected()):
             yield g.relabeled(perm)
 
 
@@ -560,6 +550,15 @@ def _seed_bound(n: int, spec: PatternSpec) -> int:
     return best
 
 
+def _has_bridge(g: Graph) -> bool:
+    """Whether some edge of ``g`` lies on no cycle."""
+    for i, (u, v) in enumerate(g.edges):
+        roots = _union_roots(g.n, g.edges[:i] + g.edges[i + 1 :])
+        if roots[u] != roots[v]:
+            return True
+    return False
+
+
 def _turan_tree(n: int, spec: PatternSpec, seed: int, limit: int) -> _Augmentation:
     """The oracle's augmentation tree to order ``limit``, pruned when a
     child cannot reach ``seed`` edges at order ``n`` or contains the
@@ -633,11 +632,14 @@ def exact_planar_turan(
     vertices, with all maximizers.
 
     The augmentation tree over planar pattern-free graphs is explored
-    exhaustively; maximizers are reported among connected graphs, which
-    is no restriction for the catalog patterns: every component of each
-    pattern is 2-edge-connected, so joining components of a free graph by
-    a bridge cannot create a pattern copy, and some maximizer is always
-    connected.
+    exhaustively; maximizers are reported among connected graphs.  That
+    is exact only for a bridgeless pattern, so a pattern with a bridge is
+    refused.  A copy of a bridgeless pattern never uses a bridge of the
+    host, since every pattern edge lies on a cycle, so joining two
+    components of a free planar graph by an edge keeps it free and
+    planar, and every maximizer is connected.  With a bridge that fails:
+    two disjoint triangles have 6 edges and no ``P4``, but every
+    connected ``P4``-free graph on 6 vertices has fewer.
 
     Branches are pruned when even completing to the planar cap cannot
     reach the seed bound -- a constructively verified lower bound
@@ -654,6 +656,11 @@ def exact_planar_turan(
     Returns:
         The :class:`SearchReport`, including the relevant theorem-bound
         comparison for the ``H4``/``H5``/``H6`` patterns.
+
+    Raises:
+        CeilingExceededError: If ``n`` exceeds the ceiling.
+        SearchError: If ``n < 1``, ``workers < 1`` or the pattern has a
+            bridge.
     """
     limit = DEFAULT_CEILING if ceiling is None else ceiling
     if n < 1:
@@ -663,6 +670,11 @@ def exact_planar_turan(
     if workers < 1:
         raise SearchError("worker count must be at least 1")
     spec = as_pattern(pattern)
+    if _has_bridge(spec.graph):
+        raise SearchError(
+            f"pattern {spec.name} has a bridge: the oracle searches connected "
+            "graphs only, which finds ex_P only for bridgeless patterns"
+        )
     start = time.monotonic()
     seed = _seed_bound(n, spec)
     root_order = min(n, _ROOT_ORDER)
@@ -860,15 +872,8 @@ def _sphere_key(rotation: Sequence[Sequence[int]]) -> bytes:
     """Canonical key of a connected rotation system up to isomorphism and
     reflection: the least plane code from any dart of it or of its mirror
     image.  It needs no faces, so no outer face either."""
-    mirror = tuple(tuple(reversed(r)) for r in rotation)
-    return min(
-        (
-            _bfs_plane_code(rot, (v, w))
-            for rot in (rotation, mirror)
-            for v, r in enumerate(rot)
-            for w in r
-        ),
-        default=b"K1",
+    return _least_plane_code(
+        rotation, ((v, w) for v, r in enumerate(rotation) for w in r)
     )
 
 
@@ -1140,11 +1145,12 @@ def certify_solid_tbs_direct(
     For every connected planar graph of order 3 to ``max_order`` (one
     walk of the planar augmentation tree, each graph canonically
     relabeled as :func:`enumerate_graphs` yields it) that is
-    2-connected, pattern-free, and has every edge on a triangle, its
-    distinct sphere embeddings are read from
-    ``plane_embeddings(g, dedupe=True)``, and the graph counts iff some
-    embedding and outer-face choice is a single spanning solid TB.  This
-    procedure never uses the growth reduction, so it certifies
+    2-connected, pattern-free, and has every edge on a triangle, every
+    sphere embedding is read from :func:`plane_embeddings`, and the graph
+    counts iff some embedding and outer-face choice is a single spanning
+    solid TB.  That verdict does not depend on telling embeddings apart,
+    so none is skipped as a repeat.  This procedure never uses the growth
+    reduction or its sphere keys, so it certifies
     :func:`enumerate_solid_tbs` where their ranges overlap; on
     disagreement this direct census is authoritative.
 
@@ -1169,8 +1175,7 @@ def certify_solid_tbs_direct(
             continue
         if not _is_biconnected(g) or not is_free(g, spec):
             continue
-        embeddings = plane_embeddings(g, dedupe=True)
-        if any(_solid_outer_faces(pg) for pg in embeddings):
+        if any(_solid_outer_faces(pg) for pg in plane_embeddings(g)):
             forms[g.n].add(graph6_encode(g).decode("ascii"))
     return {k: tuple(sorted(v)) for k, v in forms.items()}
 
@@ -1287,25 +1292,21 @@ def free_planar_corpus(
     )
 
 
-def plane_embeddings(
-    g: Graph, *, dedupe: bool = False
-) -> Iterator[PlaneGraph]:
+def plane_embeddings(g: Graph) -> Iterator[PlaneGraph]:
     """Every sphere embedding of a connected planar graph.
 
     For 3-connected graphs the embedding is unique up to reflection and
     is produced directly; otherwise there is one per rotation system of
     :func:`_rotation_systems`, built by edge insertion, once each, in
-    sorted rotation order.
+    sorted rotation order.  Embeddings equal up to isomorphism or
+    reflection are all yielded; the laws checked on them do not depend
+    on the embedding's labels or handedness.
     The outer face of the yielded graphs is arbitrary -- callers that
     care about the inner/outer distinction should fan out with
     :func:`outer_variants`.
 
     Args:
         g: Connected planar graph.
-        dedupe: Suppress repeated sphere embeddings (costs one plane code
-            per dart of each rotation system and of its mirror image, read
-            before the embedding is built; harmless to skip when the
-            consumer is checking an embedding-invariant law).
 
     Raises:
         ValueError: If ``g`` is empty or disconnected.
@@ -1313,13 +1314,7 @@ def plane_embeddings(
     if _is_triconnected(g):
         yield embed(g)
         return
-    seen: set[bytes] = set()
     for system in _rotation_systems(g):
-        if dedupe:
-            key = _sphere_key(system)
-            if key in seen:
-                continue
-            seen.add(key)
         yield PlaneGraph.build(g, system)
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from ptl.embedding import Graph
+from ptl.embedding import Graph, PlaneGraph
 
 settings.register_profile(
     "suite",
@@ -34,6 +34,14 @@ def graphs(draw, min_n: int = 1, max_n: int = 8):
 @st.composite
 def permutations_of(draw, n: int):
     return draw(st.permutations(range(n)))
+
+
+def mirrored(pg: PlaneGraph) -> PlaneGraph:
+    """The reflected embedding: every rotation reversed, and as outer face
+    the mirror of ``pg``'s, which is walked the other way round."""
+    rotation = [tuple(reversed(r)) for r in pg.rotation]
+    outer = tuple(reversed(pg.outer.walk))
+    return PlaneGraph.build(pg.graph, rotation, outer)
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def _identity_corpora():
         exhaustive: list[PlaneGraph] = []
         for n in range(3, 7):
             for g in search.free_planar_corpus(n, pattern):
-                for pg in search.plane_embeddings(g, dedupe=True):
+                for pg in search.plane_embeddings(g):
                     exhaustive.extend(search.outer_variants(pg))
         yield f"{pattern}-free corpus n<=6", exhaustive
 

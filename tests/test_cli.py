@@ -193,6 +193,18 @@ def test_turan_exact_catalog_and_witnesses(capsys, tmp_path):
     assert len(out_file.read_text().strip().splitlines()) == 1
 
 
+def test_turan_refuses_pattern_with_a_bridge(capsys, tmp_path):
+    out_file = tmp_path / "r.jsonl"
+    wdir = tmp_path / "wit"
+    code, out, err = run(capsys, "turan", "exact", "--n", "6", "--pattern",
+                         "P4", "--out", str(out_file),
+                         "--witness-dir", str(wdir))
+    assert code == 2
+    assert "bridge" in err
+    assert not out
+    assert not out_file.exists() and not wdir.exists()
+
+
 def test_turan_ceiling_env(capsys, tmp_path, monkeypatch):
     out_file = tmp_path / "r.jsonl"
     monkeypatch.setenv("PTL_CEILING", "4")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from conftest import graphs
+from conftest import graphs, mirrored
 from ptl.embedding import (
     Graph,
     NonPlanarError,
@@ -303,7 +303,7 @@ def test_with_outer_preserves_face_set():
 
 def test_mirrored_involution():
     pg = embed(Graph.complete(4).with_new_vertex([0, 1]))
-    twice = pg.mirrored().mirrored()
+    twice = mirrored(mirrored(pg))
     assert twice.canonical_plane_code() == pg.canonical_plane_code()
 
 
@@ -349,7 +349,7 @@ def test_faces_match_reference_tracer():
         for g in enumerate_graphs(n, connected=True, planar=True):
             for system in _rotation_systems(g):
                 pg = PlaneGraph.build(g, system)
-                for pg in (pg, pg.mirrored()):
+                for pg in (pg, mirrored(pg)):
                     walks = [f.walk for f in pg.faces()]
                     assert walks == _reference_faces(n, pg.rotation)
                     darts = {d: f for f in pg.faces() for d in f.darts()}

@@ -10,6 +10,8 @@ from math import factorial
 
 import pytest
 
+from conftest import mirrored
+from ptl import embedding
 from ptl.decomposition import decompose
 from ptl.embedding import (
     Graph,
@@ -168,7 +170,8 @@ def test_enumerate_maximal_planar():
     # exactly the 5 triangulations
     hits = [
         g
-        for g in enumerate_graphs(7, connected=True, planar=True, min_edges=15)
+        for g in enumerate_graphs(7, connected=True, planar=True)
+        if g.m >= 15
     ]
     assert len(hits) == 5
     assert all(g.m == 15 for g in hits)
@@ -243,6 +246,15 @@ def test_naive_oracle_range():
         naive_planar_turan(6, "C3")
 
 
+def test_oracle_refuses_patterns_with_a_bridge():
+    # two disjoint triangles have 6 edges and no P4, but the connected
+    # P4-free graphs on 6 vertices have at most 5
+    with pytest.raises(SearchError, match="bridge"):
+        exact_planar_turan(6, "P4")
+    for pattern in ("C3", "C4", "Theta4", "H4", "H5", "H6", "C3|Theta4"):
+        assert exact_planar_turan(5, pattern).ex > 0
+
+
 def test_oracle_ceiling():
     with pytest.raises(CeilingExceededError):
         exact_planar_turan(DEFAULT_CEILING + 1, "C3")
@@ -315,6 +327,24 @@ def test_direct_census_agrees_with_growth():
             k: set(v) for k, v in grown.items()
         }
     assert len(direct[8]) == 2
+
+
+def test_direct_census_uses_no_sphere_key(monkeypatch):
+    # the direct census certifies the growth census, so it must not share
+    # the growth census's sphere keys, nor any plane code
+    grown = {
+        pattern: enumerate_solid_tbs(7, pattern).found
+        for pattern in ("H4", "H5")
+    }
+
+    def refuse(*args):
+        raise AssertionError("the direct census read a plane code")
+
+    monkeypatch.setattr(search, "_sphere_key", refuse)
+    monkeypatch.setattr(embedding, "_bfs_plane_code", refuse)
+    for pattern, found in grown.items():
+        direct = certify_solid_tbs_direct(7, pattern)
+        assert direct == {k: found[k] for k in range(3, 8)}
 
 
 def test_direct_census_order_limit():
@@ -558,7 +588,7 @@ def _reference_plane_code(pg: PlaneGraph) -> bytes:
     traced mirror image."""
     return min(
         _reference_bfs_code(q, dart)
-        for q in (pg, pg.mirrored())
+        for q in (pg, mirrored(pg))
         for dart in q.outer.darts() or ((q.outer.walk[0], None),)
     )
 
@@ -605,11 +635,11 @@ def test_plane_embeddings_triconnected_unique():
 
 
 def test_plane_embeddings_dedupe():
+    # the star's two rotation systems are mirror images: one sphere key
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    raw = list(plane_embeddings(star))
-    deduped = list(plane_embeddings(star, dedupe=True))
-    assert len(deduped) <= len(raw)
-    assert len(deduped) == 1
+    planes = list(plane_embeddings(star))
+    assert len(planes) == 2
+    assert len({_sphere_key(pg.rotation) for pg in planes}) == 1
 
 
 def test_outer_variants_cover_faces():
