@@ -642,7 +642,7 @@ def _check_family_le_oracle(cfg: RunConfig) -> str:
 
 
 def _check_theta_pair_law() -> str:
-    violations = search.scan_theta_pairs(max_n=7)
+    violations = search.scan_theta_pairs()
     if violations:
         raise CheckFailure(f"{len(violations)} violations: {violations[:3]}")
     return "orders <= 7: independent pairs share >= 2; detached pairs classify D1/D2/D3"
@@ -717,18 +717,20 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _parse_params(raw: Sequence[str]) -> tuple[tuple[str, int], ...]:
-    out = []
+    out: dict[str, int] = {}
     for item in raw:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise CliError(f"--param expects name=value, got {item!r}")
+        if name in out:
+            raise CliError(f"--param {name} is given more than once")
         try:
-            out.append((name, int(value)))
+            out[name] = int(value)
         except ValueError as exc:
             raise CliError(
                 f"--param {name} expects an integer, got {value!r}"
             ) from exc
-    return tuple(sorted(out))
+    return tuple(sorted(out.items()))
 
 
 def _build_parser() -> argparse.ArgumentParser:

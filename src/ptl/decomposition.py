@@ -18,9 +18,11 @@ decomposition together with:
   :class:`fractions.Fraction` values.
 
 Block and component machinery counts **inner** 3-faces only (the
-designated outer face never contributes to ``delta``), while
-:func:`e_i_analysis` defaults to counting the outer face when it is
-triangular; both conventions are available via ``include_outer``.
+designated outer face never contributes to ``delta``).  :func:`three_faces`
+and :func:`e_i_analysis` count a triangular outer face by default; both
+conventions are available there via ``include_outer``.  The theta
+functions always count it: the theta laws are intrinsic to the sphere
+embedding.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "theta_of_edge",
     "theta_pair_survey",
     "three_faces",
-    "triangle_density",
 ]
 
 
@@ -157,28 +158,18 @@ class ThetaEdge:
         """The five edges of the configuration."""
         return self.faces[0].edge_set | self.faces[1].edge_set
 
-    def as_graph(self) -> tuple[Graph, tuple[int, ...]]:
-        """Abstract copy on ``0..3``; also returns the vertex order used."""
-        return Graph.spanned_by(self.edges), tuple(sorted(self.vertices))
 
-
-def theta_of_edge(
-    pg: PlaneGraph, e: Edge, include_outer: bool = True
-) -> ThetaEdge | None:
+def theta_of_edge(pg: PlaneGraph, e: Edge) -> ThetaEdge | None:
     """The theta configuration of ``e``, or ``None`` if ``e`` is not on
-    two 3-faces (under the chosen outer-face convention)."""
+    two 3-faces (a triangular outer face counts)."""
     e = normalize_edge(*e)
     f1, f2 = pg.faces_of_edge(e)
     if not (f1.is_triangle() and f2.is_triangle()) or f1 == f2:
         return None
-    if not include_outer and pg.outer in (f1, f2):
-        return None
     return ThetaEdge(edge=e, faces=(f1, f2))
 
 
-def classify_theta_pair(
-    pg: PlaneGraph, e: Edge, f: Edge, include_outer: bool = True
-) -> str:
+def classify_theta_pair(pg: PlaneGraph, e: Edge, f: Edge) -> str:
     """Classify how the theta configurations of two ``E_I`` edges overlap.
 
     Returns:
@@ -191,8 +182,8 @@ def classify_theta_pair(
     Raises:
         ValueError: If ``e`` or ``f`` does not lie on two 3-faces.
     """
-    te = theta_of_edge(pg, e, include_outer=include_outer)
-    tf = theta_of_edge(pg, f, include_outer=include_outer)
+    te = theta_of_edge(pg, e)
+    tf = theta_of_edge(pg, f)
     if te is None or tf is None:
         raise ValueError("both edges must lie on two 3-faces")
     shared = te.vertices & tf.vertices
@@ -227,15 +218,14 @@ class ThetaPairRecord:
     label: str | None
 
 
-def theta_pair_survey(
-    pg: PlaneGraph, include_outer: bool = True
-) -> tuple[ThetaPairRecord, ...]:
-    """Classify every unordered pair of distinct ``E_I`` edges."""
-    report = e_i_analysis(pg, include_outer=include_outer)
-    edges = sorted(report.e_i)
-    thetas = {
-        e: theta_of_edge(pg, e, include_outer=include_outer) for e in edges
-    }
+def theta_pair_survey(pg: PlaneGraph) -> tuple[ThetaPairRecord, ...]:
+    """Classify every unordered pair of distinct ``E_I`` edges.
+
+    ``E_I`` counts a triangular outer face, as :func:`e_i_analysis` does
+    by default, so the survey depends only on the sphere embedding.
+    """
+    edges = sorted(e_i_analysis(pg).e_i)
+    thetas = {e: theta_of_edge(pg, e) for e in edges}
     records: list[ThetaPairRecord] = []
     for i, e in enumerate(edges):
         te = thetas[e]
@@ -247,11 +237,7 @@ def theta_pair_survey(
             detached = (
                 not (set(f) & te.vertices) or not (set(e) & tf.vertices)
             )
-            label = (
-                classify_theta_pair(pg, e, f, include_outer=include_outer)
-                if shared == 2
-                else None
-            )
+            label = classify_theta_pair(pg, e, f) if shared == 2 else None
             records.append(
                 ThetaPairRecord(
                     e=e, f=f, shared=shared, detached=detached, label=label
@@ -298,10 +284,6 @@ class TriBlock:
     def is_solid(self) -> bool:
         """Whether no hole is bounded by a 3-cycle."""
         return all(not h.is_triangle() for h in self.holes)
-
-    def as_graph(self) -> tuple[Graph, tuple[int, ...]]:
-        """Abstract copy on ``0..k-1``; also returns the host vertex order."""
-        return Graph.spanned_by(self.edges), tuple(sorted(self.vertices))
 
 
 def solidify(block: TriBlock) -> TriBlock:
@@ -350,11 +332,6 @@ class TriComponent:
     def density(self) -> Fraction:
         """Triangle density ``delta / |vertices|`` (exact)."""
         return Fraction(self.delta, len(self.vertices))
-
-
-def triangle_density(obj: "TriBlock | TriComponent") -> Fraction:
-    """Exact triangle density of a block or component."""
-    return obj.density
 
 
 @dataclass(frozen=True)

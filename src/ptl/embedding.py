@@ -206,14 +206,6 @@ class Graph:
                 stack.append(bit.bit_length() - 1)
         return count == self.n
 
-    def has_triangle(self) -> bool:
-        """Whether some three vertices are mutually adjacent."""
-        bits = self.adj_bits
-        for u, v in self.edges:
-            if bits[u] & bits[v]:
-                return True
-        return False
-
     # -- derived graphs ----------------------------------------------------
 
     def relabeled(self, perm: Sequence[int]) -> "Graph":

@@ -12,7 +12,7 @@ face.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .embedding import Graph, PlaneGraph
 
@@ -314,12 +314,6 @@ def read_graph_lines(text: str | bytes) -> Iterator[Graph]:
             yield parse_graph_line(line)
         except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}", offset=exc.offset) from exc
-
-
-def write_graph_lines(graphs: Iterable[Graph], sparse: bool = False) -> str:
-    """Serialise graphs one per line in graph6 (or sparse6)."""
-    codec = sparse6_encode if sparse else graph6_encode
-    return "".join(codec(g).decode("ascii") + "\n" for g in graphs)
 
 
 # =========================================================================

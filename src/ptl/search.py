@@ -28,8 +28,11 @@ maximal face-vertex bitmasks of each component over all its rotation
 systems, and each child is decided by bitmask tests against them.
 
 Rotation systems come from one enumerator, :func:`_rotation_systems`,
-which inserts edges into corners of one face; :func:`plane_embeddings`
-builds on it, and the direct census reads every embedding from there.
+which inserts edges into corners of one face.  :func:`plane_embeddings`
+builds one plane graph per rotation system, for every connected planar
+graph alike (a 3-connected one yields its embedding and its mirror), and
+the direct census and the lemma scans read every embedding from there,
+with no networkx call.
 Every face, of a partial or a complete rotation system, is read from one
 dart-orbit walk, :func:`ptl.embedding._dart_faces`.  The censuses build
 no plane graph only to read faces back: a grown child is tested for
@@ -1041,16 +1044,6 @@ def _is_biconnected(g: Graph) -> bool:
     return all(g.without_vertex(v).is_connected() for v in range(g.n))
 
 
-def _is_triconnected(g: Graph) -> bool:
-    """3-connectivity by pair deletion (adequate at certification orders)."""
-    if g.n < 4 or not _is_biconnected(g):
-        return False
-    return all(
-        g.without_vertex(max(u, v)).without_vertex(min(u, v)).is_connected()
-        for u, v in combinations(range(g.n), 2)
-    )
-
-
 def _insertion_order(g: Graph) -> list[tuple[int, int, bool]]:
     """Edges of a connected graph as ``(old, other, is_tree)`` steps.
 
@@ -1295,26 +1288,27 @@ def free_planar_corpus(
 def plane_embeddings(g: Graph) -> Iterator[PlaneGraph]:
     """Every sphere embedding of a connected planar graph.
 
-    For 3-connected graphs the embedding is unique up to reflection and
-    is produced directly; otherwise there is one per rotation system of
-    :func:`_rotation_systems`, built by edge insertion, once each, in
-    sorted rotation order.  Embeddings equal up to isomorphism or
-    reflection are all yielded; the laws checked on them do not depend
-    on the embedding's labels or handedness.
-    The outer face of the yielded graphs is arbitrary -- callers that
-    care about the inner/outer distinction should fan out with
-    :func:`outer_variants`.
+    One per rotation system of :func:`_rotation_systems`, once each, in
+    sorted rotation order, whatever the connectivity of ``g``: a
+    3-connected graph yields its embedding and its mirror image.
+    Embeddings equal up to isomorphism or reflection are all yielded;
+    the laws checked on them do not depend on the embedding's labels or
+    handedness.  The outer face of the yielded graphs is arbitrary --
+    callers that care about the inner/outer distinction should fan out
+    with :func:`outer_variants`.
 
     Args:
         g: Connected planar graph.
 
     Raises:
-        ValueError: If ``g`` is empty or disconnected.
+        ValueError: If ``g`` is empty, disconnected or not planar.  No
+            Kuratowski witness is computed; :func:`ptl.embedding.embed`
+            gives one.
     """
-    if _is_triconnected(g):
-        yield embed(g)
-        return
-    for system in _rotation_systems(g):
+    systems = _rotation_systems(g)
+    if not systems:
+        raise ValueError("graph is not planar")
+    for system in systems:
         yield PlaneGraph.build(g, system)
 
 
@@ -1447,7 +1441,7 @@ def verify_theta_pair_laws(
     for idx, pg in enumerate(corpus):
         if not is_free(pg.graph, spec):
             raise SearchError(f"corpus member {idx} is not C3|Theta4-free")
-        for rec in theta_pair_survey(pg, include_outer=True):
+        for rec in theta_pair_survey(pg):
             independent = not (set(rec.e) & set(rec.f))
             if independent and rec.shared < 2:
                 violations.append(
@@ -1523,18 +1517,18 @@ def scan_h5_component_density() -> tuple[tuple[str, ...], int]:
     return tuple(violations), hits
 
 
-def scan_theta_pairs(*, max_n: int = 7) -> tuple[str, ...]:
+def scan_theta_pairs() -> tuple[str, ...]:
     """Exhaustive scan of the theta-pair laws on C3|Theta4-free hosts.
 
-    Covers every connected C3|Theta4-free planar graph with 4 to
-    ``max_n`` vertices that has at least two edges on two abstract
-    triangles (an ``E_I`` edge lies on two 3-faces, so graphs below that
-    threshold have no pairs), over every sphere embedding.  The laws are
-    outer-face independent, so no outer fanout is needed.  Expected
-    empty.
+    Covers every connected C3|Theta4-free planar graph with 4 to 7
+    vertices that has at least two edges on two abstract triangles (an
+    ``E_I`` edge lies on two 3-faces, so graphs below that threshold have
+    no pairs), over every sphere embedding of :func:`plane_embeddings`.
+    The laws are outer-face independent, so no outer fanout is needed.
+    Expected empty.
     """
     violations: list[str] = []
-    for n in range(4, max_n + 1):
+    for n in range(4, 8):
         for g in free_planar_corpus(n, "C3|Theta4"):
             bits = g.adj_bits
             multi = 0

@@ -266,7 +266,7 @@ def test_criterion_5_lemma_property_suites(criterion_reporter):
     if equality_hits == 0:
         problems.append("(b) equality case never exercised")
 
-    theta_violations = search.scan_theta_pairs(max_n=7)
+    theta_violations = search.scan_theta_pairs()
     if theta_violations:
         problems.append(
             f"(c) {len(theta_violations)} violations: {theta_violations[:3]}"

@@ -125,6 +125,17 @@ def test_family_gen_bad_params(capsys, tmp_path):
     assert code == 2
 
 
+def test_family_gen_repeated_param(capsys, tmp_path):
+    # the last value must not silently win
+    code, _, err = run(
+        capsys, "family", "gen", "--name", "wheel_ring",
+        "--param", "k=3", "--param", "k=4", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "more than once" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_pattern_alias(capsys, tmp_path):
     code, _, _ = run(
         capsys, "family", "gen", "--name", "k2_plus_matching",

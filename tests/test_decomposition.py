@@ -19,7 +19,6 @@ from ptl.decomposition import (
     theta_of_edge,
     theta_pair_survey,
     three_faces,
-    triangle_density,
 )
 from ptl.embedding import (
     Face,
@@ -105,25 +104,23 @@ def test_three_faces_k4():
 
 def test_theta_of_edge_k4():
     pg = embed(Graph.complete(4))
-    te = theta_of_edge(pg, (0, 1), include_outer=True)
+    te = theta_of_edge(pg, (0, 1))
     assert te is not None
     assert len(te.vertices) == 4
     assert len(te.edges) == 5
-    abstract, order = te.as_graph()
-    assert sorted(order) == list(order)
-    assert is_isomorphic(abstract, Graph.from_edges(
+    assert is_isomorphic(Graph.spanned_by(te.edges), Graph.from_edges(
         4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
     ))
 
 
 def test_theta_of_edge_absent():
     pg = embed(Graph.cycle(4))
-    assert theta_of_edge(pg, (0, 1), include_outer=True) is None
+    assert theta_of_edge(pg, (0, 1)) is None
 
 
 def test_octahedron_pair_survey_frozen():
     pg = embed(_octahedron())
-    survey = theta_pair_survey(pg, include_outer=True)
+    survey = theta_pair_survey(pg)
     stats = Counter((r.shared, r.label) for r in survey)
     assert stats == Counter({(3, None): 36, (2, "Other"): 24, (2, "D2"): 6})
     detached = [r for r in survey if r.detached]
@@ -141,7 +138,7 @@ def test_d1_configuration_realized():
         if {(0, 1), (4, 5)} <= set(report.e_i):
             label = classify_theta_pair(pg, (0, 1), (4, 5))
             if label == "D1":
-                survey = theta_pair_survey(pg, include_outer=True)
+                survey = theta_pair_survey(pg)
                 hits.setdefault(_sphere_key(pg.rotation), []).append(
                     [(r.e, r.f, r.shared, r.detached, r.label) for r in survey]
                 )
@@ -152,13 +149,13 @@ def test_d1_configuration_realized():
 
 def test_d2_fixture_survey():
     pg = embed(fixture("D2"))
-    survey = theta_pair_survey(pg, include_outer=True)
+    survey = theta_pair_survey(pg)
     assert [(r.shared, r.detached, r.label) for r in survey] == [(2, True, "D2")]
 
 
 def test_d3_fixture_contains_its_label():
     pg = embed(fixture("D3"))
-    labels = {r.label for r in theta_pair_survey(pg, include_outer=True)}
+    labels = {r.label for r in theta_pair_survey(pg)}
     assert "D3" in labels
 
 
@@ -241,8 +238,8 @@ def test_decompose_solid_flag_fills_triangular_holes():
 def test_triangle_density_accessors():
     pg = embed(Graph.complete(4))
     dec = decompose(pg)
-    assert triangle_density(dec.blocks[0]) == Fraction(3, 4)
-    assert triangle_density(dec.components[0]) == Fraction(3, 4)
+    assert dec.blocks[0].density == Fraction(3, 4)
+    assert dec.components[0].density == Fraction(3, 4)
 
 
 def test_blocks_partition_three_faces():

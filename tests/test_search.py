@@ -36,7 +36,6 @@ from ptl.search import (
     _cofacial_masks,
     _degree_rejects,
     _is_biconnected,
-    _is_triconnected,
     _rotation_systems,
     _solid_outer_faces,
     _sphere_key,
@@ -121,7 +120,11 @@ def test_degree_pretest_matches_child_degrees():
 
 def test_every_child_has_one_fate():
     # each offered child is kept or counted under exactly one rejection
-    tree = _Augmentation(7, planar=True, prune=Graph.has_triangle)
+    def has_triangle(g):
+        bits = g.adj_bits
+        return any(bits[u] & bits[v] for u, v in g.edges)
+
+    tree = _Augmentation(7, planar=True, prune=has_triangle)
     nodes = list(tree.walk(_ROOT))
     offered = sum(
         len(_subset_reps(g.n, gens)) for g, _, gens in nodes if g.n < 7
@@ -440,7 +443,8 @@ def test_solid_outer_faces_match_decompose_definition():
                 faces = _solid_outer_faces(pg)
                 assert faces == _reference_solid_outer_faces(pg), pg.rotation
                 solid += bool(faces)
-    assert solid == 214
+    # 3-connected graphs count twice: their embedding and its mirror
+    assert solid == 241
 
 
 def test_census_report_round_trip():
@@ -488,6 +492,16 @@ def _brute_force_embeddings(g: Graph):
             rotation.pop()
 
     yield from assign(0, [])
+
+
+def _is_triconnected(g: Graph) -> bool:
+    """Reference 3-connectivity test by deleting every vertex pair."""
+    if g.n < 4 or not _is_biconnected(g):
+        return False
+    return all(
+        g.without_vertex(max(u, v)).without_vertex(min(u, v)).is_connected()
+        for u, v in combinations(range(g.n), 2)
+    )
 
 
 def _assert_same_embeddings(g: Graph) -> None:
@@ -630,8 +644,44 @@ def test_plane_embeddings_need_connected_graph():
 
 
 def test_plane_embeddings_triconnected_unique():
+    # Whitney: the embedding and its mirror, one sphere embedding up to
+    # reflection
     planes = list(plane_embeddings(Graph.complete(4)))
-    assert len(planes) == 1
+    assert len(planes) == 2
+    assert len({_sphere_key(pg.rotation) for pg in planes}) == 1
+
+
+def test_plane_embeddings_reject_non_planar_graphs():
+    k5 = Graph.complete(5)
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    for g in (k5, k33, k5.with_new_vertex([0]), k33.with_new_vertex([0])):
+        with pytest.raises(ValueError, match="not planar"):
+            list(plane_embeddings(g))
+
+
+def test_plane_embeddings_read_only_rotation_systems(monkeypatch):
+    # every embedding, of a 3-connected graph too, comes from
+    # _rotation_systems; the networkx embedder is never asked
+    def refuse(*args):
+        raise AssertionError("plane_embeddings called embed")
+
+    grown = {
+        pattern: enumerate_solid_tbs(7, pattern).found
+        for pattern in ("H4", "H5")
+    }
+    monkeypatch.setattr(search, "embed", refuse)
+    graphs = [
+        g
+        for n in range(1, 7)
+        for g in enumerate_graphs(n, connected=True, planar=True)
+    ]
+    graphs += [Graph.complete(4), _octahedron(), _cube()]
+    for g in graphs:
+        rotations = [pg.rotation for pg in plane_embeddings(g)]
+        assert rotations == _rotation_systems(g), g.edges
+    for pattern, found in grown.items():
+        direct = certify_solid_tbs_direct(7, pattern)
+        assert direct == {k: found[k] for k in range(3, 8)}
 
 
 def test_plane_embeddings_dedupe():
@@ -678,7 +728,7 @@ def test_scan_h4_component_density_clean():
 def test_scan_h5_component_density_clean():
     violations, equality_hits = scan_h5_component_density()
     assert violations == ()
-    assert equality_hits == 56
+    assert equality_hits == 62
 
 
 def test_density_equality_rejects_non_free_corpus():
