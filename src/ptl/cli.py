@@ -16,6 +16,12 @@ environment (``PTL_CEILING``, ``PTL_WORKERS``), then defaults; a variable
 applies only to commands that take its flag.  The exit code is 0 exactly
 when every requested check passed; usage and input errors exit 2.
 
+Each leaf subcommand's parser names its handler (``run``).  :func:`main`
+resolves the ceiling, the worker count, the pattern and the family
+parameters on argparse's namespace and hands the namespace to the
+handler, which calls the library directly.  Library errors are
+``ValueError`` subclasses; :func:`main` prints them like usage errors.
+
 Pattern arguments accept the pattern grammar plus a CLI convenience: a
 ``+`` joins disjoint-union parts, so ``C3+Theta4`` means ``C3|Theta4``.
 """
@@ -29,67 +35,26 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import families, search
 from .decomposition import decompose, e_i_analysis
 from .embedding import Graph, NonPlanarError, PlaneGraph, embed
 from .families import FamilyError
-from .io import (
-    FormatError,
-    graph6_encode,
-    load_plane_graph_json,
-    read_graph_lines,
-)
-from .patterns import PatternSpec, build_pattern, contains_subgraph
+from .io import graph6_encode, load_plane_graph_json, read_graph_lines
+from .patterns import build_pattern, contains_subgraph
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
 class CliError(Exception):
     """Invalid invocation or unusable input; exits with status 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of one CLI invocation.
-
-    Attributes:
-        command: Top-level command name.
-        pattern: Resolved pattern spec, when the command takes one.
-        n: Target order for the oracle.
-        max_order: Census ceiling order for the block enumeration.
-        ceiling: Enumeration ceiling override (``None`` = library default).
-        workers: Worker-process count for the search commands.
-        out: Output file or directory, when the command writes one.
-        witness_dir: Directory for witness graphs (oracle only).
-        input_path: Input graph file (``check``/``decompose``).
-        table_set: Density-table selector.
-        params: Family parameters as sorted name/value pairs.
-        family: Family name (``family gen`` only).
-        theorem: Bundle selector (``verify`` only).
-    """
-
-    command: str
-    pattern: PatternSpec | None = None
-    n: int | None = None
-    max_order: int | None = None
-    ceiling: int | None = None
-    workers: int = 1
-    out: Path | None = None
-    witness_dir: Path | None = None
-    input_path: Path | None = None
-    table_set: str = "all"
-    params: tuple[tuple[str, int], ...] = ()
-    family: str | None = None
-    theorem: str | None = None
-
-
 # =========================================================================
-# Configuration plumbing
+# Option and input plumbing
 # =========================================================================
 
 
@@ -119,12 +84,21 @@ def _resolve_workers(flag: int | None) -> int:
     return workers
 
 
-def _cli_pattern(text: str) -> PatternSpec:
-    """Parse a pattern argument, accepting ``+`` for disjoint union."""
-    try:
-        return build_pattern(text.replace("+", "|"))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+def _parse_params(raw: Sequence[str]) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for item in raw:
+        name, sep, value = item.partition("=")
+        if not sep or not name:
+            raise CliError(f"--param expects name=value, got {item!r}")
+        if name in out:
+            raise CliError(f"--param {name} is given more than once")
+        try:
+            out[name] = int(value)
+        except ValueError as exc:
+            raise CliError(
+                f"--param {name} expects an integer, got {value!r}"
+            ) from exc
+    return dict(sorted(out.items()))
 
 
 def _pattern_file_tag(name: str) -> str:
@@ -132,17 +106,25 @@ def _pattern_file_tag(name: str) -> str:
     return name.replace("|", "+")
 
 
-def _load_graphs(path: Path) -> list[Graph]:
-    """Abstract graphs from a ``.g6``/``.s6`` line file or embedding JSON."""
+def _read_graphs(path: Path) -> list[Graph | PlaneGraph]:
+    """The graphs of a ``.g6``/``.s6`` line file, or the plane graph of an
+    embedding JSON; at least one."""
     if not path.exists():
         raise CliError(f"input file not found: {path}")
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         if path.suffix == ".json":
-            return [load_plane_graph_json(text).graph]
-        return list(read_graph_lines(text))
-    except (FormatError, ValueError) as exc:
+            graphs: list[Graph | PlaneGraph] = [load_plane_graph_json(text)]
+        else:
+            graphs = list(read_graph_lines(text))
+    except ValueError as exc:
         raise CliError(f"cannot parse {path}: {exc}") from exc
+    if not graphs:
+        raise CliError(f"no graphs in {path}")
+    return graphs
 
 
 def _load_plane_graphs(path: Path) -> list[PlaneGraph]:
@@ -151,25 +133,18 @@ def _load_plane_graphs(path: Path) -> list[PlaneGraph]:
     Abstract graphs are embedded with the deterministic embedder; they
     must be connected and planar.
     """
-    if not path.exists():
-        raise CliError(f"input file not found: {path}")
-    text = path.read_text()
-    try:
-        if path.suffix == ".json":
-            return [load_plane_graph_json(text)]
-        out = []
-        for idx, g in enumerate(read_graph_lines(text)):
-            try:
-                out.append(embed(g))
-            except NonPlanarError as exc:
-                raise CliError(
-                    f"graph {idx} in {path} is not planar: {exc}"
-                ) from exc
-            except ValueError as exc:
-                raise CliError(f"graph {idx} in {path}: {exc}") from exc
-        return out
-    except FormatError as exc:
-        raise CliError(f"cannot parse {path}: {exc}") from exc
+    out = []
+    for idx, g in enumerate(_read_graphs(path)):
+        if isinstance(g, PlaneGraph):
+            out.append(g)
+            continue
+        try:
+            out.append(embed(g))
+        except NonPlanarError as exc:
+            raise CliError(f"graph {idx} in {path} is not planar: {exc}") from exc
+        except ValueError as exc:
+            raise CliError(f"graph {idx} in {path}: {exc}") from exc
+    return out
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -185,14 +160,13 @@ def _write_text(path: Path, text: str) -> None:
 # =========================================================================
 
 
-def cmd_family(cfg: RunConfig) -> int:
-    assert cfg.family is not None
-    params = dict(cfg.params)
-    instance = families.family_instance(cfg.family, **params)
-    stem = cfg.family
+def cmd_family(args: argparse.Namespace) -> int:
+    params = args.param
+    instance = families.family_instance(args.name, **params)
+    stem = args.name
     if params:
-        stem += "_" + "_".join(f"{k}{v}" for k, v in sorted(params.items()))
-    out_dir = cfg.out if cfg.out is not None else Path(".")
+        stem += "_" + "_".join(f"{k}{v}" for k, v in params.items())
+    out_dir = args.out if args.out is not None else Path(".")
     g6_path = out_dir / f"{stem}.g6"
     json_path = out_dir / f"{stem}.json"
     _write_text(
@@ -208,7 +182,7 @@ def cmd_family(cfg: RunConfig) -> int:
         checks.append((f"{instance.freeness}-free", "yes", "yes"))
     checks.append(("planar embedding", "yes", "yes"))
     width = max(len(c[0]) for c in checks)
-    print(f"{cfg.family}({params}):")
+    print(f"{args.name}({params}):")
     for name, expected, actual in checks:
         ok = expected == actual
         verdict = "pass" if ok else "fail"
@@ -223,14 +197,12 @@ def cmd_family(cfg: RunConfig) -> int:
 # =========================================================================
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    assert cfg.pattern is not None and cfg.input_path is not None
-    graphs = _load_graphs(cfg.input_path)
-    if not graphs:
-        raise CliError(f"no graphs in {cfg.input_path}")
+def cmd_check(args: argparse.Namespace) -> int:
     all_free = True
-    for g in graphs:
-        witness = contains_subgraph(g, cfg.pattern)
+    for g in _read_graphs(args.input_path):
+        if isinstance(g, PlaneGraph):
+            g = g.graph
+        witness = contains_subgraph(g, args.pattern)
         if witness is None:
             print("free")
         else:
@@ -238,7 +210,7 @@ def cmd_check(cfg: RunConfig) -> int:
             mapping = " ".join(
                 f"{p}->{h}" for p, h in sorted(witness.items())
             )
-            print(f"contains {cfg.pattern.name}: {mapping}")
+            print(f"contains {args.pattern.name}: {mapping}")
     return 0 if all_free else 1
 
 
@@ -247,13 +219,9 @@ def cmd_check(cfg: RunConfig) -> int:
 # =========================================================================
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    assert cfg.input_path is not None
-    planes = _load_plane_graphs(cfg.input_path)
-    if not planes:
-        raise CliError(f"no graphs in {cfg.input_path}")
+def cmd_decompose(args: argparse.Namespace) -> int:
     ok = True
-    for idx, pg in enumerate(planes):
+    for idx, pg in enumerate(_load_plane_graphs(args.input_path)):
         dec = decompose(pg)
         print(f"graph {idx}: n={pg.n} m={pg.m} faces={len(pg.faces())}")
         print(f"  blocks: {len(dec.blocks)}")
@@ -289,11 +257,8 @@ def cmd_decompose(cfg: RunConfig) -> int:
 # =========================================================================
 
 
-def cmd_density(cfg: RunConfig) -> int:
-    try:
-        rows = families.density_table_rows(cfg.table_set)
-    except FamilyError as exc:
-        raise CliError(str(exc)) from exc
+def cmd_density(args: argparse.Namespace) -> int:
+    rows = families.density_table_rows(args.table_set)
     lines = ["table,name,order,delta,density,formula"]
     lines += [
         f"{r.table},{r.name},{r.order},{r.delta},{r.density},{r.formula}"
@@ -301,9 +266,9 @@ def cmd_density(cfg: RunConfig) -> int:
     ]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if cfg.out is not None:
-        _write_text(cfg.out, text)
-        print(f"wrote {cfg.out}", file=sys.stderr)
+    if args.out is not None:
+        _write_text(args.out, text)
+        print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
@@ -350,31 +315,28 @@ def _append_jsonl(path: Path, record: dict) -> bool:
     return True
 
 
-def cmd_turan(cfg: RunConfig) -> int:
-    assert cfg.pattern is not None and cfg.n is not None
-    try:
-        report = search.exact_planar_turan(
-            cfg.n, cfg.pattern, workers=cfg.workers, ceiling=cfg.ceiling
-        )
-    except search.CeilingExceededError as exc:
-        raise CliError(str(exc)) from exc
+def cmd_turan(args: argparse.Namespace) -> int:
+    n, pattern, ceiling = args.n, args.pattern, args.ceiling
+    report = search.exact_planar_turan(
+        n, pattern, workers=args.workers, ceiling=ceiling
+    )
     effective_ceiling = (
-        cfg.ceiling if cfg.ceiling is not None else search.DEFAULT_CEILING
+        ceiling if ceiling is not None else search.DEFAULT_CEILING
     )
     record = report.jsonl_record()
-    record["config"] = _config_hash(cfg.pattern.name, effective_ceiling)
+    record["config"] = _config_hash(pattern.name, effective_ceiling)
 
-    out = cfg.out if cfg.out is not None else Path("results.jsonl")
+    out = args.out if args.out is not None else Path("results.jsonl")
     appended = _append_jsonl(out, record)
 
-    tag = _pattern_file_tag(cfg.pattern.name)
+    tag = _pattern_file_tag(pattern.name)
     witness_dir = (
-        cfg.witness_dir
-        if cfg.witness_dir is not None
+        args.witness_dir
+        if args.witness_dir is not None
         else out.parent / f"{out.stem}_witnesses"
     )
     for i, g6 in enumerate(report.witnesses):
-        _write_text(witness_dir / f"{tag}_n{cfg.n}_{i}.g6", g6 + "\n")
+        _write_text(witness_dir / f"{tag}_n{n}_{i}.g6", g6 + "\n")
 
     print(json.dumps(record, sort_keys=True))
     bound_note = ""
@@ -382,10 +344,10 @@ def cmd_turan(cfg: RunConfig) -> int:
         applies = "holds for" if report.bound_in_range else "outside range of"
         bound_note = (
             f"; {report.bound_name} bound {report.bound_value} "
-            f"({applies} n={cfg.n})"
+            f"({applies} n={n})"
         )
     print(
-        f"ex_P({cfg.n}, {cfg.pattern.name}) = {report.ex}; "
+        f"ex_P({n}, {pattern.name}) = {report.ex}; "
         f"witnesses: {len(report.witnesses)}; "
         f"enumerated: {report.enumerated}{bound_note}"
     )
@@ -401,17 +363,10 @@ def cmd_turan(cfg: RunConfig) -> int:
 # =========================================================================
 
 
-def cmd_tb(cfg: RunConfig) -> int:
-    assert cfg.pattern is not None and cfg.max_order is not None
-    try:
-        report = search.enumerate_solid_tbs(
-            cfg.max_order,
-            cfg.pattern,
-            workers=cfg.workers,
-            ceiling=cfg.ceiling,
-        )
-    except search.SearchError as exc:
-        raise CliError(str(exc)) from exc
+def cmd_tb(args: argparse.Namespace) -> int:
+    report = search.enumerate_solid_tbs(
+        args.max_order, args.pattern, workers=args.workers, ceiling=args.ceiling
+    )
     for order in sorted(report.found):
         found = report.found[order]
         expected = report.expected.get(order, {})
@@ -427,11 +382,11 @@ def cmd_tb(cfg: RunConfig) -> int:
         print(line)
     verdict = "empty" if report.diff_is_empty else "NOT EMPTY"
     print(f"catalog diff: {verdict} ({report.elapsed_ms} ms)")
-    if cfg.out is not None:
+    if args.out is not None:
         _write_text(
-            cfg.out, json.dumps(report.to_record(), sort_keys=True) + "\n"
+            args.out, json.dumps(report.to_record(), sort_keys=True) + "\n"
         )
-        print(f"wrote {cfg.out}", file=sys.stderr)
+        print(f"wrote {args.out}", file=sys.stderr)
     return 0 if report.diff_is_empty else 1
 
 
@@ -475,12 +430,8 @@ def _check_density_rows(which: str, expected: dict[str, Fraction]) -> str:
     return f"{len(rows)} rows exact"
 
 
-def _check_tb_catalog(
-    pattern: str, max_order: int, cfg: RunConfig
-) -> str:
-    report = search.enumerate_solid_tbs(
-        max_order, pattern, workers=cfg.workers
-    )
+def _check_tb_catalog(pattern: str, max_order: int, workers: int) -> str:
+    report = search.enumerate_solid_tbs(max_order, pattern, workers=workers)
     if not report.diff_is_empty:
         raise CheckFailure(
             f"missing={ {k: v for k, v in report.missing.items() if v} } "
@@ -490,12 +441,10 @@ def _check_tb_catalog(
     return f"orders {counts} all match"
 
 
-def _check_naive_agreement(pattern: str, cfg: RunConfig) -> str:
+def _check_naive_agreement(pattern: str, workers: int) -> str:
     values = []
     for n in range(1, 6):
-        report = search.exact_planar_turan(
-            n, pattern, workers=cfg.workers
-        )
+        report = search.exact_planar_turan(n, pattern, workers=workers)
         naive_ex, naive_forms = search.naive_planar_turan(n, pattern)
         if report.ex != naive_ex:
             raise CheckFailure(
@@ -508,9 +457,9 @@ def _check_naive_agreement(pattern: str, cfg: RunConfig) -> str:
     return f"ex values n=1..5: {values}"
 
 
-def _check_c3_line(cfg: RunConfig) -> str:
+def _check_c3_line(workers: int) -> str:
     for n in range(5, 10):
-        got = search.exact_planar_turan(n, "C3", workers=cfg.workers).ex
+        got = search.exact_planar_turan(n, "C3", workers=workers).ex
         if got != 2 * n - 4:
             raise CheckFailure(f"ex_P({n}, C3) = {got}, expected {2 * n - 4}")
     return "ex_P(n, C3) = 2n-4 for n in 5..9"
@@ -540,7 +489,7 @@ def _check_h4_density_law() -> str:
     return "order-7 corpus: no component above (6|D|-12)/(5|D|)"
 
 
-def _check_counting_identity(cfg: RunConfig) -> str:
+def _check_counting_identity() -> str:
     planes: list[PlaneGraph] = []
     for row in families.density_table_rows("all"):
         base = row.name.partition("(")[0]
@@ -554,10 +503,10 @@ def _check_counting_identity(cfg: RunConfig) -> str:
     return f"3*f3 == |E'| + 2*|E_I| on {len(planes)} plane graphs"
 
 
-def _check_thm2_small_bound(cfg: RunConfig) -> str:
+def _check_thm2_small_bound(workers: int) -> str:
     notes = []
     for n in range(6, 10):
-        got = search.exact_planar_turan(n, "H5", workers=cfg.workers).ex
+        got = search.exact_planar_turan(n, "H5", workers=workers).ex
         limit = families.bound(n, "thm2")
         if not limit.in_range or got > limit.value:
             raise CheckFailure(
@@ -620,7 +569,7 @@ def _check_odd_constructions() -> str:
     return "k2_vee_matching + apex_outerplanar, odd n in 7..31: size floor(5n/2)-4"
 
 
-def _check_family_le_oracle(cfg: RunConfig) -> str:
+def _check_family_le_oracle(workers: int) -> str:
     notes = []
     for n, sizes in (
         (6, (families.k2_plus_matching(6).plane.m,)),
@@ -632,7 +581,7 @@ def _check_family_le_oracle(cfg: RunConfig) -> str:
             ),
         ),
     ):
-        ex = search.exact_planar_turan(n, "H6", workers=cfg.workers).ex
+        ex = search.exact_planar_turan(n, "H6", workers=workers).ex
         if max(sizes) > ex:
             raise CheckFailure(
                 f"n={n}: construction size {max(sizes)} exceeds oracle {ex}"
@@ -648,45 +597,46 @@ def _check_theta_pair_law() -> str:
     return "orders <= 7: independent pairs share >= 2; detached pairs classify D1/D2/D3"
 
 
-def _bundle(cfg: RunConfig) -> list[tuple[str, Callable[[], str]]]:
-    assert cfg.theorem is not None
-    if cfg.theorem == "thm1":
+def _bundle(theorem: str, workers: int) -> list[tuple[str, Callable[[], str]]]:
+    """The named checks of ``thm1``, ``thm2`` or ``thm3``."""
+    if theorem == "thm1":
         return [
             ("density-table-H4",
              lambda: _check_density_rows("H4", _EXPECTED_H4_DENSITIES)),
-            ("tb-catalog-H4", lambda: _check_tb_catalog("H4", 8, cfg)),
-            ("naive-agreement-C3", lambda: _check_naive_agreement("C3", cfg)),
+            ("tb-catalog-H4", lambda: _check_tb_catalog("H4", 8, workers)),
+            ("naive-agreement-C3",
+             lambda: _check_naive_agreement("C3", workers)),
             ("naive-agreement-Theta4",
-             lambda: _check_naive_agreement("Theta4", cfg)),
-            ("naive-agreement-H4", lambda: _check_naive_agreement("H4", cfg)),
-            ("c3-exact-line", lambda: _check_c3_line(cfg)),
+             lambda: _check_naive_agreement("Theta4", workers)),
+            ("naive-agreement-H4",
+             lambda: _check_naive_agreement("H4", workers)),
+            ("c3-exact-line", lambda: _check_c3_line(workers)),
             ("wheel-ring-suite", _check_wheel_ring_suite),
             ("h4-density-law", _check_h4_density_law),
-            ("counting-identity", lambda: _check_counting_identity(cfg)),
+            ("counting-identity", _check_counting_identity),
         ]
-    if cfg.theorem == "thm2":
+    if theorem == "thm2":
         return [
             ("density-table-H5",
              lambda: _check_density_rows("H5", _EXPECTED_H5_DENSITIES)),
-            ("tb-catalog-H5", lambda: _check_tb_catalog("H5", 9, cfg)),
-            ("naive-agreement-H5", lambda: _check_naive_agreement("H5", cfg)),
-            ("small-n-bound", lambda: _check_thm2_small_bound(cfg)),
+            ("tb-catalog-H5", lambda: _check_tb_catalog("H5", 9, workers)),
+            ("naive-agreement-H5",
+             lambda: _check_naive_agreement("H5", workers)),
+            ("small-n-bound", lambda: _check_thm2_small_bound(workers)),
             ("b5-ring-suite", _check_b5_ring_suite),
             ("h5-density-law", _check_h5_density_law),
         ]
-    if cfg.theorem == "thm3":
-        return [
-            ("even-constructions", _check_even_constructions),
-            ("odd-constructions", _check_odd_constructions),
-            ("naive-agreement-H6", lambda: _check_naive_agreement("H6", cfg)),
-            ("family-le-oracle", lambda: _check_family_le_oracle(cfg)),
-            ("theta-pair-law", _check_theta_pair_law),
-        ]
-    raise CliError(f"unknown bundle {cfg.theorem!r}")
+    return [
+        ("even-constructions", _check_even_constructions),
+        ("odd-constructions", _check_odd_constructions),
+        ("naive-agreement-H6", lambda: _check_naive_agreement("H6", workers)),
+        ("family-le-oracle", lambda: _check_family_le_oracle(workers)),
+        ("theta-pair-law", _check_theta_pair_law),
+    ]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    checks = _bundle(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks = _bundle(args.theorem, args.workers)
     failures = 0
     for name, fn in checks:
         start = time.monotonic()
@@ -705,7 +655,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(f"{status} {name}: {detail} ({elapsed} ms)")
     total = len(checks)
     print(
-        f"{cfg.theorem}: {total - failures}/{total} checks passed"
+        f"{args.theorem}: {total - failures}/{total} checks passed"
         + ("" if failures == 0 else f", {failures} FAILED")
     )
     return 0 if failures == 0 else 1
@@ -714,23 +664,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 # =========================================================================
 # Argument parsing
 # =========================================================================
-
-
-def _parse_params(raw: Sequence[str]) -> tuple[tuple[str, int], ...]:
-    out: dict[str, int] = {}
-    for item in raw:
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            raise CliError(f"--param expects name=value, got {item!r}")
-        if name in out:
-            raise CliError(f"--param {name} is given more than once")
-        try:
-            out[name] = int(value)
-        except ValueError as exc:
-            raise CliError(
-                f"--param {name} expects an integer, got {value!r}"
-            ) from exc
-    return tuple(sorted(out.items()))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -764,6 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=VALUE", help="family parameter (repeatable)")
     p_gen.add_argument("--out", type=Path, default=None,
                        help="output directory (default: .)")
+    p_gen.set_defaults(run=cmd_family)
 
     p_check = sub.add_parser("check", help="pattern-freeness verdicts")
     check_sub = p_check.add_subparsers(dest="action", required=True)
@@ -771,11 +705,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_free.add_argument("--pattern", required=True)
     p_free.add_argument("--in", dest="input_path", type=Path, required=True,
                         help=".g6/.s6 line file or embedding .json")
+    p_free.set_defaults(run=cmd_check)
 
     p_dec = sub.add_parser("decompose",
                            help="triangular block/component summary")
     p_dec.add_argument("--in", dest="input_path", type=Path, required=True,
                        help=".g6/.s6 line file or embedding .json")
+    p_dec.set_defaults(run=cmd_decompose)
 
     p_density = sub.add_parser("density", help="block density tables")
     density_sub = p_density.add_subparsers(dest="action", required=True)
@@ -784,6 +720,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["H4", "H5", "all"])
     p_table.add_argument("--out", type=Path, default=None,
                          help="also write the CSV here")
+    p_table.set_defaults(run=cmd_density)
 
     p_turan = sub.add_parser("turan", help="exact planar Turan oracle")
     turan_sub = p_turan.add_subparsers(dest="action", required=True)
@@ -795,6 +732,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--witness-dir", type=Path, default=None,
                          help="directory for witness .g6 files")
     add_search_options(p_exact)
+    p_exact.set_defaults(run=cmd_turan)
 
     p_tb = sub.add_parser("tb", help="solid triangular-block census")
     tb_sub = p_tb.add_subparsers(dest="action", required=True)
@@ -805,61 +743,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--out", type=Path, default=None,
                         help="write the full report JSON here")
     add_search_options(p_enum)
+    p_enum.set_defaults(run=cmd_tb)
 
     p_verify = sub.add_parser("verify", help="acceptance bundles")
     p_verify.add_argument("theorem", choices=["thm1", "thm2", "thm3"])
     # The bundles need orders up to 9 whatever the ceiling, so they take none.
     add_search_options(p_verify, ceiling=False)
+    p_verify.set_defaults(run=cmd_verify)
 
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    # The environment applies only to commands that take the flag.
-    ceiling = _resolve_ceiling(args.ceiling) if "ceiling" in args else None
-    workers = _resolve_workers(args.workers) if "workers" in args else 1
-    pattern = None
-    if getattr(args, "pattern", None) is not None:
-        pattern = _cli_pattern(args.pattern)
-    return RunConfig(
-        command=command,
-        pattern=pattern,
-        n=getattr(args, "n", None),
-        max_order=getattr(args, "max_order", None),
-        ceiling=ceiling,
-        workers=workers,
-        out=getattr(args, "out", None),
-        witness_dir=getattr(args, "witness_dir", None),
-        input_path=getattr(args, "input_path", None),
-        table_set=getattr(args, "table_set", "all"),
-        params=_parse_params(getattr(args, "param", [])),
-        family=getattr(args, "name", None),
-        theorem=getattr(args, "theorem", None),
-    )
-
-
-_DISPATCH: dict[str, Callable[[RunConfig], int]] = {
-    "family": cmd_family,
-    "check": cmd_check,
-    "decompose": cmd_decompose,
-    "density": cmd_density,
-    "turan": cmd_turan,
-    "tb": cmd_tb,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return _DISPATCH[cfg.command](cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (search.SearchError, FamilyError, ValueError) as exc:
+        # Of several bad inputs, the first in this order is reported.  The
+        # environment applies only to commands that take the flag.
+        if "ceiling" in args:
+            args.ceiling = _resolve_ceiling(args.ceiling)
+        if "workers" in args:
+            args.workers = _resolve_workers(args.workers)
+        if "pattern" in args:
+            args.pattern = build_pattern(args.pattern.replace("+", "|"))
+        if "param" in args:
+            args.param = _parse_params(args.param)
+        return args.run(args)
+    except (CliError, ValueError) as exc:
+        # SearchError, FamilyError and FormatError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

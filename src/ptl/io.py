@@ -36,16 +36,18 @@ class FormatError(ValueError):
     """Malformed serialised graph data.
 
     Attributes:
+        message: The description without the offset.
         offset: Byte offset of the first offending byte within the record
             (after any header has been stripped), or ``None`` when the
             problem is a length mismatch.
     """
 
     def __init__(self, message: str, offset: int | None = None):
+        self.message = message
+        self.offset = offset
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
-        self.offset = offset
 
 
 # =========================================================================
@@ -313,7 +315,9 @@ def read_graph_lines(text: str | bytes) -> Iterator[Graph]:
         try:
             yield parse_graph_line(line)
         except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}", offset=exc.offset) from exc
+            raise FormatError(
+                f"line {lineno}: {exc.message}", offset=exc.offset
+            ) from exc
 
 
 # =========================================================================

@@ -19,7 +19,10 @@ parent before the child is built, then come the caller's domain prune
 and the child's refined trivial colouring, and only then at most one
 canonical search, whose labeling and automorphism generators decide
 McKay's test, give the child's subset orbits as a parent and relabel it
-when yielded; the direct census takes every order from one walk.
+when yielded; the direct census takes every order from one walk.  The
+oracle, the direct census and :func:`free_planar_corpus` walk only
+pattern-free graphs: their domain prune drops a child that contains the
+pattern through its new vertex (:func:`_contains_new`).
 Planarity needs no graph test per child.  If ``G`` is planar and a new
 vertex joins the set ``S``, then ``G`` plus that vertex is planar iff every
 component of ``G`` that ``S`` meets has some plane embedding with its
@@ -331,6 +334,21 @@ def _edge_potential(m: int, k: int, n: int) -> int:
     return p
 
 
+def _contains_new(spec: PatternSpec) -> Callable[[Graph], bool]:
+    """Domain prune that keeps an augmentation tree pattern-free: whether
+    a child contains ``spec`` through its new vertex.
+
+    A free parent has no other copy, so the tree keeps exactly the free
+    children.  It still reaches every free graph: freeness is
+    hereditary, and a graph's canonical parent is an induced subgraph.
+    """
+
+    def contains(child: Graph) -> bool:
+        return contains_subgraph_at(child, spec, child.n - 1) is not None
+
+    return contains
+
+
 def _cofacial_masks(g: Graph) -> list[tuple[int, list[int]]]:
     """The cofacial masks of a planar graph.
 
@@ -404,12 +422,23 @@ def enumerate_graphs(
         CeilingExceededError: If ``n`` exceeds the ceiling.
         SearchError: If ``n < 1``.
     """
+    yield from _graphs_of_order(
+        _Augmentation(n, planar=planar), connected=connected, ceiling=ceiling
+    )
+
+
+def _graphs_of_order(
+    tree: _Augmentation, *, connected: bool, ceiling: int | None
+) -> Iterator[Graph]:
+    """The canonically relabeled graphs of order ``tree.limit`` in
+    ``tree``, as :func:`enumerate_graphs` documents them."""
+    n = tree.limit
     limit = DEFAULT_CEILING if ceiling is None else ceiling
     if n < 1:
         raise SearchError("order must be at least 1")
     if n > limit:
         raise CeilingExceededError(f"order {n} exceeds the ceiling {limit}")
-    for g, perm, _ in _Augmentation(n, planar=planar).walk(_ROOT):
+    for g, perm, _ in tree.walk(_ROOT):
         if g.n == n and (not connected or g.is_connected()):
             yield g.relabeled(perm)
 
@@ -565,13 +594,11 @@ def _has_bridge(g: Graph) -> bool:
 def _turan_tree(n: int, spec: PatternSpec, seed: int, limit: int) -> _Augmentation:
     """The oracle's augmentation tree to order ``limit``, pruned when a
     child cannot reach ``seed`` edges at order ``n`` or contains the
-    pattern through its new vertex (a free parent has no other copy)."""
+    pattern through its new vertex (:func:`_contains_new`)."""
+    contains = _contains_new(spec)
 
     def prune(child: Graph) -> bool:
-        return (
-            _edge_potential(child.m, child.n, n) < seed
-            or contains_subgraph_at(child, spec, child.n - 1) is not None
-        )
+        return _edge_potential(child.m, child.n, n) < seed or contains(child)
 
     return _Augmentation(limit, planar=True, prune=prune)
 
@@ -873,10 +900,23 @@ def _grown_children(pg: PlaneGraph, spec: PatternSpec) -> Iterator[PlaneGraph]:
 
 def _sphere_key(rotation: Sequence[Sequence[int]]) -> bytes:
     """Canonical key of a connected rotation system up to isomorphism and
-    reflection: the least plane code from any dart of it or of its mirror
-    image.  It needs no faces, so no outer face either."""
+    reflection: the least plane code from a dart of it or of its mirror
+    image whose end degrees form the least unordered pair.
+
+    Those darts are closed under reversal, as the mirror's codes need,
+    and every isomorphism and reflection keeps them, so two systems get
+    equal keys exactly when codes from every dart would.  The key needs
+    no faces, so no outer face either.
+    """
+    deg = [len(r) for r in rotation]
+    pairs = {
+        (v, w): (min(deg[v], deg[w]), max(deg[v], deg[w]))
+        for v, r in enumerate(rotation)
+        for w in r
+    }
+    least = min(pairs.values(), default=None)
     return _least_plane_code(
-        rotation, ((v, w) for v, r in enumerate(rotation) for w in r)
+        rotation, (dart for dart, pair in pairs.items() if pair == least)
     )
 
 
@@ -1135,13 +1175,13 @@ def certify_solid_tbs_direct(
 ) -> dict[int, tuple[str, ...]]:
     """Independent census of pattern-free solid TBs at orders <= 9.
 
-    For every connected planar graph of order 3 to ``max_order`` (one
-    walk of the planar augmentation tree, each graph canonically
-    relabeled as :func:`enumerate_graphs` yields it) that is
-    2-connected, pattern-free, and has every edge on a triangle, every
-    sphere embedding is read from :func:`plane_embeddings`, and the graph
-    counts iff some embedding and outer-face choice is a single spanning
-    solid TB.  That verdict does not depend on telling embeddings apart,
+    For every connected pattern-free planar graph of order 3 to
+    ``max_order`` (one walk of the planar augmentation tree, pruned by
+    :func:`_contains_new` like the oracle's, each graph canonically
+    relabeled as :func:`enumerate_graphs` yields it) that is 2-connected
+    and has every edge on a triangle, every sphere embedding is read from
+    :func:`plane_embeddings`, and the graph counts iff some embedding and
+    outer-face choice is a single spanning solid TB.  That verdict does not depend on telling embeddings apart,
     so none is skipped as a repeat.  This procedure never uses the growth
     reduction or its sphere keys, so it certifies
     :func:`enumerate_solid_tbs` where their ranges overlap; on
@@ -1153,20 +1193,23 @@ def certify_solid_tbs_direct(
     if max_order > 9:
         raise SearchError(
             "direct certification is limited to orders <= 9 "
-            "(it walks every planar graph of each order up to max_order)"
+            "(it walks every pattern-free planar graph of each order up to "
+            "max_order)"
         )
     if max_order < 3:
         raise SearchError("max_order must be at least 3")
-    spec = as_pattern(pattern)
+    tree = _Augmentation(
+        max_order, planar=True, prune=_contains_new(as_pattern(pattern))
+    )
     forms: dict[int, set[str]] = {k: set() for k in range(3, max_order + 1)}
-    for g, perm, _ in _Augmentation(max_order, planar=True).walk(_ROOT):
+    for g, perm, _ in tree.walk(_ROOT):
         if g.n < 3 or not g.is_connected():
             continue
         g = g.relabeled(perm)
         bits = g.adj_bits
         if any(not bits[u] & bits[v] for u, v in g.edges):
             continue
-        if not _is_biconnected(g) or not is_free(g, spec):
+        if not _is_biconnected(g):
             continue
         if any(_solid_outer_faces(pg) for pg in plane_embeddings(g)):
             forms[g.n].add(graph6_encode(g).decode("ascii"))
@@ -1268,6 +1311,9 @@ def free_planar_corpus(
     """All connected pattern-free planar graphs of order ``n``, up to
     isomorphism.
 
+    The augmentation tree prunes every child that contains the pattern
+    (:func:`_contains_new`), so only free graphs are walked.
+
     Connected graphs suffice for laws quantified over components: a
     triangular component, and likewise a theta configuration, lives
     inside one connectivity component, and material nested in another
@@ -1277,12 +1323,10 @@ def free_planar_corpus(
         n: Order of the corpus members.
         pattern: The pattern every member must avoid.
     """
-    spec = as_pattern(pattern)
-    return tuple(
-        g
-        for g in enumerate_graphs(n, connected=True, planar=True)
-        if is_free(g, spec)
+    tree = _Augmentation(
+        n, planar=True, prune=_contains_new(as_pattern(pattern))
     )
+    return tuple(_graphs_of_order(tree, connected=True, ceiling=None))
 
 
 def plane_embeddings(g: Graph) -> Iterator[PlaneGraph]:

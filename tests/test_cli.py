@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import fcntl
 import json
 import os
@@ -13,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import ptl
+from ptl import cli
 from ptl.cli import (
-    RunConfig,
     _append_jsonl,
     _build_parser,
     _check_c3_line,
@@ -29,6 +30,36 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _leaf_parsers(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """(command words, parser) for every subcommand that takes no further
+    subcommand."""
+    groups = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    if not groups:
+        yield path, parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_every_leaf_command_has_a_handler():
+    handlers = {
+        " ".join(words): parser.get_default("run")
+        for words, parser in _leaf_parsers(_build_parser())
+    }
+    assert handlers == {
+        "family gen": cli.cmd_family,
+        "check free": cli.cmd_check,
+        "decompose": cli.cmd_decompose,
+        "density table": cli.cmd_density,
+        "turan exact": cli.cmd_turan,
+        "tb enumerate": cli.cmd_tb,
+        "verify": cli.cmd_verify,
+    }
+    assert cli.__all__ == ["main"]
 
 
 # -- density table ------------------------------------------------------------
@@ -327,13 +358,11 @@ def test_tb_enumerate_bad_pattern(capsys):
 # -- verify ----------------------------------------------------------------------
 
 def test_verify_c3_line_runs_to_order_9():
-    cfg = RunConfig(command="verify", theorem="thm1")
-    assert _check_c3_line(cfg) == "ex_P(n, C3) = 2n-4 for n in 5..9"
+    assert _check_c3_line(1) == "ex_P(n, C3) = 2n-4 for n in 5..9"
 
 
 def test_verify_thm2_small_bound_runs_to_order_9():
-    cfg = RunConfig(command="verify", theorem="thm2")
-    assert _check_thm2_small_bound(cfg) == (
+    assert _check_thm2_small_bound(1) == (
         "ex_P(6, H5) = 11 <= 11; ex_P(7, H5) = 13 <= 13; "
         "ex_P(8, H5) = 15 <= 16; ex_P(9, H5) = 18 <= 18"
     )
@@ -353,6 +382,17 @@ def test_unknown_pattern_exits_2(capsys, tmp_path):
 def test_missing_input_exits_2(capsys):
     code, _, err = run(capsys, "decompose", "--in", "/nonexistent/y.g6")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [("check", "free", "--pattern", "C3"), ("decompose",)]
+)
+def test_unreadable_input_exits_2(capsys, tmp_path, argv):
+    # exit 1 means "pattern found" or "identity violated", never a crash
+    code, out, err = run(capsys, *argv, "--in", str(tmp_path))
+    assert code == 2
+    assert not out
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
 def test_nonplanar_input_exits_2(capsys, tmp_path):

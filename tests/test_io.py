@@ -94,6 +94,15 @@ def test_read_graph_lines_skips_blank_lines():
     assert len(list(read_graph_lines(text))) == 1
 
 
+def test_read_graph_lines_names_line_and_offset_once():
+    with pytest.raises(FormatError) as info:
+        list(read_graph_lines("!!!not-a-graph!!!\n"))
+    text = str(info.value)
+    assert text.startswith("line 1: ")
+    assert text.count("byte offset") == 1
+    assert info.value.offset == 0
+
+
 # -- plane-graph JSON ------------------------------------------------------
 
 def test_plane_json_round_trip():

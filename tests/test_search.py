@@ -16,6 +16,7 @@ from ptl.decomposition import decompose
 from ptl.embedding import (
     Graph,
     PlaneGraph,
+    _least_plane_code,
     _min_rotation,
     canonical_form,
     canonical_labeling,
@@ -35,6 +36,7 @@ from ptl.search import (
     _cofacial,
     _cofacial_masks,
     _degree_rejects,
+    _grown_children,
     _is_biconnected,
     _rotation_systems,
     _solid_outer_faces,
@@ -350,6 +352,23 @@ def test_direct_census_uses_no_sphere_key(monkeypatch):
         assert direct == {k: found[k] for k in range(3, 8)}
 
 
+def test_direct_census_walks_only_free_graphs(monkeypatch):
+    # the tree prunes every child containing the pattern, so no graph is
+    # tested for freeness afterwards
+    grown = {
+        pattern: enumerate_solid_tbs(7, pattern).found
+        for pattern in ("H4", "H5")
+    }
+
+    def refuse(*args):
+        raise AssertionError("the direct census called is_free")
+
+    monkeypatch.setattr(search, "is_free", refuse)
+    for pattern, found in grown.items():
+        direct = certify_solid_tbs_direct(7, pattern)
+        assert direct == {k: found[k] for k in range(3, 8)}
+
+
 def test_direct_census_order_limit():
     with pytest.raises(SearchError, match="orders <= 9"):
         certify_solid_tbs_direct(10, "H5")
@@ -461,6 +480,16 @@ def test_free_planar_corpus():
     triangle_free = free_planar_corpus(4, "C3")
     assert len(triangle_free) == 3  # P4, K1,3, C4
     assert all(is_free(g, "C3") for g in triangle_free)
+
+
+def test_free_planar_corpus_matches_filtered_enumeration():
+    # the pruned walk yields the free graphs of the full walk, in order
+    for n in range(1, 8):
+        every = list(enumerate_graphs(n, connected=True, planar=True))
+        for pattern in ("C3", "Theta4", "H4", "H5", "C3|Theta4"):
+            got = [g.edges for g in free_planar_corpus(n, pattern)]
+            want = [g.edges for g in every if is_free(g, pattern)]
+            assert got == want, (n, pattern)
 
 
 def _brute_force_embeddings(g: Graph):
@@ -635,6 +664,43 @@ def test_sphere_key_and_plane_code_partition_as_before():
             assert len(set(keys)) < len(planes)
             assert len(set(codes)) < len(rooted)
     assert systems == 778
+
+
+def _all_darts_key(rotation) -> bytes:
+    """Reference sphere key: the least plane code from every dart."""
+    return _least_plane_code(
+        rotation, ((v, w) for v, r in enumerate(rotation) for w in r)
+    )
+
+
+def test_sphere_key_partitions_like_all_darts_key():
+    # every rotation system of every connected planar graph with n <= 6
+    for n in range(1, 7):
+        rotations = [
+            system
+            for g in enumerate_graphs(n, connected=True, planar=True)
+            for system in _rotation_systems(g)
+        ]
+        assert _same_partition(
+            [_sphere_key(r) for r in rotations],
+            [_all_darts_key(r) for r in rotations],
+        )
+    # and every grown census child up to order 9, one parent per class
+    for pattern in ("H4", "H5"):
+        spec = as_pattern(pattern)
+        parents = [catalog_block("B1").plane]
+        for _ in range(4, 10):
+            children = [c for p in parents for c in _grown_children(p, spec)]
+            keys = [_sphere_key(c.rotation) for c in children]
+            assert _same_partition(
+                keys, [_all_darts_key(c.rotation) for c in children]
+            )
+            first = {}
+            for key, child in zip(keys, children):
+                if _solid_outer_faces(child):
+                    first.setdefault(key, child)
+            parents = list(first.values())
+        assert parents
 
 
 def test_plane_embeddings_need_connected_graph():
