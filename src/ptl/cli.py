@@ -290,7 +290,8 @@ def _append_jsonl(path: Path, record: dict) -> bool:
 
     An exclusive ``flock`` on the results file is held across the
     duplicate check and the append, so concurrent runs sharing one file
-    record each key once.
+    record each key once.  Lines that are not JSON objects are kept and
+    skipped by the check.
     """
     key = (record["n"], record["pattern"], record["config"])
     payload = (json.dumps(record, sort_keys=True) + "\n").encode("ascii")
@@ -306,6 +307,8 @@ def _append_jsonl(path: Path, record: dict) -> bool:
                 try:
                     old = json.loads(line)
                 except json.JSONDecodeError:
+                    continue
+                if not isinstance(old, dict):
                     continue
                 if (old.get("n"), old.get("pattern"), old.get("config")) == key:
                     return False

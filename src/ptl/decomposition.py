@@ -98,19 +98,6 @@ class EIReport:
         """The double-counting identity ``3*f3 == |E'| + 2*|E_I|``."""
         return 3 * self.f3 == len(self.e_prime) + 2 * len(self.e_i)
 
-    def d_i(self, v: int) -> int:
-        """Number of ``e_i`` edges incident to vertex ``v``."""
-        return sum(1 for e in self.e_i if v in e)
-
-    @property
-    def delta_i(self) -> int:
-        """Maximum degree of the subgraph formed by the ``e_i`` edges."""
-        counts: dict[int, int] = {}
-        for u, v in self.e_i:
-            counts[u] = counts.get(u, 0) + 1
-            counts[v] = counts.get(v, 0) + 1
-        return max(counts.values(), default=0)
-
 
 def e_i_analysis(pg: PlaneGraph, include_outer: bool = True) -> EIReport:
     """Partition the edges of ``pg`` by incident 3-face count."""

@@ -325,6 +325,12 @@ def read_graph_lines(text: str | bytes) -> Iterator[Graph]:
 # =========================================================================
 
 
+def _is_int(x: object) -> bool:
+    """A JSON integer; ``true`` and ``false`` decode to ``bool``, an
+    ``int`` subclass, and are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_plane_graph_json(text: str) -> PlaneGraph:
     """Load a plane graph from embedding JSON.
 
@@ -349,20 +355,18 @@ def load_plane_graph_json(text: str) -> PlaneGraph:
         outer = obj["outer_face"]
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FormatError("field 'n' must be a positive integer")
     if (
         not isinstance(rotation, list)
         or len(rotation) != n
         or not all(
-            isinstance(r, list) and all(isinstance(x, int) for x in r)
+            isinstance(r, list) and all(_is_int(x) for x in r)
             for r in rotation
         )
     ):
         raise FormatError("field 'rotation' must be a list of n integer lists")
-    if not isinstance(outer, list) or not all(
-        isinstance(x, int) for x in outer
-    ):
+    if not isinstance(outer, list) or not all(_is_int(x) for x in outer):
         raise FormatError("field 'outer_face' must be an integer list")
     edges = [
         (v, u) for v in range(n) for u in rotation[v] if v < u

@@ -35,7 +35,10 @@ which inserts edges into corners of one face.  :func:`plane_embeddings`
 builds one plane graph per rotation system, for every connected planar
 graph alike (a 3-connected one yields its embedding and its mirror), and
 the direct census and the lemma scans read every embedding from there,
-with no networkx call.
+with no networkx call.  The two component-density scans read each plane
+once, from :func:`_free_planes`, and decompose it once; their hosts come
+from :func:`free_planar_corpus`, so no plane is tested for freeness
+again.
 Every face, of a partial or a complete rotation system, is read from one
 dart-orbit walk, :func:`ptl.embedding._dart_faces`.  The censuses build
 no plane graph only to read faces back: a grown child is tested for
@@ -94,7 +97,6 @@ from .patterns import PatternSpec, as_pattern, contains_subgraph_at, is_free
 __all__ = [
     "CeilingExceededError",
     "DEFAULT_CEILING",
-    "DensityViolation",
     "SearchError",
     "SearchReport",
     "TBCatalogReport",
@@ -110,9 +112,7 @@ __all__ = [
     "scan_h4_component_density",
     "scan_h5_component_density",
     "scan_theta_pairs",
-    "verify_component_density",
     "verify_counting_identity",
-    "verify_density_equality",
     "verify_theta_pair_laws",
 ]
 
@@ -1217,90 +1217,6 @@ def certify_solid_tbs_direct(
 
 
 # =========================================================================
-# Component-density verification
-# =========================================================================
-
-
-@dataclass(frozen=True)
-class DensityViolation:
-    """One triangular component exceeding its lemma density limit."""
-
-    member: int
-    vertices: tuple[int, ...]
-    density: Fraction
-    limit: Fraction
-    note: str
-
-
-def verify_component_density(
-    corpus: Iterable[PlaneGraph],
-    pattern: "PatternSpec | Graph | str",
-) -> tuple[DensityViolation, ...]:
-    """Check every triangular component of a corpus against its density
-    lemma.
-
-    For ``H4`` the limit is ``(6|D|-12)/(5|D|)`` for components of order
-    at least 7 outside the two antiprism exceptions; for ``H5`` every
-    component must satisfy ``rho <= 1``.  An empty result is the expected
-    outcome -- any violation contradicts a proven statement and therefore
-    flags an implementation bug.
-
-    Args:
-        corpus: Plane graphs, each of which must be pattern-free.
-        pattern: ``H4`` or ``H5``.
-
-    Returns:
-        All violations found (expected empty).
-
-    Raises:
-        SearchError: If a corpus member contains the pattern, or the
-            pattern has no density lemma.
-    """
-    spec = as_pattern(pattern)
-    if spec.name not in ("H4", "H5"):
-        raise SearchError(
-            f"density limits are defined for H4 and H5, not {spec.name!r}"
-        )
-    exceptions: set[bytes] = set()
-    if spec.name == "H4":
-        exceptions = {
-            canonical_form(families.catalog_block("B15", d).graph)
-            for d in (8, 10)
-        }
-    violations: list[DensityViolation] = []
-    for idx, pg in enumerate(corpus):
-        if not is_free(pg.graph, spec):
-            raise SearchError(
-                f"corpus member {idx} is not {spec.name}-free"
-            )
-        for comp in decompose(pg).components:
-            size = len(comp.vertices)
-            if spec.name == "H4":
-                if size < 7:
-                    continue
-                if size in (8, 10) and (
-                    canonical_form(Graph.spanned_by(comp.edges)) in exceptions
-                ):
-                    continue
-                limit = families.bound(size, "lemma2").value
-                note = "component density above (6|D|-12)/(5|D|)"
-            else:
-                limit = Fraction(1)
-                note = "component density above 1"
-            if comp.density > limit:
-                violations.append(
-                    DensityViolation(
-                        member=idx,
-                        vertices=tuple(sorted(comp.vertices)),
-                        density=comp.density,
-                        limit=limit,
-                        note=note,
-                    )
-                )
-    return tuple(violations)
-
-
-# =========================================================================
 # Corpus construction and lemma-law verification
 # =========================================================================
 
@@ -1429,40 +1345,6 @@ def verify_counting_identity(
     return tuple(violations)
 
 
-def verify_density_equality(
-    corpus: Iterable[PlaneGraph],
-) -> tuple[str, ...]:
-    """Check that density-1 components in H5-free hosts are B5 or B2p.
-
-    Every corpus member must be H5-free.  For each triangular component
-    with triangle density exactly 1, the component's abstract graph must
-    be isomorphic to the B5 or the B2p block.  An empty result is the
-    expected outcome.
-
-    Raises:
-        SearchError: If a corpus member contains H5.
-    """
-    allowed = {
-        canonical_form(families.catalog_block(name).graph): name
-        for name in ("B5", "B2p")
-    }
-    spec = as_pattern("H5")
-    violations: list[str] = []
-    for idx, pg in enumerate(corpus):
-        if not is_free(pg.graph, spec):
-            raise SearchError(f"corpus member {idx} is not H5-free")
-        for comp in decompose(pg).components:
-            if comp.density != 1:
-                continue
-            form = canonical_form(Graph.spanned_by(comp.edges))
-            if form not in allowed:
-                violations.append(
-                    f"member {idx}: density-1 component on vertices "
-                    f"{tuple(sorted(comp.vertices))} is neither B5 nor B2p"
-                )
-    return tuple(violations)
-
-
 def verify_theta_pair_laws(
     corpus: Iterable[PlaneGraph],
 ) -> tuple[str, ...]:
@@ -1477,14 +1359,22 @@ def verify_theta_pair_laws(
     sphere embedding -- the choice of outer face never changes them.  An
     empty result is the expected outcome.
 
+    Freeness is tested once per distinct host graph, which every
+    embedding and outer face of one host shares.
+
     Raises:
         SearchError: If a corpus member contains C3|Theta4.
     """
     spec = as_pattern("C3|Theta4")
+    free: set[Graph] = set()
     violations: list[str] = []
     for idx, pg in enumerate(corpus):
-        if not is_free(pg.graph, spec):
-            raise SearchError(f"corpus member {idx} is not C3|Theta4-free")
+        if pg.graph not in free:
+            if not is_free(pg.graph, spec):
+                raise SearchError(
+                    f"corpus member {idx} is not C3|Theta4-free"
+                )
+            free.add(pg.graph)
         for rec in theta_pair_survey(pg):
             independent = not (set(rec.e) & set(rec.f))
             if independent and rec.shared < 2:
@@ -1504,60 +1394,96 @@ def verify_theta_pair_laws(
     return tuple(violations)
 
 
-def scan_h4_component_density() -> tuple[DensityViolation, ...]:
+def _free_planes(
+    pattern: str, orders: Iterable[int], keep: Callable[[Graph], bool]
+) -> Iterator[PlaneGraph]:
+    """Every sphere embedding, with each face in turn as the outer face,
+    of every graph of :func:`free_planar_corpus` at ``orders`` that
+    ``keep`` accepts.  The corpus walks only pattern-free graphs, so the
+    planes need no freeness test."""
+    for n in orders:
+        for g in free_planar_corpus(n, pattern):
+            if keep(g):
+                for pg in plane_embeddings(g):
+                    yield from outer_variants(pg)
+
+
+def scan_h4_component_density() -> tuple[str, ...]:
     """Exhaustive order-7 scan of the H4 component-density law.
 
-    Builds every connected H4-free planar graph on 7 vertices whose
-    vertices all lie on triangles (a component of order >= 7 in a
-    7-vertex host spans it, and every component vertex lies on a 3-face),
-    fans out all sphere embeddings and outer-face choices, and checks
-    every component of order >= 7 outside the two antiprism exceptions
-    against the ``(6|D|-12)/(5|D|)`` limit.  Expected empty.
+    Decomposes every plane of :func:`_free_planes` once: all sphere
+    embeddings and outer faces of every connected H4-free planar graph on
+    7 vertices whose vertices all lie on triangles (a component of order
+    >= 7 in a 7-vertex host spans it, and every component vertex lies on
+    a 3-face).  Every component of order >= 7 is checked against the
+    ``(6|D|-12)/(5|D|)`` limit.  The lemma exempts the antiprisms B15(8)
+    and B15(10), which have 8 and 10 vertices and so cannot be a
+    component of a 7-vertex host; a scan raised to order 8 or more must
+    exempt them again.  Expected empty.
     """
-    planes: list[PlaneGraph] = []
-    for g in free_planar_corpus(7, "H4"):
+
+    def on_triangles(g: Graph) -> bool:
         bits = g.adj_bits
-        on_triangle = [False] * g.n
+        covered = 0
         for u, v in g.edges:
             if bits[u] & bits[v]:
-                on_triangle[u] = on_triangle[v] = True
-        if not all(on_triangle):
-            continue
-        for pg in plane_embeddings(g):
-            planes.extend(outer_variants(pg))
-    return verify_component_density(planes, "H4")
+                covered |= 1 << u | 1 << v
+        return covered == (1 << g.n) - 1
+
+    violations: list[str] = []
+    for idx, pg in enumerate(_free_planes("H4", (7,), on_triangles)):
+        for comp in decompose(pg).components:
+            size = len(comp.vertices)
+            if size < 7:
+                continue
+            limit = families.bound(size, "lemma2").value
+            if comp.density > limit:
+                violations.append(
+                    f"member {idx}: component on vertices "
+                    f"{tuple(sorted(comp.vertices))} has density "
+                    f"{comp.density} above (6|D|-12)/(5|D|) = {limit}"
+                )
+    return tuple(violations)
 
 
 def scan_h5_component_density() -> tuple[tuple[str, ...], int]:
     """Exhaustive scan of the H5 component-density law at orders 3-6.
 
-    Fans out all sphere embeddings and outer-face choices of every
-    connected H5-free planar graph with 3 to 6 vertices, checking that
-    every triangular component has density at most 1 and that density-1
-    components are B5 or B2p copies.
+    Decomposes every plane of :func:`_free_planes` once: all sphere
+    embeddings and outer faces of every connected H5-free planar graph
+    with 3 to 6 vertices.  A triangular component of density above 1 is
+    a violation; one of density exactly 1 is counted and must be a B5 or
+    B2p copy.
 
     Returns:
         The violations (expected empty) and the number of density-1
         components seen (expected positive -- the law must not hold
         vacuously).
     """
-    planes: list[PlaneGraph] = []
-    for n in range(3, 7):
-        for g in free_planar_corpus(n, "H5"):
-            for pg in plane_embeddings(g):
-                planes.extend(outer_variants(pg))
-    violations = [
-        f"{v.note}: member {v.member} vertices {v.vertices} "
-        f"density {v.density}"
-        for v in verify_component_density(planes, "H5")
-    ]
-    violations.extend(verify_density_equality(planes))
-    hits = sum(
-        1
-        for pg in planes
-        for comp in decompose(pg).components
-        if comp.density == 1
-    )
+    allowed = {
+        canonical_form(families.catalog_block(name).graph)
+        for name in ("B5", "B2p")
+    }
+    violations: list[str] = []
+    hits = 0
+    for idx, pg in enumerate(_free_planes("H5", range(3, 7), lambda g: True)):
+        for comp in decompose(pg).components:
+            if comp.density < 1:
+                continue
+            where = (
+                f"member {idx}: component on vertices "
+                f"{tuple(sorted(comp.vertices))}"
+            )
+            if comp.density > 1:
+                violations.append(
+                    f"{where} has density {comp.density} above 1"
+                )
+                continue
+            hits += 1
+            if canonical_form(Graph.spanned_by(comp.edges)) not in allowed:
+                violations.append(
+                    f"{where} has density 1 and is neither B5 nor B2p"
+                )
     return tuple(violations), hits
 
 
@@ -1575,15 +1501,9 @@ def scan_theta_pairs() -> tuple[str, ...]:
     for n in range(4, 8):
         for g in free_planar_corpus(n, "C3|Theta4"):
             bits = g.adj_bits
-            multi = 0
-            for u, v in g.edges:
-                if bin(bits[u] & bits[v]).count("1") >= 2:
-                    multi += 1
-                    if multi == 2:
-                        break
-            if multi < 2:
+            if sum(
+                (bits[u] & bits[v]).bit_count() >= 2 for u, v in g.edges
+            ) < 2:
                 continue
-            violations.extend(
-                verify_theta_pair_laws(plane_embeddings(g))
-            )
+            violations.extend(verify_theta_pair_laws(plane_embeddings(g)))
     return tuple(violations)

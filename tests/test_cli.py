@@ -194,6 +194,18 @@ def test_decompose_output(capsys, tmp_path):
     assert "3*10 == 12 + 2*9  ok" in out
 
 
+def test_decompose_rejects_boolean_vertex(capsys, tmp_path):
+    bad = tmp_path / "b.json"
+    bad.write_text(json.dumps({
+        "n": 3, "rotation": [[1, 2], [2, 0], [0, True]],
+        "outer_face": [0, 1, 2],
+    }))
+    code, out, err = run(capsys, "decompose", "--in", str(bad))
+    assert code == 2
+    assert not out
+    assert "rotation" in err
+
+
 def test_decompose_embeds_abstract_input(capsys, tmp_path):
     run(capsys, "family", "gen", "--name", "k2_plus_matching",
         "--param", "n=10", "--out", str(tmp_path))
@@ -282,6 +294,19 @@ def test_turan_worker_flag_does_not_change_config(capsys, tmp_path):
                        "C3", "--workers", "2", "--out", str(out_file))
     assert code == 0
     assert "already recorded" in out
+
+
+def test_turan_skips_log_lines_that_are_not_objects(capsys, tmp_path):
+    out_file = tmp_path / "results.jsonl"
+    out_file.write_text('[1, 2]\n"x"\n')
+    code, out, _ = run(capsys, "turan", "exact", "--n", "4", "--pattern",
+                       "C3", "--out", str(out_file),
+                       "--witness-dir", str(tmp_path / "wit"))
+    assert code == 0
+    assert "already recorded" not in out
+    lines = out_file.read_text().splitlines()
+    assert lines[:2] == ["[1, 2]", '"x"']
+    assert len(lines) == 3 and json.loads(lines[2])["ex"] == 4
 
 
 _APPEND_CHILD = """

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 
@@ -134,3 +136,20 @@ def test_json_errors():
         load_plane_graph_json("not json")
     with pytest.raises(FormatError):
         load_plane_graph_json("{}")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"n": True, "rotation": [[]], "outer_face": [0]},
+        {"n": 3, "rotation": [[1, 2], [2, 0], [0, True]],
+         "outer_face": [0, 1, 2]},
+        {"n": 3, "rotation": [[1, 2], [2, 0], [0, 1]],
+         "outer_face": [False, 1, 2]},
+    ],
+    ids=["n", "rotation", "outer_face"],
+)
+def test_json_rejects_booleans(record):
+    # JSON true/false decode to bool, a subclass of int
+    with pytest.raises(FormatError):
+        load_plane_graph_json(json.dumps(record))

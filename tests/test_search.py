@@ -53,8 +53,8 @@ from ptl.search import (
     random_plane_corpus,
     scan_h4_component_density,
     scan_h5_component_density,
+    scan_theta_pairs,
     verify_counting_identity,
-    verify_density_equality,
     verify_theta_pair_laws,
 )
 
@@ -797,13 +797,63 @@ def test_scan_h5_component_density_clean():
     assert equality_hits == 62
 
 
-def test_density_equality_rejects_non_free_corpus():
-    # B9 from the H4 table contains H5; the H5 equality law refuses it
-    from ptl.families import catalog_block
+def _corpus_of(order: int, host: Graph):
+    """A stand-in for ``free_planar_corpus`` holding one host graph."""
+    return lambda n, pattern: (host,) if n == order else ()
 
-    b9 = catalog_block("B9")
-    with pytest.raises(SearchError):
-        verify_density_equality([b9.plane])
+
+@pytest.mark.parametrize(
+    ("block", "note"),
+    [("B9", "above 1"), ("B8", "neither B5 nor B2p")],
+)
+def test_scan_h5_component_density_reports(monkeypatch, block, note):
+    # B9 (the octahedron) has density 7/6; B8 has density 1 but is
+    # neither B5 nor B2p
+    host = catalog_block(block).graph
+    monkeypatch.setattr(search, "free_planar_corpus", _corpus_of(6, host))
+    violations, _ = scan_h5_component_density()
+    assert violations and all(note in v for v in violations)
+
+
+def test_scan_h4_component_density_reports(monkeypatch):
+    # a 7-vertex triangulation has density 9/7 above 6/7
+    octahedron = [
+        (u, v) for u, v in combinations(range(6), 2) if v != u + 1 or u % 2
+    ]
+    host = Graph.from_edges(7, octahedron + [(0, 6), (2, 6), (4, 6)])
+    assert host.m == 3 * 7 - 6
+    monkeypatch.setattr(search, "free_planar_corpus", _corpus_of(7, host))
+    violations = scan_h4_component_density()
+    assert violations
+    assert all("above (6|D|-12)/(5|D|) = 6/7" in v for v in violations)
+
+
+def _counted(monkeypatch, name: str) -> list[int]:
+    """Count the calls the search module makes to one of its names."""
+    calls = [0]
+    real = getattr(search, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, name, counting)
+    return calls
+
+
+def test_density_scans_decompose_each_plane_once(monkeypatch):
+    calls = _counted(monkeypatch, "decompose")
+    assert scan_h4_component_density() == ()
+    assert calls[0] == 2440
+    calls[0] = 0
+    assert scan_h5_component_density() == ((), 62)
+    assert calls[0] == 2508
+
+
+def test_theta_scan_tests_each_host_once(monkeypatch):
+    calls = _counted(monkeypatch, "is_free")
+    assert scan_theta_pairs() == ()
+    assert calls[0] == 299
 
 
 def test_theta_pair_laws_reject_non_free_corpus():
