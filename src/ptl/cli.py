@@ -461,11 +461,11 @@ def _check_naive_agreement(pattern: str, workers: int) -> str:
 
 
 def _check_c3_line(workers: int) -> str:
-    for n in range(5, 10):
-        got = search.exact_planar_turan(n, "C3", workers=workers).ex
+    for n in range(5, 11):
+        got = search.exact_planar_turan(n, "C3", workers=workers, ceiling=10).ex
         if got != 2 * n - 4:
             raise CheckFailure(f"ex_P({n}, C3) = {got}, expected {2 * n - 4}")
-    return "ex_P(n, C3) = 2n-4 for n in 5..9"
+    return "ex_P(n, C3) = 2n-4 for n in 5..10"
 
 
 def _check_wheel_ring_suite() -> str:
@@ -508,8 +508,8 @@ def _check_counting_identity() -> str:
 
 def _check_thm2_small_bound(workers: int) -> str:
     notes = []
-    for n in range(6, 10):
-        got = search.exact_planar_turan(n, "H5", workers=workers).ex
+    for n in range(6, 11):
+        got = search.exact_planar_turan(n, "H5", workers=workers, ceiling=10).ex
         limit = families.bound(n, "thm2")
         if not limit.in_range or got > limit.value:
             raise CheckFailure(
@@ -750,7 +750,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="acceptance bundles")
     p_verify.add_argument("theorem", choices=["thm1", "thm2", "thm3"])
-    # The bundles need orders up to 9 whatever the ceiling, so they take none.
+    # The bundles need orders up to 10 whatever the ceiling, so they take none.
     add_search_options(p_verify, ceiling=False)
     p_verify.set_defaults(run=cmd_verify)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .embedding import (
@@ -39,7 +40,7 @@ from .embedding import (
     _dart_faces,
     _min_rotation,
     _union_roots,
-    is_isomorphic,
+    canonical_form,
     normalize_edge,
 )
 from .patterns import fixture
@@ -173,14 +174,32 @@ def classify_theta_pair(pg: PlaneGraph, e: Edge, f: Edge) -> str:
     tf = theta_of_edge(pg, f)
     if te is None or tf is None:
         raise ValueError("both edges must lie on two 3-faces")
-    shared = te.vertices & tf.vertices
-    if len(shared) != 2:
+    return _classify_thetas(te, tf)
+
+
+@cache
+def _fixture_forms() -> dict[tuple[int, int, tuple[int, ...]], dict[bytes, str]]:
+    """The canonical forms of D1, D2 and D3, keyed by order, size and
+    degree sequence, computed once."""
+    forms: dict[tuple[int, int, tuple[int, ...]], dict[bytes, str]] = {}
+    for name in ("D1", "D2", "D3"):
+        g = fixture(name)
+        key = (g.n, g.m, g.degree_sequence)
+        forms.setdefault(key, {})[canonical_form(g)] = name
+    return forms
+
+
+def _classify_thetas(te: ThetaEdge, tf: ThetaEdge) -> str:
+    """:func:`classify_theta_pair` on the two theta configurations.  The
+    union's canonical form is computed at most once, and only when its
+    order, size and degree sequence match a fixture's."""
+    if len(te.vertices & tf.vertices) != 2:
         return "Overlapping"
     union = Graph.spanned_by(te.edges | tf.edges)
-    for name in ("D1", "D2", "D3"):
-        if is_isomorphic(union, fixture(name)):
-            return name
-    return "Other"
+    candidates = _fixture_forms().get((union.n, union.m, union.degree_sequence))
+    if candidates is None:
+        return "Other"
+    return candidates.get(canonical_form(union), "Other")
 
 
 @dataclass(frozen=True)
@@ -224,7 +243,7 @@ def theta_pair_survey(pg: PlaneGraph) -> tuple[ThetaPairRecord, ...]:
             detached = (
                 not (set(f) & te.vertices) or not (set(e) & tf.vertices)
             )
-            label = classify_theta_pair(pg, e, f) if shared == 2 else None
+            label = _classify_thetas(te, tf) if shared == 2 else None
             records.append(
                 ThetaPairRecord(
                     e=e, f=f, shared=shared, detached=detached, label=label

@@ -290,38 +290,82 @@ def join(a: Graph, b: Graph) -> Graph:
 # =========================================================================
 
 
-def _refine(n: int, adj: Sequence[int], colors: list[int]) -> list[int]:
+def _refine(n: int, adj: Sequence[int], colors: Sequence[int]) -> list[int]:
     """Colour refinement to an equitable partition.
 
     Repeatedly replaces each vertex colour by ``(colour, multiset of
     neighbour colours)`` and renumbers colours ``0..k-1`` in sorted
     signature order, until stable.  The renumbering depends only on the
     colour signatures, so the result is equivariant under isomorphism.
+    :func:`_refine_cells` does the work, on the colour cells.
     """
-    while True:
-        sigs: list[tuple] = []
-        for v in range(n):
-            counts: dict[int, int] = {}
-            w = adj[v]
-            while w:
-                bit = w & -w
-                w ^= bit
-                c = colors[bit.bit_length() - 1]
-                counts[c] = counts.get(c, 0) + 1
-            sigs.append((colors[v], tuple(sorted(counts.items()))))
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        new = [ranking[sig] for sig in sigs]
-        if new == colors:
-            return new
-        colors = new
+    new = [0] * n
+    cells = _refine_cells(adj, _colour_cells(colors), (1 << n) - 1)
+    for i, cell in enumerate(cells):
+        while cell:
+            bit = cell & -cell
+            cell ^= bit
+            new[bit.bit_length() - 1] = i
+    return new
 
 
-def _cells(n: int, colors: Sequence[int]) -> list[list[int]]:
-    """Vertices grouped by colour, cells ordered by colour value."""
-    buckets: dict[int, list[int]] = {}
-    for v in range(n):
-        buckets.setdefault(colors[v], []).append(v)
-    return [buckets[c] for c in sorted(buckets)]
+def _colour_cells(colors: Sequence[int]) -> list[int]:
+    """The cells of a colouring as vertex bitmasks, in colour order."""
+    cells: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        cells[c] = cells.get(c, 0) | 1 << v
+    return [cells[c] for c in sorted(cells)]
+
+
+def _refine_cells(adj: Sequence[int], cells: list[int], changed: int) -> list[int]:
+    """:func:`_refine` on the colour cells as vertex bitmasks, in colour
+    order.
+
+    Each pass signs every vertex at once by its neighbour count in each
+    cell, ``popcount(adj & cell)``, as the sparse sorted pairs ``(cell,
+    count)`` of nonzero counts, and splits each cell into its signature
+    classes in sorted signature order; the pieces of a cell keep its
+    place.  That is the colouring :func:`_refine`'s renumbering gives.
+    A cell can split only when one of its vertices has a neighbour in a
+    cell split by the pass before (for the first pass: a neighbour in
+    ``changed``), since its vertices have equal counts in every other
+    cell.  So only those
+    cells are signed, but each over every cell: where one vertex has a
+    neighbour in a piece and another has none, their order depends on
+    whether the second has neighbours in later cells, split or not.
+    Stops when a pass splits nothing.
+    """
+    while changed:
+        touched = 0
+        while changed:
+            bit = changed & -changed
+            changed ^= bit
+            touched |= adj[bit.bit_length() - 1]
+        new: list[int] = []
+        for cell in cells:
+            if not cell & touched or not cell & (cell - 1):
+                new.append(cell)
+                continue
+            classes: dict[tuple[int, ...], int] = {}
+            rest = cell
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                a = adj[bit.bit_length() - 1]
+                # (cell, count) pairs, flattened: they sort the same
+                pairs: list[int] = []
+                for i, c in enumerate(cells):
+                    if a & c:
+                        pairs += (i, (a & c).bit_count())
+                sig = tuple(pairs)
+                classes[sig] = classes.get(sig, 0) | bit
+            if len(classes) == 1:
+                new.append(cell)
+                continue
+            changed |= cell
+            new.extend(classes[sig] for sig in sorted(classes))
+        cells = new
+    return cells
 
 
 def _adj_key(n: int, adj: Sequence[int], order: Sequence[int]) -> int:
@@ -373,23 +417,25 @@ class _CanonState:
         self.best_path: list[int] = []
         self.auts: list[tuple[int, ...]] = []
 
-    def search(self, colors: list[int], fixed: list[int]) -> int:
+    def search(self, cells: list[int], fixed: list[int], changed: int) -> int:
         """Explore the subtree below the individualized path ``fixed``.
+
+        ``cells`` is the colouring as vertex bitmasks in colour order,
+        equitable outside the cells meeting ``changed``: every vertex for
+        the trivial colouring, none for a refined root, and the old cell
+        of the vertex just individualized below that.
 
         Returns the depth the search resumes at: ``len(fixed)`` to go on
         with the caller's next candidate, or less to backjump past it.
         """
         depth = len(fixed)
-        colors = _refine(self.n, self.adj, colors)
-        cells = _cells(self.n, colors)
-        target: list[int] | None = None
-        for cell in cells:
-            if len(cell) > 1:
-                target = cell
+        cells = _refine_cells(self.adj, cells, changed)
+        for t, target in enumerate(cells):
+            if target & (target - 1):
                 break
-        if target is None:
-            # Discrete colouring: colours are a permutation new->old rank.
-            order = sorted(range(self.n), key=lambda v: colors[v])
+        else:
+            # Discrete colouring: cell i holds the vertex of new label i.
+            order = [cell.bit_length() - 1 for cell in cells]
             key = _adj_key(self.n, self.adj, order)
             if self.best_key is None or key < self.best_key:
                 self.best_key = key
@@ -417,7 +463,11 @@ class _CanonState:
         explored: list[int] = []
         roots: list[int] = []
         known = 0
-        for v in target:
+        rest = target
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
             if known < len(self.auts):
                 # Orbits under the automorphisms found so far that fix
                 # the prefix pointwise, updated as siblings find more.
@@ -429,12 +479,10 @@ class _CanonState:
             if roots and any(roots[v] == roots[u] for u in explored):
                 continue
             explored.append(v)
-            child = list(colors)
-            # Individualize v: give it a colour below its old cell.
-            for u in range(self.n):
-                if child[u] >= child[v] and u != v:
-                    child[u] += 1
-            resume = self.search(child, fixed + [v])
+            # Individualize v: a cell of its own just below the rest of
+            # its old cell.
+            child = cells[:t] + [bit, target ^ bit] + cells[t + 1 :]
+            resume = self.search(child, fixed + [v], target)
             if resume < depth:
                 return resume
         return depth
@@ -446,7 +494,10 @@ def _canon_state(g: Graph, root: list[int] | None = None) -> _CanonState:
         state.best_order = []
         state.best_key = 0
         return state
-    state.search([0] * g.n if root is None else root, [])
+    if root is None:
+        state.search([(1 << g.n) - 1], [], (1 << g.n) - 1)
+    else:
+        state.search(_colour_cells(root), [], 0)
     return state
 
 

@@ -13,13 +13,14 @@ The engines:
   used to certify the growth procedure at small orders.
 
 The first, the second and the direct census walk one canonical
-augmentation core, :class:`_Augmentation`.  A child meets its tests
-cheapest first: McKay's degree pre-test and planarity are read from the
-parent before the child is built, then come the caller's domain prune
-and the child's refined trivial colouring, and only then at most one
-canonical search, whose labeling and automorphism generators decide
-McKay's test, give the child's subset orbits as a parent and relabel it
-when yielded; the direct census takes every order from one walk.  The
+augmentation core, :class:`_Augmentation`, which deletes a vertex of
+minimum degree.  A child meets its tests cheapest first: McKay's degree
+pre-test and planarity are read from the parent before the child is
+built, then come the caller's domain prune and the child's refined
+trivial colouring, and only then at most one canonical search, whose
+labeling and automorphism generators decide McKay's test, give the
+child's subset orbits as a parent and relabel it when yielded; the
+direct census takes every order from one walk.  The
 oracle, the direct census and :func:`free_planar_corpus` walk only
 pattern-free graphs: their domain prune drops a child that contains the
 pattern through its new vertex (:func:`_contains_new`).
@@ -91,7 +92,7 @@ from .embedding import (
     embed,
     is_planar,
 )
-from .io import graph6_encode
+from .io import graph6_decode, graph6_encode
 from .patterns import PatternSpec, as_pattern, contains_subgraph_at, is_free
 
 __all__ = [
@@ -163,24 +164,31 @@ _Node = tuple[Graph, tuple[int, ...], list[tuple[int, ...]]]
 _ROOT: _Node = (Graph.from_edges(1, []), (0,), [])
 
 
-def _subset_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
-    """One representative per orbit of vertex subsets of ``0..n-1`` under
-    the group generated by ``gens``, as a vertex bitmask.
+def _subset_reps(n: int, gens: Sequence[tuple[int, ...]], size: int) -> list[int]:
+    """One representative per orbit of the vertex subsets of ``0..n-1``
+    with at most ``size`` elements, under the group generated by
+    ``gens``, as a vertex bitmask.
 
     Each orbit is closed breadth-first under the generators and
     represented by its smallest mask.  The result is sorted, so iteration
-    order is deterministic.
+    order is deterministic.  An orbit keeps the size of its subsets, so
+    the bound drops whole orbits and keeps the representatives of the
+    rest.
     """
-    total = 1 << n
+    masks = sorted(
+        sum(1 << v for v in subset)
+        for k in range(min(size, n) + 1)
+        for subset in combinations(range(n), k)
+    )
     if not gens:
-        return list(range(total))
-    seen = bytearray(total)
+        return masks
+    seen: set[int] = set()
     reps: list[int] = []
-    for mask in range(total):
-        if seen[mask]:
+    for mask in masks:
+        if mask in seen:
             continue
         reps.append(mask)
-        seen[mask] = 1
+        seen.add(mask)
         stack = [mask]
         while stack:
             cur = stack.pop()
@@ -191,30 +199,30 @@ def _subset_reps(n: int, gens: Sequence[tuple[int, ...]]) -> list[int]:
                     v = (rest & -rest).bit_length() - 1
                     img |= 1 << perm[v]
                     rest &= rest - 1
-                if not seen[img]:
-                    seen[img] = 1
+                if img not in seen:
+                    seen.add(img)
                     stack.append(img)
     return reps
 
 
 def _degree_rejects(g: Graph) -> Callable[[int], bool]:
     """McKay's degree pre-test, read from the parent ``g``: whether a new
-    vertex joined to the vertex bitmask ``s`` has lower degree than some
+    vertex joined to the vertex bitmask ``s`` has higher degree than some
     vertex of the child.
 
-    That holds iff ``|s|`` is below the parent's maximum degree or some
-    vertex of ``s`` already has degree at least ``|s|``.
+    That holds iff some vertex outside ``s`` has degree below ``|s|``, or
+    some vertex of ``s`` has degree below ``|s| - 1`` (it gains the new
+    vertex as a neighbour).
     """
     deg = [b.bit_count() for b in g.adj_bits]
-    top = max(deg)
-    # at_least[k]: the vertices of degree at least k
-    at_least = [
-        sum(1 << v for v in range(g.n) if deg[v] >= k) for k in range(g.n + 1)
+    # below[k]: the vertices of degree below k
+    below = [
+        sum(1 << v for v in range(g.n) if deg[v] < k) for k in range(g.n + 1)
     ]
 
     def rejects(s: int) -> bool:
         k = s.bit_count()
-        return k < top or bool(s & at_least[k])
+        return bool(below[k] & ~s) or k > 0 and bool(below[k - 1] & s)
 
     return rejects
 
@@ -232,15 +240,21 @@ class _Augmentation:
 
     A child is its parent plus one new vertex attached to one
     representative subset per orbit of the parent's automorphism group.
+    A child is kept iff its new vertex shares an orbit with its
+    canonical deletion vertex, the vertex with the first canonical
+    label, which has minimum degree.  So every graph of the tree is
+    reached from order 1 by adding, at each step, a vertex of minimum
+    degree, and only the subsets of at most the parent's minimum degree
+    plus one are offered.
     Each child meets, in order, cheapest first: McKay's degree pre-test
     and planarity if ``planar``, both read from the parent before the
     child is built; the caller's domain ``prune``; and the rest of
     McKay's test (the child's root refinement, then one canonical search
     that also gives the child's labeling and generators).  Every test is
     exact, so the order changes which tests run, never which children
-    are kept.  :attr:`rejected` counts the children by the first test
-    they fail (keys :data:`FATES`); the oracle reports the planarity and
-    ``prune`` counts together as ``pruned``, which leaves out McKay's.
+    are kept.  :attr:`rejected` counts the offered children by the first
+    test they fail (keys :data:`FATES`); the oracle reports the planarity
+    and ``prune`` counts together as ``pruned``, which leaves out McKay's.
 
     Planarity is read from the parent's cofacial masks
     (:func:`_cofacial_masks`), computed when its first child reaches
@@ -266,12 +280,15 @@ class _Augmentation:
         degree_rejects = _degree_rejects(g)
         kept: list[_Node] = []
         masks: list[tuple[int, list[int]]] | None = None
-        for s in _subset_reps(g.n, gens):
-            # The canonical deletion vertex (the vertex carrying the last
-            # canonical label) has maximum degree: canonical search ranks
-            # vertices by degree in its first refinement and afterwards
-            # only splits cells.  So a new vertex of lower degree fails
-            # McKay's test.
+        # The canonical deletion vertex (the vertex carrying the first
+        # canonical label) has minimum degree: canonical search ranks
+        # vertices by ascending degree in its first refinement and
+        # afterwards only splits cells.  A vertex of minimum degree in
+        # the parent has at most one more in the child, so a new vertex
+        # of degree above that fails McKay's test, and its subsets are
+        # not listed; the pre-test rejects the rest of lower degree.
+        delta = min(b.bit_count() for b in g.adj_bits)
+        for s in _subset_reps(g.n, gens, delta + 1):
             if degree_rejects(s):
                 rejected["degree"] += 1
                 continue
@@ -288,17 +305,17 @@ class _Augmentation:
             # The rest of McKay's test: the new vertex must share an
             # automorphism orbit with the canonical deletion vertex.
             # Refinement and individualization only split cells and keep
-            # them in order, so that vertex lies in the last cell of the
+            # them in order, so that vertex lies in the first cell of the
             # refined trivial colouring; orbits lie inside the cells of
-            # that equitable colouring, so a new vertex outside the last
+            # that equitable colouring, so a new vertex outside the first
             # cell fails without a search.  The search starts from the
-            # same colouring, which it refines to itself.
+            # same colouring, which it does not refine again.
             colors = _refine(child.n, child.adj_bits, [0] * child.n)
-            if colors[new] != max(colors):
+            if colors[new] != 0:
                 rejected["mckay"] += 1
                 continue
             perm, child_gens = canonical_data(child, _root=colors)
-            target = perm.index(new)
+            target = perm.index(0)
             if target != new:
                 roots = _orbit_partition(child.n, child_gens)
                 if roots[target] != roots[new]:
@@ -323,14 +340,26 @@ def _planar_cap(k: int) -> int:
     return k * (k - 1) // 2 if k < 3 else 3 * k - 6
 
 
-def _edge_potential(m: int, k: int, n: int) -> int:
-    """Largest final edge count reachable from a ``k``-vertex partial
-    graph with ``m`` edges when growing to order ``n`` planar (each added
-    vertex contributes at most its degree; every stage obeys the planar
-    cap)."""
+def _edge_potential(m: int, delta: int, k: int, n: int) -> int:
+    """Largest final edge count reachable at order ``n`` from a
+    ``k``-vertex node with ``m`` edges and minimum degree ``delta``.
+
+    Read backwards, the tree path from a graph of order ``n`` down to
+    the node deletes a minimum-degree vertex at each step.  Deleting one
+    lowers the other degrees by at most one, so the minimum degree rises
+    by at most one per added vertex; it stays at most 5 in a planar graph
+    and below the order; and a graph of order ``j`` with minimum degree
+    ``d`` has ``d * j / 2`` edges at least, ``d`` of them at the vertex
+    added last, so ``d * (j - 2)`` is at most twice the edges before it.
+    Every order obeys the planar cap.
+    """
     p = m
+    d = delta
     for j in range(k + 1, n + 1):
-        p = min(p + j - 1, _planar_cap(j))
+        d = min(d + 1, 5, j - 1)
+        if j > 2:
+            d = min(d, 2 * p // (j - 2))
+        p = min(p + d, _planar_cap(j))
     return p
 
 
@@ -460,11 +489,14 @@ class SearchReport:
         witnesses: Canonical graph6 forms (ASCII) of every maximizer,
             sorted.
         enumerated: Isomorphism classes visited in the augmentation tree,
-            over all orders.
-        rejected: Children of the augmentation tree rejected, by the
-            first test they fail (keys :data:`FATES`): McKay's degree
-            pre-test, non-planarity, the domain prunes (edge potential,
-            pattern containment) and the rest of McKay's test.
+            over all orders (the lower orders solved for the seed are not
+            counted).
+        rejected: Children offered in the augmentation tree and
+            rejected, by the first test they fail (keys :data:`FATES`):
+            McKay's degree pre-test, non-planarity, the domain prunes
+            (edge potential, pattern containment) and the rest of
+            McKay's test.  A neighbourhood larger than the parent's
+            minimum degree plus one is never offered.
         elapsed_ms: Wall-clock time; excluded from determinism
             comparisons.
         bound_name: Name of the theorem bound relevant to the pattern
@@ -572,8 +604,10 @@ def _seed_bound(n: int, spec: PatternSpec) -> int:
     The maximum edge count over the seed candidates that are actually
     pattern-free.  Soundness of the oracle's pruning requires a true
     lower bound, so freeness and connectivity are checked here rather
-    than assumed; with no qualifying candidate the seed is 0 and pruning
-    is vacuous.
+    than assumed; with no qualifying candidate the bound is 0.  The
+    oracle seeds with the larger of this and :func:`_extension_bound`;
+    to order 9 the extension alone reaches ``ex_P`` for every catalog
+    pattern but H4 at orders 6 and 8, where this bound does.
     """
     best = 0
     for g in _seed_candidates(n):
@@ -598,7 +632,10 @@ def _turan_tree(n: int, spec: PatternSpec, seed: int, limit: int) -> _Augmentati
     contains = _contains_new(spec)
 
     def prune(child: Graph) -> bool:
-        return _edge_potential(child.m, child.n, n) < seed or contains(child)
+        delta = min(b.bit_count() for b in child.adj_bits)
+        return _edge_potential(child.m, delta, child.n, n) < seed or contains(
+            child
+        )
 
     return _Augmentation(limit, planar=True, prune=prune)
 
@@ -651,6 +688,69 @@ def _turan_worker(
     return enumerated, tree.rejected, best, sorted(witnesses)
 
 
+def _extension_bound(n: int, spec: PatternSpec) -> int:
+    """A verified lower bound for ``ex_P(n, pattern)`` from the order
+    below: the most edges of a maximizer of order ``n - 1`` plus one new
+    vertex, kept planar and pattern-free (0 below order 2).
+
+    The order below is solved by :func:`_solve` at one worker, so the
+    bound does not depend on the caller's workers.  A maximizer is
+    connected and pattern-free, so the extension is connected, and free
+    unless it contains the pattern through its new vertex; planarity is
+    read from the maximizer's :func:`_cofacial_masks`.  Neighbourhoods
+    are tried largest first, so each maximizer stops at its best one.
+    """
+    if n < 2:
+        return 0
+    witnesses = _solve(n - 1, spec, 1)[1]
+    contains = _contains_new(spec)
+    best = 0
+    for form in witnesses:
+        g = graph6_decode(form)
+        masks = _cofacial_masks(g)
+        for k in range(min(g.n, _planar_cap(n) - g.m), max(best - g.m, 0), -1):
+            if any(
+                _cofacial(masks, sum(1 << v for v in nbrs))
+                and not contains(g.with_new_vertex(nbrs))
+                for nbrs in combinations(range(g.n), k)
+            ):
+                best = g.m + k
+                break
+    return best
+
+
+def _solve(
+    n: int, spec: PatternSpec, workers: int
+) -> tuple[int, set[bytes], int, dict[str, int], int]:
+    """The oracle's search at order ``n``: ``(best, witnesses,
+    enumerated, rejected, seed)``, where ``best`` is ``-1`` when no
+    connected pattern-free planar graph of order ``n`` exists.
+
+    The seed is the larger of :func:`_seed_bound` and
+    :func:`_extension_bound`.  The serial phase grows the tree to
+    :data:`_ROOT_ORDER`; its subtrees are shared statically among
+    ``workers``.  The counts cover the order-``n`` tree only.
+    """
+    seed = max(_seed_bound(n, spec), _extension_bound(n, spec))
+    root_order = min(n, _ROOT_ORDER)
+    enumerated, rejected, roots = _turan_roots(n, spec, seed, root_order)
+    args = [(tuple(roots[i::workers]), n, spec, seed) for i in range(workers)]
+    with _share_map(workers) as share_map:
+        results = list(share_map(_turan_worker, args))
+    best = -1
+    witnesses: set[bytes] = set()
+    for e, r, b, wits in results:
+        enumerated += e
+        for fate in FATES:
+            rejected[fate] += r[fate]
+        if b > best:
+            best = b
+            witnesses = set(wits)
+        elif b == best:
+            witnesses |= set(wits)
+    return best, witnesses, enumerated, rejected, seed
+
+
 def exact_planar_turan(
     n: int,
     pattern: "PatternSpec | Graph | str",
@@ -671,10 +771,16 @@ def exact_planar_turan(
     two disjoint triangles have 6 edges and no ``P4``, but every
     connected ``P4``-free graph on 6 vertices has fewer.
 
-    Branches are pruned when even completing to the planar cap cannot
-    reach the seed bound -- a constructively verified lower bound
-    (:func:`_seed_bound`), fixed for the whole run so that reports are
-    byte-identical across worker counts.
+    A branch is pruned when no graph of order ``n`` grown from it can
+    reach the seed: the tree adds a vertex of minimum degree at each
+    step, which bounds the edges it can gain (:func:`_edge_potential`).
+    The seed is a verified lower bound, the larger of the constructions
+    of :func:`_seed_bound` and the best planar pattern-free one-vertex
+    extension of the maximizers of order ``n - 1``, which are solved
+    first, in this process at one worker (:func:`_extension_bound`).  It
+    is fixed for the whole run, so reports are byte-identical across
+    worker counts.  The report's counts cover the order-``n`` tree
+    only, not the lower orders solved for the seed.
 
     Args:
         n: Graph order, ``1 <= n <= ceiling``.
@@ -706,23 +812,7 @@ def exact_planar_turan(
             "graphs only, which finds ex_P only for bridgeless patterns"
         )
     start = time.monotonic()
-    seed = _seed_bound(n, spec)
-    root_order = min(n, _ROOT_ORDER)
-    enumerated, rejected, roots = _turan_roots(n, spec, seed, root_order)
-    args = [(tuple(roots[i::workers]), n, spec, seed) for i in range(workers)]
-    with _share_map(workers) as share_map:
-        results = list(share_map(_turan_worker, args))
-    best = -1
-    witnesses: set[bytes] = set()
-    for e, r, b, wits in results:
-        enumerated += e
-        for fate in FATES:
-            rejected[fate] += r[fate]
-        if b > best:
-            best = b
-            witnesses = set(wits)
-        elif b == best:
-            witnesses |= set(wits)
+    best, witnesses, enumerated, rejected, seed = _solve(n, spec, workers)
     if best < 0:
         raise SearchError(
             f"no connected {spec.name}-free planar graph of order {n} exists"

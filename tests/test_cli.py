@@ -382,14 +382,15 @@ def test_tb_enumerate_bad_pattern(capsys):
 
 # -- verify ----------------------------------------------------------------------
 
-def test_verify_c3_line_runs_to_order_9():
-    assert _check_c3_line(1) == "ex_P(n, C3) = 2n-4 for n in 5..9"
+def test_verify_c3_line_runs_to_order_10():
+    assert _check_c3_line(1) == "ex_P(n, C3) = 2n-4 for n in 5..10"
 
 
-def test_verify_thm2_small_bound_runs_to_order_9():
+def test_verify_thm2_small_bound_runs_to_order_10():
     assert _check_thm2_small_bound(1) == (
         "ex_P(6, H5) = 11 <= 11; ex_P(7, H5) = 13 <= 13; "
-        "ex_P(8, H5) = 15 <= 16; ex_P(9, H5) = 18 <= 18"
+        "ex_P(8, H5) = 15 <= 16; ex_P(9, H5) = 18 <= 18; "
+        "ex_P(10, H5) = 21 <= 21"
     )
 
 

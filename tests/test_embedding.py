@@ -15,8 +15,10 @@ from ptl.embedding import (
     NonPlanarError,
     PlaneGraph,
     _CanonState,
+    _colour_cells,
     _orbit_partition,
     _refine,
+    _refine_cells,
     automorphism_generators,
     canonical_data,
     canonical_form,
@@ -26,7 +28,13 @@ from ptl.embedding import (
     is_planar,
     vertex_orbits,
 )
-from ptl.families import k2_plus_matching, k2_vee_matching
+from ptl.families import (
+    apex_outerplanar,
+    b5_ring_augmented,
+    k2_plus_matching,
+    k2_vee_matching,
+    wheel_ring,
+)
 from ptl.io import graph6_decode
 from ptl.search import _rotation_systems, enumerate_graphs
 
@@ -159,10 +167,82 @@ def test_canonical_deletion_orbit_lies_in_last_root_cell():
                 assert roots[v] != roots[last], (g.edges, v)
 
 
+def test_canonical_deletion_orbit_lies_in_first_root_cell():
+    # canonical augmentation deletes the vertex carrying the first
+    # canonical label and rejects a new vertex outside the first cell of
+    # the refined trivial colouring without a search; no such vertex may
+    # share an orbit with the deletion vertex, which has minimum degree
+    for g in _graphs_to_order_7():
+        colors = _refine(g.n, g.adj_bits, [0] * g.n)
+        perm, gens = canonical_data(g)
+        roots = _orbit_partition(g.n, gens)
+        first = perm.index(0)
+        assert colors[first] == 0, g.edges
+        assert g.degree(first) == min(g.degree(v) for v in range(g.n))
+        for v in range(g.n):
+            if colors[v] != 0:
+                assert roots[v] != roots[first], (g.edges, v)
+
+
 def test_root_refinement_seed_changes_no_canonical_data():
     for g in _graphs_to_order_7():
         colors = _refine(g.n, g.adj_bits, [0] * g.n)
         assert canonical_data(g, _root=colors) == canonical_data(g), g.edges
+
+
+def _reference_refine(n, adj, colors):
+    """Colour refinement as it was before cells became bitmasks, kept as
+    the arbiter of :func:`_refine`: every pass signs every vertex by its
+    colour and its sorted neighbour-colour counts."""
+    while True:
+        sigs: list[tuple] = []
+        for v in range(n):
+            counts: dict[int, int] = {}
+            w = adj[v]
+            while w:
+                bit = w & -w
+                w ^= bit
+                c = colors[bit.bit_length() - 1]
+                counts[c] = counts.get(c, 0) + 1
+            sigs.append((colors[v], tuple(sorted(counts.items()))))
+        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [ranking[sig] for sig in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def _assert_refines_as_reference(g: Graph) -> None:
+    # from the trivial colouring, and from each single-vertex
+    # individualization of the refined one, as the canonical search
+    # makes it, with the vertex's old cell as the only changed cell
+    n, adj = g.n, g.adj_bits
+    root = _refine(n, adj, [0] * n)
+    assert root == _reference_refine(n, adj, [0] * n), g.edges
+    for v in range(n):
+        cell = sum(1 << u for u in range(n) if root[u] == root[v])
+        child = [c + (c >= root[v] and u != v) for u, c in enumerate(root)]
+        want = _reference_refine(n, adj, child)
+        got = _refine_cells(adj, _colour_cells(child), cell)
+        assert got == _colour_cells(want), (g.edges, v)
+
+
+def test_refine_matches_reference_to_order_7():
+    for g in _graphs_to_order_7():
+        _assert_refines_as_reference(g)
+
+
+def test_refine_matches_reference_on_corpus_families():
+    # the construction families of the benchmark corpus, up to order 40
+    members = [k2_plus_matching(n) for n in range(6, 41, 2)]
+    members += [k2_vee_matching(n) for n in range(7, 40, 2)]
+    members += [apex_outerplanar(n) for n in range(7, 40, 2)]
+    members += [wheel_ring(k) for k in range(3, 8)]
+    members += [b5_ring_augmented(2, y) for y in range(4)]
+    members += [b5_ring_augmented(3, y) for y in range(2)]
+    assert max(m.plane.n for m in members) <= 40
+    for member in members:
+        _assert_refines_as_reference(member.plane.graph)
 
 
 def test_canonical_form_separates():
@@ -250,10 +330,10 @@ def test_canonical_form_twin_rich(monkeypatch, name, make):
     calls = 0
     search = _CanonState.search
 
-    def counted(self, colors, fixed):
+    def counted(self, cells, fixed, changed):
         nonlocal calls
         calls += 1
-        return search(self, colors, fixed)
+        return search(self, cells, fixed, changed)
 
     monkeypatch.setattr(_CanonState, "search", counted)
     form = canonical_form(g)

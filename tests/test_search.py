@@ -18,12 +18,15 @@ from ptl.embedding import (
     PlaneGraph,
     _least_plane_code,
     _min_rotation,
+    _orbit_partition,
+    canonical_data,
     canonical_form,
     canonical_labeling,
     embed,
     is_planar,
 )
 from ptl.families import catalog_block
+from ptl.io import graph6_decode, graph6_encode
 from ptl.patterns import as_pattern, contains_subgraph_bruteforce, is_free
 from ptl import search
 from ptl.search import (
@@ -36,6 +39,7 @@ from ptl.search import (
     _cofacial,
     _cofacial_masks,
     _degree_rejects,
+    _edge_potential,
     _grown_children,
     _is_biconnected,
     _rotation_systems,
@@ -109,15 +113,32 @@ def test_enumerate_planar_order_9_counts():
 
 def test_degree_pretest_matches_child_degrees():
     # the pre-test reads the parent's degrees; it must reject exactly the
-    # children whose new vertex has less than the child's maximum degree
+    # children whose new vertex has more than the child's minimum degree,
+    # and so every subset larger than the parent's minimum degree plus
+    # one, which the children are not offered
     for n in range(1, 7):
         for g in enumerate_graphs(n, planar=True):
             rejects = _degree_rejects(g)
+            delta = min(map(int.bit_count, g.adj_bits))
             for s in range(1 << n):
                 child = g.with_new_vertex(v for v in range(n) if s >> v & 1)
                 bits = child.adj_bits
-                low = bits[n].bit_count() < max(map(int.bit_count, bits))
-                assert rejects(s) == low, (g.edges, s)
+                high = bits[n].bit_count() > min(map(int.bit_count, bits))
+                assert rejects(s) == high, (g.edges, s)
+                assert high or s.bit_count() <= delta + 1, (g.edges, s)
+
+
+def test_subset_reps_keep_the_small_orbits():
+    # an orbit keeps the size of its subsets, so a size bound drops whole
+    # orbits and keeps the representatives of the rest, in order
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            gens = canonical_data(g)[1]
+            every = _subset_reps(n, gens, n)
+            for size in range(n + 1):
+                assert _subset_reps(n, gens, size) == [
+                    s for s in every if s.bit_count() <= size
+                ], (g.edges, size)
 
 
 def test_every_child_has_one_fate():
@@ -129,11 +150,109 @@ def test_every_child_has_one_fate():
     tree = _Augmentation(7, planar=True, prune=has_triangle)
     nodes = list(tree.walk(_ROOT))
     offered = sum(
-        len(_subset_reps(g.n, gens)) for g, _, gens in nodes if g.n < 7
+        len(_subset_reps(g.n, gens, min(map(int.bit_count, g.adj_bits)) + 1))
+        for g, _, gens in nodes
+        if g.n < 7
     )
     assert set(tree.rejected) == set(FATES)
     assert all(tree.rejected.values())
     assert offered == sum(tree.rejected.values()) + len(nodes) - 1
+
+
+class _MaxDegreeAugmentation(_Augmentation):
+    """The deletion rule before minimum-degree deletion, kept as the
+    reference: the canonical deletion vertex carries the last canonical
+    label, so it has maximum degree.  Every subset is offered, and each
+    child that passes the degree test, planarity and the prune gets a
+    full canonical search; nothing is counted."""
+
+    def children(self, node):
+        g, _, gens = node
+        new = g.n
+        deg = [b.bit_count() for b in g.adj_bits]
+        masks = _cofacial_masks(g) if self.planar else None
+        kept = []
+        for s in _subset_reps(new, gens, new):
+            k = s.bit_count()
+            if k < max(deg) or any(s >> v & 1 and deg[v] >= k for v in range(new)):
+                continue
+            if self.planar and not _cofacial(masks, s):
+                continue
+            child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
+            if self.prune is not None and self.prune(child):
+                continue
+            perm, child_gens = canonical_data(child)
+            target = perm.index(new)
+            roots = _orbit_partition(child.n, child_gens)
+            if roots[target] == roots[new]:
+                kept.append((child, perm, child_gens))
+        return kept
+
+
+def _forms_by_order(tree):
+    """The canonical graph6 forms a tree walk yields, by order."""
+    forms = {}
+    for g, perm, _ in tree.walk(_ROOT):
+        forms.setdefault(g.n, []).append(graph6_encode(g.relabeled(perm)))
+    return forms
+
+
+def _assert_same_graphs(limit, planar):
+    """Both deletion rules yield the same graphs of every order to
+    ``limit``, each once; returns the reference's forms by order."""
+    want = _forms_by_order(_MaxDegreeAugmentation(limit, planar=planar))
+    got = _forms_by_order(_Augmentation(limit, planar=planar))
+    assert {k: sorted(v) for k, v in got.items()} == {
+        k: sorted(v) for k, v in want.items()
+    }, planar
+    assert len(set(got[limit])) == len(got[limit])
+    return want
+
+
+def test_min_degree_rule_matches_max_degree_reference():
+    # the same graphs of every order to 8, planar or not to 7; and, among
+    # the connected planar ones, the same ex and maximizers of every
+    # catalog pattern as the oracle
+    _assert_same_graphs(7, planar=False)
+    connected = []
+    for forms in _assert_same_graphs(8, planar=True).values():
+        for form in forms:
+            g = graph6_decode(form)
+            if g.is_connected():
+                connected.append((form.decode("ascii"), g))
+    for pattern in ("C3", "C4", "Theta4", "H4", "H5", "H6"):
+        spec = as_pattern(pattern)
+        best = {}
+        for form, g in connected:
+            if is_free(g, spec):
+                m, forms = best.get(g.n, (-1, []))
+                if g.m > m:
+                    best[g.n] = (g.m, [form])
+                elif g.m == m:
+                    forms.append(form)
+        for n in range(1, 9):
+            report = exact_planar_turan(n, pattern)
+            ex, forms = best[n]
+            assert (report.ex, report.witnesses) == (ex, tuple(sorted(forms))), (
+                pattern,
+                n,
+            )
+
+
+def test_edge_potential_bounds_every_deletion_chain():
+    # along every tree path to order 7, the potential of each node at
+    # each later order bounds the edges of every descendant there
+    tree = _Augmentation(7, planar=True)
+    stack = [(_ROOT, ())]
+    while stack:
+        node, path = stack.pop()
+        g = node[0]
+        for m, delta, k in path:
+            assert _edge_potential(m, delta, k, g.n) >= g.m, (g.edges, k)
+        if g.n < 7:
+            delta = min(map(int.bit_count, g.adj_bits))
+            below = path + ((g.m, delta, g.n),)
+            stack.extend((child, below) for child in tree.children(node))
 
 
 def test_cofacial_masks_agree_with_networkx():
@@ -217,11 +336,44 @@ def test_oracle_within_literature_bounds():
         "C4": lambda n: Fraction(15 * (n - 2), 7),
         "Theta4": lambda n: Fraction(12 * (n - 2), 5),
     }
-    for n in range(4, 10):
-        assert exact_planar_turan(n, "C3").ex == 2 * n - 4, n
+    for n in range(4, 11):
+        assert exact_planar_turan(n, "C3", ceiling=10).ex == 2 * n - 4, n
         for pattern, bound in bounds.items():
-            ex = exact_planar_turan(n, pattern).ex
+            ex = exact_planar_turan(n, pattern, ceiling=10).ex
             assert ex <= bound(n), (n, pattern, ex)
+
+
+def test_oracle_counters_at_order_8():
+    # the work of the order-8 runs under minimum-degree deletion, the
+    # deletion-chain potential and the seeds from order 7; they were
+    # 535 / 885 / 658 enumerated under maximum-degree deletion
+    pins = {
+        "H4": (48, {"degree": 280, "planarity": 171, "domain": 532, "mckay": 12}),
+        "H5": (87, {"degree": 634, "planarity": 250, "domain": 871, "mckay": 26}),
+        "H6": (74, {"degree": 482, "planarity": 263, "domain": 853, "mckay": 11}),
+    }
+    for pattern, (enumerated, rejected) in pins.items():
+        for workers in (1, 2):
+            report = exact_planar_turan(8, pattern, workers=workers)
+            assert (report.enumerated, report.rejected) == (
+                enumerated,
+                rejected,
+            ), (pattern, workers)
+
+
+def test_extension_seed_is_a_lower_bound():
+    # one vertex added to a maximizer of the order below; at these orders
+    # it reaches ex exactly for every pattern but H4 at 6 and 8, where the
+    # constructions of _seed_bound do
+    short = {(6, "H4"), (8, "H4")}
+    for pattern in ("C3", "C4", "Theta4", "H4", "H5", "H6"):
+        spec = as_pattern(pattern)
+        for n in range(2, 9):
+            ex = exact_planar_turan(n, pattern).ex
+            seed = search._extension_bound(n, spec)
+            assert seed <= ex, (pattern, n)
+            assert (seed < ex) == ((n, pattern) in short), (pattern, n, seed)
+            assert max(seed, search._seed_bound(n, spec)) == ex, (pattern, n)
 
 
 def test_oracle_witnesses_are_extremal():
