@@ -223,14 +223,17 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     ok = True
     for idx, pg in enumerate(_load_plane_graphs(args.input_path)):
         dec = decompose(pg)
+        # holes and solidity of each block as drawn; both lists are sorted
+        # by vertex set, which solidifying keeps, so they line up
+        drawn = decompose(pg, solid=False).blocks
         print(f"graph {idx}: n={pg.n} m={pg.m} faces={len(pg.faces())}")
         print(f"  blocks: {len(dec.blocks)}")
-        for b_idx, block in enumerate(dec.blocks):
-            solid = "yes" if block.is_solid else "no"
+        for b_idx, (block, raw) in enumerate(zip(dec.blocks, drawn)):
+            solid = "yes" if raw.is_solid else "no"
             print(
                 f"    [{b_idx}] order={len(block.vertices)} "
                 f"delta={block.delta} density={block.density} "
-                f"holes={len(block.holes)} solid={solid} "
+                f"holes={len(raw.holes)} solid={solid} "
                 f"vertices={tuple(sorted(block.vertices))}"
             )
         print(f"  components: {len(dec.components)}")

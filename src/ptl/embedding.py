@@ -290,47 +290,20 @@ def join(a: Graph, b: Graph) -> Graph:
 # =========================================================================
 
 
-def _refine(n: int, adj: Sequence[int], colors: Sequence[int]) -> list[int]:
-    """Colour refinement to an equitable partition.
-
-    Repeatedly replaces each vertex colour by ``(colour, multiset of
-    neighbour colours)`` and renumbers colours ``0..k-1`` in sorted
-    signature order, until stable.  The renumbering depends only on the
-    colour signatures, so the result is equivariant under isomorphism.
-    :func:`_refine_cells` does the work, on the colour cells.
-    """
-    new = [0] * n
-    cells = _refine_cells(adj, _colour_cells(colors), (1 << n) - 1)
-    for i, cell in enumerate(cells):
-        while cell:
-            bit = cell & -cell
-            cell ^= bit
-            new[bit.bit_length() - 1] = i
-    return new
-
-
-def _colour_cells(colors: Sequence[int]) -> list[int]:
-    """The cells of a colouring as vertex bitmasks, in colour order."""
-    cells: dict[int, int] = {}
-    for v, c in enumerate(colors):
-        cells[c] = cells.get(c, 0) | 1 << v
-    return [cells[c] for c in sorted(cells)]
-
-
 def _refine_cells(adj: Sequence[int], cells: list[int], changed: int) -> list[int]:
-    """:func:`_refine` on the colour cells as vertex bitmasks, in colour
-    order.
+    """Colour refinement to an equitable partition, on the colour cells
+    as vertex bitmasks, in colour order.
 
     Each pass signs every vertex at once by its neighbour count in each
     cell, ``popcount(adj & cell)``, as the sparse sorted pairs ``(cell,
     count)`` of nonzero counts, and splits each cell into its signature
     classes in sorted signature order; the pieces of a cell keep its
-    place.  That is the colouring :func:`_refine`'s renumbering gives.
-    A cell can split only when one of its vertices has a neighbour in a
-    cell split by the pass before (for the first pass: a neighbour in
-    ``changed``), since its vertices have equal counts in every other
-    cell.  So only those
-    cells are signed, but each over every cell: where one vertex has a
+    place.  The split depends only on the signatures, so the result is
+    equivariant under isomorphism.  A cell can split only when one of
+    its vertices has a neighbour in a cell split by the pass before (for
+    the first pass: a neighbour in ``changed``), since its vertices have
+    equal counts in every other cell.  So only those cells are signed,
+    but each over every cell: where one vertex has a
     neighbour in a piece and another has none, their order depends on
     whether the second has neighbours in later cells, split or not.
     Stops when a pass splits nothing.
@@ -497,7 +470,7 @@ def _canon_state(g: Graph, root: list[int] | None = None) -> _CanonState:
     if root is None:
         state.search([(1 << g.n) - 1], [], (1 << g.n) - 1)
     else:
-        state.search(_colour_cells(root), [], 0)
+        state.search(root, [], 0)
     return state
 
 
@@ -507,10 +480,11 @@ def canonical_data(
     """Canonical labeling and automorphism generators from one search.
 
     ``_root`` is for a caller that has already refined the trivial
-    colouring: it must be ``_refine(g.n, g.adj_bits, [0] * g.n)``.  The
-    search starts by refining its colouring, and :func:`_refine` returns
-    an equitable colouring unchanged, so the result is the same as
-    without it; only that first refinement is saved.
+    colouring: it must be the colour cells ``_refine_cells(g.adj_bits,
+    [full], full)``, where ``full`` is the bitmask of every vertex.  The
+    search starts by refining its cells, and :func:`_refine_cells`
+    returns equitable cells unchanged, so the result is the same as
+    without them; only that first refinement is saved.
 
     Returns:
         ``(perm, gens)`` where ``perm[old] = new`` is the canonical

@@ -12,18 +12,19 @@ The engines:
   catalog; :func:`certify_solid_tbs_direct` is the independent slow census
   used to certify the growth procedure at small orders.
 
-The first, the second and the direct census walk one canonical
+The first, the second and the direct census grow one canonical
 augmentation core, :class:`_Augmentation`, which deletes a vertex of
 minimum degree.  A child meets its tests cheapest first: McKay's degree
 pre-test and planarity are read from the parent before the child is
 built, then come the caller's domain prune and the child's refined
 trivial colouring, and only then at most one canonical search, whose
 labeling and automorphism generators decide McKay's test, give the
-child's subset orbits as a parent and relabel it when yielded; the
-direct census takes every order from one walk.  The
-oracle, the direct census and :func:`free_planar_corpus` walk only
-pattern-free graphs: their domain prune drops a child that contains the
-pattern through its new vertex (:func:`_contains_new`).
+child's subset orbits as a parent and relabel it when yielded.  The
+oracle grows the tree one order at a time; the direct census takes
+every order from one walk.  The oracle, the direct census and
+:func:`free_planar_corpus` take only pattern-free graphs: their domain
+prune drops a child that contains the pattern through its new vertex
+(:func:`_contains_new`).
 Planarity needs no graph test per child.  If ``G`` is planar and a new
 vertex joins the set ``S``, then ``G`` plus that vertex is planar iff every
 component of ``G`` that ``S`` meets has some plane embedding with its
@@ -48,8 +49,10 @@ solid outer faces of an embedding come from its 3-faces by one
 union-find.  Only the growth census tells sphere embeddings apart, by
 :func:`_sphere_key`; the direct census checks every embedding and reads
 no plane code, so it stays independent of the census it certifies.
-Census workers receive and return :class:`PlaneGraph` objects, like the
-oracle's.
+The oracle and the growth census both grow one order at a time: each
+order's nodes are split into static shares, one per worker, and the
+workers return the next order's nodes, as augmentation-tree nodes for
+the oracle and as :class:`PlaneGraph` objects for the census.
 
 Determinism contract: every report produced here is byte-identical across
 runs and across worker counts once timing fields are stripped.  To that
@@ -85,7 +88,7 @@ from .embedding import (
     _dart_faces,
     _least_plane_code,
     _orbit_partition,
-    _refine,
+    _refine_cells,
     _union_roots,
     canonical_data,
     canonical_form,
@@ -132,10 +135,6 @@ DEFAULT_CEILING = 9
 
 #: Default order ceilings for the solid-TB census, per pattern.
 TB_DEFAULT_CEILING = {"H4": 9, "H5": 10}
-
-#: Order at which the oracle's search tree is split into worker subtrees.
-_ROOT_ORDER = 5
-
 
 @contextmanager
 def _share_map(workers: int) -> Iterator[Callable]:
@@ -235,8 +234,9 @@ FATES = ("degree", "planarity", "domain", "mckay")
 @dataclass
 class _Augmentation:
     """McKay's canonical augmentation ("Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998), walked depth first to order
-    ``limit``.
+    generation", J. Algorithms 26, 1998), grown to order ``limit``:
+    :meth:`walk` goes depth first, and the oracle expands
+    :meth:`children` one order at a time.
 
     A child is its parent plus one new vertex attached to one
     representative subset per orbit of the parent's automorphism group.
@@ -309,12 +309,13 @@ class _Augmentation:
             # refined trivial colouring; orbits lie inside the cells of
             # that equitable colouring, so a new vertex outside the first
             # cell fails without a search.  The search starts from the
-            # same colouring, which it does not refine again.
-            colors = _refine(child.n, child.adj_bits, [0] * child.n)
-            if colors[new] != 0:
+            # same cells, which it does not refine again.
+            full = (1 << child.n) - 1
+            cells = _refine_cells(child.adj_bits, [full], full)
+            if not cells[0] >> new & 1:
                 rejected["mckay"] += 1
                 continue
-            perm, child_gens = canonical_data(child, _root=colors)
+            perm, child_gens = canonical_data(child, _root=cells)
             target = perm.index(0)
             if target != new:
                 roots = _orbit_partition(child.n, child_gens)
@@ -566,36 +567,19 @@ _BOUND_FOR_PATTERN = {"H4": "thm1", "H5": "thm2", "H6": "thm3"}
 
 
 def _seed_candidates(n: int) -> Iterator[Graph]:
-    """Candidate pattern-free planar graphs used to seed the prune bound.
+    """Candidate pattern-free planar graphs used to seed the prune bound:
+    the wheel (``n >= 4``) and the antiprism ``B15(n)`` (even ``n >= 6``).
 
-    Every candidate is connected and planar by construction; freeness is
-    verified by the caller, so an unsuitable candidate is simply skipped
-    and the seed stays a true lower bound.
+    Both are connected and planar by construction; freeness is verified
+    by the caller, so an unsuitable candidate is simply skipped and the
+    seed stays a true lower bound.
     """
-    yield Graph.path(n)
-    if n >= 3:
-        yield Graph.from_edges(
-            n,
-            [(i, i + 1) for i in range(n - 1)]
-            + [(i, i + 2) for i in range(n - 2)],
-        )
     if n >= 4:
         hub_rim = [(0, i) for i in range(1, n)]
         rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
         yield Graph.from_edges(n, hub_rim + rim)
-        spine = [(0, 1)]
-        joins = [(h, i) for h in (0, 1) for i in range(2, n)]
-        path = [(i, i + 1) for i in range(2, n - 1)]
-        yield Graph.from_edges(n, spine + joins + path)
-    if n == 5:
-        yield families.catalog_block("B5").graph
-    if n == 6:
-        yield families.catalog_block("B2p").graph
-        yield families.catalog_block("B9").graph
     if n >= 6 and n % 2 == 0:
         yield families.catalog_block("B15", n).graph
-    if n >= 6:
-        yield families.k2_plus_matching(n).plane.graph
 
 
 def _seed_bound(n: int, spec: PatternSpec) -> int:
@@ -605,9 +589,10 @@ def _seed_bound(n: int, spec: PatternSpec) -> int:
     pattern-free.  Soundness of the oracle's pruning requires a true
     lower bound, so freeness and connectivity are checked here rather
     than assumed; with no qualifying candidate the bound is 0.  The
-    oracle seeds with the larger of this and :func:`_extension_bound`;
-    to order 9 the extension alone reaches ``ex_P`` for every catalog
-    pattern but H4 at orders 6 and 8, where this bound does.
+    oracle seeds with the larger of this and :func:`_extension_bound`.
+    To order 9 a candidate beats the extension only for H3 at order 5
+    (the wheel) and for W5, F5, H4, D1, D3 and MatchingPlus2 at order 6
+    and H4 at order 8 (the antiprism).
     """
     best = 0
     for g in _seed_candidates(n):
@@ -625,10 +610,10 @@ def _has_bridge(g: Graph) -> bool:
     return False
 
 
-def _turan_tree(n: int, spec: PatternSpec, seed: int, limit: int) -> _Augmentation:
-    """The oracle's augmentation tree to order ``limit``, pruned when a
-    child cannot reach ``seed`` edges at order ``n`` or contains the
-    pattern through its new vertex (:func:`_contains_new`)."""
+def _turan_tree(n: int, spec: PatternSpec, seed: int) -> _Augmentation:
+    """The oracle's augmentation tree to order ``n``, pruned when a child
+    cannot reach ``seed`` edges at order ``n`` or contains the pattern
+    through its new vertex (:func:`_contains_new`)."""
     contains = _contains_new(spec)
 
     def prune(child: Graph) -> bool:
@@ -637,55 +622,19 @@ def _turan_tree(n: int, spec: PatternSpec, seed: int, limit: int) -> _Augmentati
             child
         )
 
-    return _Augmentation(limit, planar=True, prune=prune)
+    return _Augmentation(n, planar=True, prune=prune)
 
 
-def _turan_roots(
-    n: int, spec: PatternSpec, seed: int, root_order: int
-) -> tuple[int, dict[str, int], list[_Node]]:
-    """Serial phase: grow the tree up to ``root_order`` under the oracle
-    prunes.  Returns counts for the orders below ``root_order`` plus the
-    subtree roots (each root is counted by its own subtree later), sorted
-    by canonical form."""
-    tree = _turan_tree(n, spec, seed, root_order)
-    enumerated = 0
-    roots: list[_Node] = []
-    for node in tree.walk(_ROOT):
-        if node[0].n == root_order:
-            roots.append(node)
-        else:
-            enumerated += 1
-    roots.sort(key=lambda node: graph6_encode(node[0].relabeled(node[1])))
-    return enumerated, tree.rejected, roots
-
-
-def _turan_worker(
-    args: tuple[tuple[_Node, ...], int, PatternSpec, int],
-) -> tuple[int, dict[str, int], int, list[bytes]]:
-    """Explore one static share of subtree roots (picklable entry point).
-
-    Returns ``(enumerated, rejected, best, witnesses)`` where ``best`` is
-    the highest edge count of a connected pattern-free planar graph of
-    order ``n`` found in the share (``-1`` if none) and ``witnesses``
-    are the sorted canonical forms attaining it.
-    """
-    roots, n, spec, seed = args
-    tree = _turan_tree(n, spec, seed, n)
-    enumerated = 0
-    best = -1
-    witnesses: set[bytes] = set()
-    for root in roots:
-        for g, perm, _ in tree.walk(root):
-            enumerated += 1
-            if g.n < n or g.m < best or not g.is_connected():
-                continue
-            form = graph6_encode(g.relabeled(perm))
-            if g.m > best:
-                best = g.m
-                witnesses = {form}
-            else:
-                witnesses.add(form)
-    return enumerated, tree.rejected, best, sorted(witnesses)
+def _turan_level(
+    args: tuple[list[_Node], int, PatternSpec, int],
+) -> tuple[list[_Node], dict[str, int]]:
+    """Expand one static share of a level of the oracle's tree (picklable
+    entry point): the kept children of ``parents``, in order, and the
+    counts of the rejected ones."""
+    parents, n, spec, seed = args
+    tree = _turan_tree(n, spec, seed)
+    kept = [child for parent in parents for child in tree.children(parent)]
+    return kept, tree.rejected
 
 
 def _extension_bound(n: int, spec: PatternSpec) -> int:
@@ -727,27 +676,30 @@ def _solve(
     connected pattern-free planar graph of order ``n`` exists.
 
     The seed is the larger of :func:`_seed_bound` and
-    :func:`_extension_bound`.  The serial phase grows the tree to
-    :data:`_ROOT_ORDER`; its subtrees are shared statically among
-    ``workers``.  The counts cover the order-``n`` tree only.
+    :func:`_extension_bound`.  The tree grows one order at a time, as the
+    census does: each order's nodes are shared statically among
+    ``workers``, which return their kept children in order.  A child's
+    fate depends only on its parent, so the counts, which cover the
+    order-``n`` tree only, do not depend on the shares.
     """
     seed = max(_seed_bound(n, spec), _extension_bound(n, spec))
-    root_order = min(n, _ROOT_ORDER)
-    enumerated, rejected, roots = _turan_roots(n, spec, seed, root_order)
-    args = [(tuple(roots[i::workers]), n, spec, seed) for i in range(workers)]
+    level = [_ROOT]
+    enumerated = 1
+    rejected = dict.fromkeys(FATES, 0)
     with _share_map(workers) as share_map:
-        results = list(share_map(_turan_worker, args))
-    best = -1
-    witnesses: set[bytes] = set()
-    for e, r, b, wits in results:
-        enumerated += e
-        for fate in FATES:
-            rejected[fate] += r[fate]
-        if b > best:
-            best = b
-            witnesses = set(wits)
-        elif b == best:
-            witnesses |= set(wits)
+        for _ in range(1, n):
+            args = [(level[i::workers], n, spec, seed) for i in range(workers)]
+            level = []
+            for kept, r in share_map(_turan_level, args):
+                level += kept
+                for fate in FATES:
+                    rejected[fate] += r[fate]
+            enumerated += len(level)
+    final = [(g, perm) for g, perm, _ in level if g.is_connected()]
+    best = max((g.m for g, _ in final), default=-1)
+    witnesses = {
+        graph6_encode(g.relabeled(perm)) for g, perm in final if g.m == best
+    }
     return best, witnesses, enumerated, rejected, seed
 
 
@@ -785,8 +737,9 @@ def exact_planar_turan(
     Args:
         n: Graph order, ``1 <= n <= ceiling``.
         pattern: Pattern name, spec, or graph.
-        workers: Static partition width; subtree shares are processed in
-            parallel when > 1.  Results are identical for every value.
+        workers: Static partition width; each order's nodes are split
+            into that many static shares, expanded in parallel when > 1.
+            Results are identical for every value.
         ceiling: Enumeration ceiling; defaults to :data:`DEFAULT_CEILING`.
 
     Returns:

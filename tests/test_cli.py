@@ -194,6 +194,20 @@ def test_decompose_output(capsys, tmp_path):
     assert "3*10 == 12 + 2*9  ok" in out
 
 
+def test_decompose_reports_holes_of_the_block_as_drawn(capsys, tmp_path):
+    # the pendant's host 3-face is a triangular hole of the drawn block,
+    # so the block is not solid; order, delta and density are the solid
+    # block's, with the hole counted as a 3-face
+    from test_decomposition import _octahedron_with_inner_pendant
+
+    path = tmp_path / "pendant.json"
+    path.write_text(_octahedron_with_inner_pendant().to_json())
+    code, out, _ = run(capsys, "decompose", "--in", str(path))
+    assert code == 0
+    assert "blocks: 1" in out
+    assert "order=6 delta=7 density=7/6 holes=1 solid=no" in out
+
+
 def test_decompose_rejects_boolean_vertex(capsys, tmp_path):
     bad = tmp_path / "b.json"
     bad.write_text(json.dumps({

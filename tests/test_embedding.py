@@ -15,9 +15,7 @@ from ptl.embedding import (
     NonPlanarError,
     PlaneGraph,
     _CanonState,
-    _colour_cells,
     _orbit_partition,
-    _refine,
     _refine_cells,
     automorphism_generators,
     canonical_data,
@@ -152,18 +150,32 @@ def _graphs_to_order_7():
         yield from enumerate_graphs(k)
 
 
+def _root_cells(g: Graph) -> list[int]:
+    """The cells of the refined trivial colouring of ``g``."""
+    full = (1 << g.n) - 1
+    return _refine_cells(g.adj_bits, [full], full)
+
+
+def _colour_cells(colors):
+    """The cells of a colouring as vertex bitmasks, in colour order."""
+    cells: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        cells[c] = cells.get(c, 0) | 1 << v
+    return [cells[c] for c in sorted(cells)]
+
+
 def test_canonical_deletion_orbit_lies_in_last_root_cell():
     # canonical augmentation rejects a new vertex outside the last cell of
     # the refined trivial colouring without a search; no such vertex may
     # share an orbit with the vertex carrying the last canonical label
     for g in _graphs_to_order_7():
-        colors = _refine(g.n, g.adj_bits, [0] * g.n)
+        cells = _root_cells(g)
         perm, gens = canonical_data(g)
         roots = _orbit_partition(g.n, gens)
         last = perm.index(g.n - 1)
-        assert colors[last] == max(colors), g.edges
+        assert cells[-1] >> last & 1, g.edges
         for v in range(g.n):
-            if colors[v] != max(colors):
+            if not cells[-1] >> v & 1:
                 assert roots[v] != roots[last], (g.edges, v)
 
 
@@ -173,27 +185,27 @@ def test_canonical_deletion_orbit_lies_in_first_root_cell():
     # the refined trivial colouring without a search; no such vertex may
     # share an orbit with the deletion vertex, which has minimum degree
     for g in _graphs_to_order_7():
-        colors = _refine(g.n, g.adj_bits, [0] * g.n)
+        cells = _root_cells(g)
         perm, gens = canonical_data(g)
         roots = _orbit_partition(g.n, gens)
         first = perm.index(0)
-        assert colors[first] == 0, g.edges
+        assert cells[0] >> first & 1, g.edges
         assert g.degree(first) == min(g.degree(v) for v in range(g.n))
         for v in range(g.n):
-            if colors[v] != 0:
+            if not cells[0] >> v & 1:
                 assert roots[v] != roots[first], (g.edges, v)
 
 
 def test_root_refinement_seed_changes_no_canonical_data():
     for g in _graphs_to_order_7():
-        colors = _refine(g.n, g.adj_bits, [0] * g.n)
-        assert canonical_data(g, _root=colors) == canonical_data(g), g.edges
+        cells = _root_cells(g)
+        assert canonical_data(g, _root=cells) == canonical_data(g), g.edges
 
 
 def _reference_refine(n, adj, colors):
     """Colour refinement as it was before cells became bitmasks, kept as
-    the arbiter of :func:`_refine`: every pass signs every vertex by its
-    colour and its sorted neighbour-colour counts."""
+    the arbiter of :func:`_refine_cells`: every pass signs every vertex by
+    its colour and its sorted neighbour-colour counts."""
     while True:
         sigs: list[tuple] = []
         for v in range(n):
@@ -217,8 +229,8 @@ def _assert_refines_as_reference(g: Graph) -> None:
     # individualization of the refined one, as the canonical search
     # makes it, with the vertex's old cell as the only changed cell
     n, adj = g.n, g.adj_bits
-    root = _refine(n, adj, [0] * n)
-    assert root == _reference_refine(n, adj, [0] * n), g.edges
+    root = _reference_refine(n, adj, [0] * n)
+    assert _root_cells(g) == _colour_cells(root), g.edges
     for v in range(n):
         cell = sum(1 << u for u in range(n) if root[u] == root[v])
         child = [c + (c >= root[v] and u != v) for u, c in enumerate(root)]
