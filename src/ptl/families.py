@@ -615,6 +615,42 @@ def _finish(instance: FamilyInstance) -> FamilyInstance:
     return instance
 
 
+def _k2_matching(
+    name: str,
+    n: int,
+    spare: Point,
+    spare_nbrs: tuple[int, int],
+    outer: tuple[int, ...],
+) -> FamilyInstance:
+    """The H6-free family member ``name`` of order ``n``, drawn as the
+    dominating pair 0, 1 over the rungs ``(2i, 2i + 1)`` stacked left to
+    right, plus, at odd ``n``, the spare vertex ``n - 1`` at ``spare``
+    joined to ``spare_nbrs``."""
+    x, y = 0, 1
+    pos: dict[int, Point] = {x: (0.0, float(n)), y: (0.0, -float(n))}
+    edges: list[tuple[int, int]] = [(x, y)]
+    for i in range(1, (n - 2) // 2 + 1):
+        a, b = 2 * i, 2 * i + 1
+        pos[a] = (2 * i - 0.5, 0.0)
+        pos[b] = (2 * i + 0.5, 0.0)
+        edges += [(a, b), (x, a), (x, b), (y, a), (y, b)]
+    if n % 2 == 1:
+        pos[n - 1] = spare
+        edges += [(w, n - 1) for w in spare_nbrs]
+    bends = {(x, y): (-2.0, 0.0), (y, x): (-2.0, 0.0)}
+    plane = plane_graph_from_positions(n, edges, pos, bends=bends, outer_walk=outer)
+    return _finish(
+        FamilyInstance(
+            name=name,
+            params=(("n", n),),
+            plane=plane,
+            expected_order=n,
+            expected_size=5 * n // 2 - 4,
+            freeness="H6",
+        )
+    )
+
+
 def k2_plus_matching(n: int) -> FamilyInstance:
     """Join of an edge with a perfect or near-perfect matching on ``n - 2``.
 
@@ -628,33 +664,8 @@ def k2_plus_matching(n: int) -> FamilyInstance:
     """
     if n < 6:
         raise FamilyError("k2_plus_matching requires n >= 6")
-    m = (n - 2) // 2
-    x, y = 0, 1
-    pos: dict[int, Point] = {x: (0.0, float(n)), y: (0.0, -float(n))}
-    edges: list[tuple[int, int]] = [(x, y)]
-    for i in range(1, m + 1):
-        a, b = 2 * i, 2 * i + 1
-        pos[a] = (2 * i - 0.5, 0.0)
-        pos[b] = (2 * i + 0.5, 0.0)
-        edges += [(a, b), (x, a), (x, b), (y, a), (y, b)]
-    if n % 2 == 1:
-        z = n - 1
-        pos[z] = (2 * m + 1.5, 0.0)
-        edges += [(x, z), (y, z)]
-        outer = (x, z, y)
-    else:
-        outer = (x, 2 * m + 1, y)
-    bends = {(x, y): (-2.0, 0.0), (y, x): (-2.0, 0.0)}
-    plane = plane_graph_from_positions(n, edges, pos, bends=bends, outer_walk=outer)
-    return _finish(
-        FamilyInstance(
-            name="k2_plus_matching",
-            params=(("n", n),),
-            plane=plane,
-            expected_order=n,
-            expected_size=5 * n // 2 - 4,
-            freeness="H6",
-        )
+    return _k2_matching(
+        "k2_plus_matching", n, (n - 1.5, 0.0), (0, 1), (0, n - 1, 1)
     )
 
 
@@ -671,33 +682,7 @@ def k2_vee_matching(n: int) -> FamilyInstance:
     """
     if n < 7 or n % 2 == 0:
         raise FamilyError("k2_vee_matching requires odd n >= 7")
-    m = (n - 3) // 2
-    x, y = 0, 1
-    pos: dict[int, Point] = {x: (0.0, float(n)), y: (0.0, -float(n))}
-    edges: list[tuple[int, int]] = [(x, y)]
-    for i in range(1, m + 1):
-        a, b = 2 * i, 2 * i + 1
-        pos[a] = (2 * i - 0.5, 0.0)
-        pos[b] = (2 * i + 0.5, 0.0)
-        edges += [(a, b), (x, a), (x, b), (y, a), (y, b)]
-    u = n - 1
-    b1, a2 = 3, 4
-    pos[u] = (3.0, 0.0)
-    edges += [(u, b1), (u, a2)]
-    bends = {(x, y): (-2.0, 0.0), (y, x): (-2.0, 0.0)}
-    plane = plane_graph_from_positions(
-        n, edges, pos, bends=bends, outer_walk=(x, 2 * m + 1, y)
-    )
-    return _finish(
-        FamilyInstance(
-            name="k2_vee_matching",
-            params=(("n", n),),
-            plane=plane,
-            expected_order=n,
-            expected_size=5 * n // 2 - 4,
-            freeness="H6",
-        )
-    )
+    return _k2_matching("k2_vee_matching", n, (3.0, 0.0), (3, 4), (0, n - 2, 1))
 
 
 def apex_outerplanar(n: int) -> FamilyInstance:

@@ -92,27 +92,17 @@ def _decode_size(data: bytes, start: int) -> tuple[int, int]:
         raise FormatError(f"invalid size byte {b0}", offset=start)
     if b0 != 126:
         return b0 - 63, start + 1
-    if start + 1 < len(data) and data[start + 1] == 126:
-        chunk = data[start + 2 : start + 8]
-        if len(chunk) != 6:
-            raise FormatError("truncated 36-bit size field", offset=start + 2)
-        n = 0
-        for i, b in enumerate(chunk):
-            if not 63 <= b <= 126:
-                raise FormatError(
-                    f"invalid size byte {b}", offset=start + 2 + i
-                )
-            n = (n << 6) | (b - 63)
-        return n, start + 8
-    chunk = data[start + 1 : start + 4]
-    if len(chunk) != 3:
-        raise FormatError("truncated 18-bit size field", offset=start + 1)
+    wide = start + 1 < len(data) and data[start + 1] == 126
+    first, width = (start + 2, 6) if wide else (start + 1, 3)
+    chunk = data[first : first + width]
+    if len(chunk) != width:
+        raise FormatError(f"truncated {6 * width}-bit size field", offset=first)
     n = 0
     for i, b in enumerate(chunk):
         if not 63 <= b <= 126:
-            raise FormatError(f"invalid size byte {b}", offset=start + 1 + i)
+            raise FormatError(f"invalid size byte {b}", offset=first + i)
         n = (n << 6) | (b - 63)
-    return n, start + 4
+    return n, first + width
 
 
 def graph6_bytes_length(n: int) -> int:

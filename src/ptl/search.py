@@ -58,7 +58,11 @@ Determinism contract: every report produced here is byte-identical across
 runs and across worker counts once timing fields are stripped.  To that
 end the oracle prunes against a fixed, constructively verified seed bound
 (never a shared mutable incumbent), work is partitioned statically, and
-all merges are order-insensitive (sums, maxima, sorted unions).
+its merges are order-insensitive (sums, maxima, sorted unions).  The
+growth census keeps the first plane graph it meets of each sphere class
+(one :func:`_sphere_key`), so which member it keeps depends on the
+shares; but its report reads only which classes exist and each one's
+canonical form, and every member of a class shares both.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import families
+from . import families, patterns
 from .decomposition import (
     _triangle_classes,
     decompose,
@@ -129,8 +133,8 @@ class CeilingExceededError(SearchError):
     """Requested order exceeds the configured enumeration ceiling."""
 
 
-#: Default enumeration ceiling for :func:`enumerate_graphs` and
-#: :func:`exact_planar_turan`.
+#: Order ceiling of :func:`enumerate_graphs` and :func:`free_planar_corpus`,
+#: and the default one of :func:`exact_planar_turan`.
 DEFAULT_CEILING = 9
 
 #: Default order ceilings for the solid-TB census, per pattern.
@@ -426,7 +430,6 @@ def enumerate_graphs(
     *,
     connected: bool = False,
     planar: bool = False,
-    ceiling: int | None = None,
 ) -> Iterator[Graph]:
     """Stream one canonically labeled representative per isomorphism class.
 
@@ -437,37 +440,33 @@ def enumerate_graphs(
     isomorph-free output without a global seen-set.
 
     Args:
-        n: Target order, ``1 <= n <= ceiling``.
+        n: Target order, ``1 <= n <=`` :data:`DEFAULT_CEILING`.
         connected: Keep only connected graphs (applied at the final order;
             connectivity is not hereditary, so partial graphs are never
             pruned by it).
         planar: Keep only planar graphs (hereditary, so non-planar partial
             graphs are pruned during growth).
-        ceiling: Enumeration ceiling; defaults to :data:`DEFAULT_CEILING`.
 
     Yields:
         Canonically labeled graphs, in deterministic order.
 
     Raises:
-        CeilingExceededError: If ``n`` exceeds the ceiling.
+        CeilingExceededError: If ``n`` exceeds :data:`DEFAULT_CEILING`.
         SearchError: If ``n < 1``.
     """
-    yield from _graphs_of_order(
-        _Augmentation(n, planar=planar), connected=connected, ceiling=ceiling
-    )
+    yield from _graphs_of_order(_Augmentation(n, planar=planar), connected)
 
 
-def _graphs_of_order(
-    tree: _Augmentation, *, connected: bool, ceiling: int | None
-) -> Iterator[Graph]:
+def _graphs_of_order(tree: _Augmentation, connected: bool) -> Iterator[Graph]:
     """The canonically relabeled graphs of order ``tree.limit`` in
     ``tree``, as :func:`enumerate_graphs` documents them."""
     n = tree.limit
-    limit = DEFAULT_CEILING if ceiling is None else ceiling
     if n < 1:
         raise SearchError("order must be at least 1")
-    if n > limit:
-        raise CeilingExceededError(f"order {n} exceeds the ceiling {limit}")
+    if n > DEFAULT_CEILING:
+        raise CeilingExceededError(
+            f"order {n} exceeds the ceiling {DEFAULT_CEILING}"
+        )
     for g, perm, _ in tree.walk(_ROOT):
         if g.n == n and (not connected or g.is_connected()):
             yield g.relabeled(perm)
@@ -575,9 +574,7 @@ def _seed_candidates(n: int) -> Iterator[Graph]:
     seed stays a true lower bound.
     """
     if n >= 4:
-        hub_rim = [(0, i) for i in range(1, n)]
-        rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
-        yield Graph.from_edges(n, hub_rim + rim)
+        yield patterns.wheel(n - 1)
     if n >= 6 and n % 2 == 0:
         yield families.catalog_block("B15", n).graph
 
@@ -891,19 +888,12 @@ class TBCatalogReport:
 
 def _arc_runs_ok(mask: int, length: int) -> bool:
     """Whether the selected walk positions form cyclic runs of length >= 2
-    (a full selection is one run covering the cycle)."""
-    if mask == (1 << length) - 1:
-        return True
-    for i in range(length):
-        if mask >> i & 1 and not mask >> (i - 1) % length & 1:
-            run = 0
-            j = i
-            while mask >> j & 1:
-                run += 1
-                j = (j + 1) % length
-            if run < 2:
-                return False
-    return True
+    (a full selection is one run covering the cycle): every selected
+    position has a selected cyclic neighbour."""
+    full = (1 << length) - 1
+    rotl = (mask << 1 | mask >> (length - 1)) & full
+    rotr = (mask >> 1 | mask << (length - 1)) & full
+    return not mask & ~(rotl | rotr)
 
 
 def _grown_children(pg: PlaneGraph, spec: PatternSpec) -> Iterator[PlaneGraph]:
@@ -915,7 +905,8 @@ def _grown_children(pg: PlaneGraph, spec: PatternSpec) -> Iterator[PlaneGraph]:
     3-face, which forces exactly this run structure, so these moves invert
     the vertex deletion of the classification's reduction step.  Freeness
     is tested on the child's abstract graph, so a plane graph is built
-    only for a pattern-free child.
+    only for a pattern-free child.  Children come face by face, then by
+    increasing selection mask; the census keeps the first of each class.
     """
     new = pg.graph.n
     for face in pg.faces():
@@ -990,23 +981,21 @@ def _tb_worker(
 ) -> list[tuple[bytes, PlaneGraph]]:
     """Expand one share of census parents (picklable entry point).
 
-    Returns ``(sphere key, child)``, sorted by key, for every qualifying
-    child: pattern-free and admitting a solid-TB outer face.  Of children
-    with one key it keeps the one with the least JSON, as the merge does,
-    so the census never depends on the order of expansion.
+    Returns ``(sphere key, child)``, in the order found, for the first
+    child met of each sphere class if it admits a solid-TB outer face;
+    the members of a class agree on that, so the later ones are skipped.
     """
     parents, spec = args
-    out: dict[bytes, PlaneGraph] = {}
+    seen: set[bytes] = set()
+    out: list[tuple[bytes, PlaneGraph]] = []
     for parent in parents:
         for child in _grown_children(parent, spec):
             key = _sphere_key(child.rotation)
-            if key in out:
-                out[key] = min(out[key], child, key=PlaneGraph.to_json)
-                continue
-            if not _solid_outer_faces(child):
-                continue
-            out[key] = child
-    return [(key, out[key]) for key in sorted(out)]
+            if key not in seen:
+                seen.add(key)
+                if _solid_outer_faces(child):
+                    out.append((key, child))
+    return out
 
 
 def enumerate_solid_tbs(
@@ -1024,9 +1013,10 @@ def enumerate_solid_tbs(
     the exceptional antiprism family seeded directly at every even order
     since its members lose solidity under any vertex deletion.  A
     candidate joins the census iff it is pattern-free and some outer-face
-    designation makes it a single spanning solid TB.  The report diffs
-    the census against the expected catalog, per order, up to abstract
-    isomorphism.
+    designation makes it a single spanning solid TB; each order keeps the
+    first one met of each sphere class, as the next order's parents.  The
+    report diffs the census against the expected catalog, per order, up to
+    abstract isomorphism, so it reads only what a class's members share.
 
     Args:
         max_order: Largest order to scan (``>= 3``).
@@ -1054,14 +1044,6 @@ def enumerate_solid_tbs(
     if workers < 1:
         raise SearchError("worker count must be at least 1")
     start = time.monotonic()
-
-    def seeds_at(order: int) -> list[PlaneGraph]:
-        if order % 2 == 0 and order >= 6:
-            pg = families.catalog_block("B15", order).plane
-            if is_free(pg.graph, spec):
-                return [pg]
-        return []
-
     base = families.catalog_block("B1").plane
     frontier: dict[bytes, PlaneGraph] = {_sphere_key(base.rotation): base}
     found: dict[int, tuple[str, ...]] = {
@@ -1069,17 +1051,16 @@ def enumerate_solid_tbs(
     }
     with _share_map(workers) as share_map:
         for order in range(4, max_order + 1):
-            parents = [frontier[k] for k in sorted(frontier)]
+            parents = list(frontier.values())
             args = [(tuple(parents[i::workers]), spec) for i in range(workers)]
-            results = list(share_map(_tb_worker, args))
             frontier = {}
-            for rows in results:
+            for rows in share_map(_tb_worker, args):
                 for key, pg in rows:
-                    if key in frontier:
-                        pg = min(frontier[key], pg, key=PlaneGraph.to_json)
-                    frontier[key] = pg
-            for pg in seeds_at(order):
-                frontier.setdefault(_sphere_key(pg.rotation), pg)
+                    frontier.setdefault(key, pg)
+            if order % 2 == 0 and order >= 6:
+                pg = families.catalog_block("B15", order).plane
+                if is_free(pg.graph, spec):
+                    frontier.setdefault(_sphere_key(pg.rotation), pg)
             forms = {
                 canonical_form(pg.graph).decode("ascii")
                 for pg in frontier.values()
@@ -1096,7 +1077,7 @@ def enumerate_solid_tbs(
             for name, g in expected_graphs.get(order, {}).items()
         }
         expected[order] = by_name
-        got = set(found.get(order, ()))
+        got = set(found[order])
         missing[order] = tuple(
             sorted(n for n, f in by_name.items() if f not in got)
         )
@@ -1281,11 +1262,15 @@ def free_planar_corpus(
     Args:
         n: Order of the corpus members.
         pattern: The pattern every member must avoid.
+
+    Raises:
+        CeilingExceededError: If ``n`` exceeds :data:`DEFAULT_CEILING`.
+        SearchError: If ``n < 1``.
     """
     tree = _Augmentation(
         n, planar=True, prune=_contains_new(as_pattern(pattern))
     )
-    return tuple(_graphs_of_order(tree, connected=True, ceiling=None))
+    return tuple(_graphs_of_order(tree, connected=True))
 
 
 def plane_embeddings(g: Graph) -> Iterator[PlaneGraph]:

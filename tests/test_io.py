@@ -131,6 +131,27 @@ def test_format_errors(junk):
         parse_graph_line(junk)
 
 
+@pytest.mark.parametrize(
+    "field,message,offset",
+    [
+        ("~??", "truncated 18-bit size field", 1),
+        ("~? ?", "invalid size byte 32", 2),
+        ("~~?????", "truncated 36-bit size field", 2),
+        ("~~???\x7f??", "invalid size byte 127", 5),
+    ],
+)
+def test_long_size_field_errors(field, message, offset):
+    # offsets count from the record start, so sparse6's ':' shifts them
+    for decode, record, shift in (
+        (graph6_decode, field, 0),
+        (sparse6_decode, ":" + field, 1),
+    ):
+        with pytest.raises(FormatError) as info:
+            decode(record.encode("latin-1"))
+        assert info.value.message == message
+        assert info.value.offset == offset + shift
+
+
 def test_json_errors():
     with pytest.raises(FormatError):
         load_plane_graph_json("not json")

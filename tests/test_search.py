@@ -36,6 +36,7 @@ from ptl.search import (
     SearchError,
     _ROOT,
     _Augmentation,
+    _arc_runs_ok,
     _cofacial,
     _cofacial_masks,
     _degree_rejects,
@@ -457,6 +458,44 @@ def test_jsonl_record_shape():
 
 
 # -- solid TB census -----------------------------------------------------------
+
+def _reference_arc_runs_ok(mask: int, length: int) -> bool:
+    """The run check as a loop over the walk: every maximal cyclic run of
+    selected positions has length >= 2."""
+    if mask == (1 << length) - 1:
+        return True
+    for i in range(length):
+        if mask >> i & 1 and not mask >> (i - 1) % length & 1:
+            run = 0
+            j = i
+            while mask >> j & 1:
+                run += 1
+                j = (j + 1) % length
+            if run < 2:
+                return False
+    return True
+
+
+def test_arc_runs_bit_test_matches_run_loop():
+    for length in range(2, 13):
+        for mask in range(1 << length):
+            assert _arc_runs_ok(mask, length) == _reference_arc_runs_ok(
+                mask, length
+            ), (mask, length)
+
+
+def test_census_does_not_depend_on_workers():
+    # each order keeps the first plane graph of each sphere class, which
+    # depends on the shares; the report reads only what a class shares
+    for pattern in ("H4", "H5"):
+        reports = [
+            enumerate_solid_tbs(16, pattern, workers=w, ceiling=16)
+            for w in (1, 2, 3)
+        ]
+        assert reports[0].diff_is_empty, pattern
+        jsons = {report.comparable_json() for report in reports}
+        assert len(jsons) == 1, pattern
+
 
 def test_census_h4_matches_catalog_order_7():
     report = enumerate_solid_tbs(7, "H4")
