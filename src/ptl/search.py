@@ -16,15 +16,14 @@ The first, the second and the direct census grow one canonical
 augmentation core, :class:`_Augmentation`, which deletes a vertex of
 minimum degree.  A child meets its tests cheapest first: McKay's degree
 pre-test and planarity are read from the parent before the child is
-built, then come the caller's domain prune and the child's refined
+built, then come the domain tests and the child's refined
 trivial colouring, and only then at most one canonical search, whose
 labeling and automorphism generators decide McKay's test, give the
 child's subset orbits as a parent and relabel it when yielded.  The
-oracle grows the tree one order at a time; the direct census takes
-every order from one walk.  The oracle, the direct census and
-:func:`free_planar_corpus` take only pattern-free graphs: their domain
-prune drops a child that contains the pattern through its new vertex
-(:func:`_contains_new`).
+tree is plain data with one traversal, :meth:`_Augmentation.levels`,
+which grows it one order at a time.  The oracle, the direct census and
+:func:`free_planar_corpus` take only pattern-free graphs: the tree
+drops a child that contains the pattern through its new vertex.
 Planarity needs no graph test per child.  If ``G`` is planar and a new
 vertex joins the set ``S``, then ``G`` plus that vertex is planar iff every
 component of ``G`` that ``S`` meets has some plane embedding with its
@@ -49,10 +48,11 @@ solid outer faces of an embedding come from its 3-faces by one
 union-find.  Only the growth census tells sphere embeddings apart, by
 :func:`_sphere_key`; the direct census checks every embedding and reads
 no plane code, so it stays independent of the census it certifies.
-The oracle and the growth census both grow one order at a time: each
-order's nodes are split into static shares, one per worker, and the
-workers return the next order's nodes, as augmentation-tree nodes for
-the oracle and as :class:`PlaneGraph` objects for the census.
+The augmentation tree and the growth census both grow one order at a
+time: each order's nodes are split into static shares, one per worker,
+and the workers return the next order's nodes, as tree nodes or as
+:class:`PlaneGraph` objects.  The oracle solves its orders bottom-up,
+each seeded from the maximizers of the order below.
 
 Determinism contract: every report produced here is byte-identical across
 runs and across worker counts once timing fields are stripped.  To that
@@ -73,9 +73,9 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import families, patterns
@@ -99,7 +99,7 @@ from .embedding import (
     embed,
     is_planar,
 )
-from .io import graph6_decode, graph6_encode
+from .io import graph6_encode
 from .patterns import PatternSpec, as_pattern, contains_subgraph_at, is_free
 
 __all__ = [
@@ -238,9 +238,8 @@ FATES = ("degree", "planarity", "domain", "mckay")
 @dataclass
 class _Augmentation:
     """McKay's canonical augmentation ("Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998), grown to order ``limit``:
-    :meth:`walk` goes depth first, and the oracle expands
-    :meth:`children` one order at a time.
+    generation", J. Algorithms 26, 1998), grown to order ``limit`` one
+    order at a time by :meth:`levels`.
 
     A child is its parent plus one new vertex attached to one
     representative subset per orbit of the parent's automorphism group.
@@ -252,13 +251,20 @@ class _Augmentation:
     plus one are offered.
     Each child meets, in order, cheapest first: McKay's degree pre-test
     and planarity if ``planar``, both read from the parent before the
-    child is built; the caller's domain ``prune``; and the rest of
-    McKay's test (the child's root refinement, then one canonical search
-    that also gives the child's labeling and generators).  Every test is
-    exact, so the order changes which tests run, never which children
-    are kept.  :attr:`rejected` counts the offered children by the first
-    test they fail (keys :data:`FATES`); the oracle reports the planarity
-    and ``prune`` counts together as ``pruned``, which leaves out McKay's.
+    child is built; the domain tests; and the rest of McKay's test (the
+    child's root refinement, then one canonical search that also gives
+    the child's labeling and generators).  Every test is exact, so the
+    order changes which tests run, never which children are kept.
+    :attr:`rejected` counts the offered children by the first test they
+    fail (keys :data:`FATES`); the oracle reports the planarity and
+    domain counts together as ``pruned``, which leaves out McKay's.
+
+    The domain tests drop a child whose :func:`_edge_potential` at
+    ``limit`` is below a nonzero ``seed``, then one that contains
+    ``spec`` through its new vertex; the root meets them too.  So with
+    ``spec`` the tree keeps exactly the free graphs and reaches them
+    all: freeness is hereditary, and a graph's canonical parent is an
+    induced subgraph.
 
     Planarity is read from the parent's cofacial masks
     (:func:`_cofacial_masks`), computed when its first child reaches
@@ -266,12 +272,13 @@ class _Augmentation:
     iff, in every component ``S`` meets, ``S`` lies on one face of some
     embedding.  This needs every parent to be planar, which holds
     because the tree starts at one vertex and keeps only planar
-    children.
+    children.  The tree is plain data, so pool workers receive it whole.
     """
 
     limit: int
     planar: bool
-    prune: Callable[[Graph], bool] | None = None
+    spec: PatternSpec | None = None
+    seed: int = 0
     rejected: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(FATES, 0)
     )
@@ -303,7 +310,7 @@ class _Augmentation:
                     rejected["planarity"] += 1
                     continue
             child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
-            if self.prune is not None and self.prune(child):
+            if self._outside(child):
                 rejected["domain"] += 1
                 continue
             # The rest of McKay's test: the new vertex must share an
@@ -329,15 +336,43 @@ class _Augmentation:
             kept.append((child, perm, child_gens))
         return kept
 
-    def walk(self, start: _Node) -> Iterator[_Node]:
-        """Every node of the tree below ``start`` (inclusive), in preorder;
-        nodes of order ``limit`` are not expanded."""
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node[0].n < self.limit:
-                stack.extend(reversed(self.children(node)))
+    def _outside(self, g: Graph) -> bool:
+        """The domain tests of a node whose last vertex is the new one."""
+        if self.seed:
+            delta = min(b.bit_count() for b in g.adj_bits)
+            if _edge_potential(g.m, delta, g.n, self.limit) < self.seed:
+                return True
+        spec = self.spec
+        return spec is not None and contains_subgraph_at(g, spec, g.n - 1) is not None
+
+    def levels(self, workers: int = 1) -> Iterator[list[_Node]]:
+        """The kept nodes of each order from 1 to ``limit``, in preorder
+        within an order.  Each order is grown when asked for, from
+        ``workers`` static shares of the order below (:func:`_expand`);
+        a child's fate depends only on its parent, so neither the nodes
+        nor :attr:`rejected` depend on the shares."""
+        level = [] if self._outside(_ROOT[0]) else [_ROOT]
+        yield level
+        with _share_map(workers) as share_map:
+            for _ in range(1, self.limit):
+                shares = [(self, level[i::workers]) for i in range(workers)]
+                level = []
+                for kept, rejected in share_map(_expand, shares):
+                    level += kept
+                    for fate in FATES:
+                        self.rejected[fate] += rejected[fate]
+                yield level
+
+
+def _expand(
+    args: tuple[_Augmentation, list[_Node]],
+) -> tuple[list[_Node], dict[str, int]]:
+    """The kept children of one static share of a level, in order, and
+    the counts of the rejected ones (picklable entry point)."""
+    tree, parents = args
+    tree = replace(tree, rejected=dict.fromkeys(FATES, 0))
+    kept = [child for parent in parents for child in tree.children(parent)]
+    return kept, tree.rejected
 
 
 def _planar_cap(k: int) -> int:
@@ -366,21 +401,6 @@ def _edge_potential(m: int, delta: int, k: int, n: int) -> int:
             d = min(d, 2 * p // (j - 2))
         p = min(p + d, _planar_cap(j))
     return p
-
-
-def _contains_new(spec: PatternSpec) -> Callable[[Graph], bool]:
-    """Domain prune that keeps an augmentation tree pattern-free: whether
-    a child contains ``spec`` through its new vertex.
-
-    A free parent has no other copy, so the tree keeps exactly the free
-    children.  It still reaches every free graph: freeness is
-    hereditary, and a graph's canonical parent is an induced subgraph.
-    """
-
-    def contains(child: Graph) -> bool:
-        return contains_subgraph_at(child, spec, child.n - 1) is not None
-
-    return contains
 
 
 def _cofacial_masks(g: Graph) -> list[tuple[int, list[int]]]:
@@ -467,8 +487,14 @@ def _graphs_of_order(tree: _Augmentation, connected: bool) -> Iterator[Graph]:
         raise CeilingExceededError(
             f"order {n} exceeds the ceiling {DEFAULT_CEILING}"
         )
-    for g, perm, _ in tree.walk(_ROOT):
-        if g.n == n and (not connected or g.is_connected()):
+    levels = tree.levels()
+    nodes: Iterable[_Node] = next(levels)
+    for _ in range(2, n):
+        nodes = next(levels)
+    if n > 1:  # order n streams: held whole, order 9 quadruples the peak RSS
+        nodes = (child for parent in nodes for child in tree.children(parent))
+    for g, perm, _ in nodes:
+        if not connected or g.is_connected():
             yield g.relabeled(perm)
 
 
@@ -607,57 +633,27 @@ def _has_bridge(g: Graph) -> bool:
     return False
 
 
-def _turan_tree(n: int, spec: PatternSpec, seed: int) -> _Augmentation:
-    """The oracle's augmentation tree to order ``n``, pruned when a child
-    cannot reach ``seed`` edges at order ``n`` or contains the pattern
-    through its new vertex (:func:`_contains_new`)."""
-    contains = _contains_new(spec)
-
-    def prune(child: Graph) -> bool:
-        delta = min(b.bit_count() for b in child.adj_bits)
-        return _edge_potential(child.m, delta, child.n, n) < seed or contains(
-            child
-        )
-
-    return _Augmentation(n, planar=True, prune=prune)
-
-
-def _turan_level(
-    args: tuple[list[_Node], int, PatternSpec, int],
-) -> tuple[list[_Node], dict[str, int]]:
-    """Expand one static share of a level of the oracle's tree (picklable
-    entry point): the kept children of ``parents``, in order, and the
-    counts of the rejected ones."""
-    parents, n, spec, seed = args
-    tree = _turan_tree(n, spec, seed)
-    kept = [child for parent in parents for child in tree.children(parent)]
-    return kept, tree.rejected
-
-
-def _extension_bound(n: int, spec: PatternSpec) -> int:
+def _extension_bound(
+    maximizers: list[Graph], n: int, spec: PatternSpec
+) -> int:
     """A verified lower bound for ``ex_P(n, pattern)`` from the order
-    below: the most edges of a maximizer of order ``n - 1`` plus one new
-    vertex, kept planar and pattern-free (0 below order 2).
+    below: the most edges of one of its ``maximizers`` plus one new
+    vertex, kept planar and pattern-free (0 with no maximizer).
 
-    The order below is solved by :func:`_solve` at one worker, so the
-    bound does not depend on the caller's workers.  A maximizer is
-    connected and pattern-free, so the extension is connected, and free
-    unless it contains the pattern through its new vertex; planarity is
-    read from the maximizer's :func:`_cofacial_masks`.  Neighbourhoods
-    are tried largest first, so each maximizer stops at its best one.
+    A maximizer is connected and pattern-free, so the extension is
+    connected, and free unless it contains the pattern through its new
+    vertex; planarity is read from the maximizer's cofacial masks.
+    Neighbourhoods are tried largest first, so each maximizer stops at
+    its best one.
     """
-    if n < 2:
-        return 0
-    witnesses = _solve(n - 1, spec, 1)[1]
-    contains = _contains_new(spec)
     best = 0
-    for form in witnesses:
-        g = graph6_decode(form)
+    for g in maximizers:
         masks = _cofacial_masks(g)
         for k in range(min(g.n, _planar_cap(n) - g.m), max(best - g.m, 0), -1):
             if any(
                 _cofacial(masks, sum(1 << v for v in nbrs))
-                and not contains(g.with_new_vertex(nbrs))
+                and contains_subgraph_at(g.with_new_vertex(nbrs), spec, g.n)
+                is None
                 for nbrs in combinations(range(g.n), k)
             ):
                 best = g.m + k
@@ -667,37 +663,21 @@ def _extension_bound(n: int, spec: PatternSpec) -> int:
 
 def _solve(
     n: int, spec: PatternSpec, workers: int
-) -> tuple[int, set[bytes], int, dict[str, int], int]:
-    """The oracle's search at order ``n``: ``(best, witnesses,
-    enumerated, rejected, seed)``, where ``best`` is ``-1`` when no
-    connected pattern-free planar graph of order ``n`` exists.
-
-    The seed is the larger of :func:`_seed_bound` and
-    :func:`_extension_bound`.  The tree grows one order at a time, as the
-    census does: each order's nodes are shared statically among
-    ``workers``, which return their kept children in order.  A child's
-    fate depends only on its parent, so the counts, which cover the
-    order-``n`` tree only, do not depend on the shares.
-    """
-    seed = max(_seed_bound(n, spec), _extension_bound(n, spec))
-    level = [_ROOT]
-    enumerated = 1
-    rejected = dict.fromkeys(FATES, 0)
-    with _share_map(workers) as share_map:
-        for _ in range(1, n):
-            args = [(level[i::workers], n, spec, seed) for i in range(workers)]
-            level = []
-            for kept, r in share_map(_turan_level, args):
-                level += kept
-                for fate in FATES:
-                    rejected[fate] += r[fate]
-            enumerated += len(level)
-    final = [(g, perm) for g, perm, _ in level if g.is_connected()]
-    best = max((g.m for g, _ in final), default=-1)
-    witnesses = {
-        graph6_encode(g.relabeled(perm)) for g, perm in final if g.m == best
-    }
-    return best, witnesses, enumerated, rejected, seed
+) -> tuple[int, list[Graph], int, dict[str, int], int]:
+    """The oracle's search at order ``n``: ``(best, maximizers,
+    enumerated, rejected, seed)``, ``best`` being ``-1`` when no connected
+    pattern-free planar graph of order ``n`` exists.  Orders ``1..n`` are
+    solved bottom-up, each seeded from the order below, and only order
+    ``n`` grows at ``workers``; the counts cover its tree only."""
+    maximizers: list[Graph] = []
+    for k in range(1, n + 1):
+        seed = max(_seed_bound(k, spec), _extension_bound(maximizers, k, spec))
+        tree = _Augmentation(k, planar=True, spec=spec, seed=seed)
+        levels = list(tree.levels(workers if k == n else 1))
+        final = [(g, perm) for g, perm, _ in levels[-1] if g.is_connected()]
+        best = max((g.m for g, _ in final), default=-1)
+        maximizers = [g.relabeled(perm) for g, perm in final if g.m == best]
+    return best, maximizers, sum(map(len, levels)), tree.rejected, seed
 
 
 def exact_planar_turan(
@@ -725,11 +705,11 @@ def exact_planar_turan(
     step, which bounds the edges it can gain (:func:`_edge_potential`).
     The seed is a verified lower bound, the larger of the constructions
     of :func:`_seed_bound` and the best planar pattern-free one-vertex
-    extension of the maximizers of order ``n - 1``, which are solved
-    first, in this process at one worker (:func:`_extension_bound`).  It
-    is fixed for the whole run, so reports are byte-identical across
-    worker counts.  The report's counts cover the order-``n`` tree
-    only, not the lower orders solved for the seed.
+    extension of the maximizers of order ``n - 1``
+    (:func:`_extension_bound`).  Orders ``1..n`` are solved bottom-up,
+    the lower ones in this process at one worker, so each seed is fixed
+    and reports are byte-identical across worker counts.  The report's
+    counts cover the order-``n`` tree only.
 
     Args:
         n: Graph order, ``1 <= n <= ceiling``.
@@ -762,7 +742,7 @@ def exact_planar_turan(
             "graphs only, which finds ex_P only for bridgeless patterns"
         )
     start = time.monotonic()
-    best, witnesses, enumerated, rejected, seed = _solve(n, spec, workers)
+    best, maximizers, enumerated, rejected, seed = _solve(n, spec, workers)
     if best < 0:
         raise SearchError(
             f"no connected {spec.name}-free planar graph of order {n} exists"
@@ -784,7 +764,9 @@ def exact_planar_turan(
         n=n,
         pattern=spec.name,
         ex=best,
-        witnesses=tuple(w.decode("ascii") for w in sorted(witnesses)),
+        witnesses=tuple(
+            sorted(graph6_encode(g).decode("ascii") for g in maximizers)
+        ),
         enumerated=enumerated,
         rejected=rejected,
         elapsed_ms=elapsed_ms,
@@ -1200,13 +1182,14 @@ def certify_solid_tbs_direct(
     """Independent census of pattern-free solid TBs at orders <= 9.
 
     For every connected pattern-free planar graph of order 3 to
-    ``max_order`` (one walk of the planar augmentation tree, pruned by
-    :func:`_contains_new` like the oracle's, each graph canonically
-    relabeled as :func:`enumerate_graphs` yields it) that is 2-connected
-    and has every edge on a triangle, every sphere embedding is read from
-    :func:`plane_embeddings`, and the graph counts iff some embedding and
-    outer-face choice is a single spanning solid TB.  That verdict does not depend on telling embeddings apart,
-    so none is skipped as a repeat.  This procedure never uses the growth
+    ``max_order`` (every level of the planar augmentation tree, which
+    keeps only pattern-free children like the oracle's, each graph
+    canonically relabeled as :func:`enumerate_graphs` yields it) that is
+    2-connected and has every edge on a triangle, every sphere embedding
+    is read from :func:`plane_embeddings`, and the graph counts iff some
+    embedding and outer-face choice is a single spanning solid TB.  That
+    verdict does not depend on telling embeddings apart, so none is
+    skipped as a repeat.  This procedure never uses the growth
     reduction or its sphere keys, so it certifies
     :func:`enumerate_solid_tbs` where their ranges overlap; on
     disagreement this direct census is authoritative.
@@ -1222,11 +1205,9 @@ def certify_solid_tbs_direct(
         )
     if max_order < 3:
         raise SearchError("max_order must be at least 3")
-    tree = _Augmentation(
-        max_order, planar=True, prune=_contains_new(as_pattern(pattern))
-    )
+    tree = _Augmentation(max_order, planar=True, spec=as_pattern(pattern))
     forms: dict[int, set[str]] = {k: set() for k in range(3, max_order + 1)}
-    for g, perm, _ in tree.walk(_ROOT):
+    for g, perm, _ in chain.from_iterable(tree.levels()):
         if g.n < 3 or not g.is_connected():
             continue
         g = g.relabeled(perm)
@@ -1251,8 +1232,9 @@ def free_planar_corpus(
     """All connected pattern-free planar graphs of order ``n``, up to
     isomorphism.
 
-    The augmentation tree prunes every child that contains the pattern
-    (:func:`_contains_new`), so only free graphs are walked.
+    The augmentation tree drops every child that contains the pattern
+    through its new vertex, and the root if it contains the pattern, so
+    only free graphs are grown.
 
     Connected graphs suffice for laws quantified over components: a
     triangular component, and likewise a theta configuration, lives
@@ -1267,9 +1249,7 @@ def free_planar_corpus(
         CeilingExceededError: If ``n`` exceeds :data:`DEFAULT_CEILING`.
         SearchError: If ``n < 1``.
     """
-    tree = _Augmentation(
-        n, planar=True, prune=_contains_new(as_pattern(pattern))
-    )
+    tree = _Augmentation(n, planar=True, spec=as_pattern(pattern))
     return tuple(_graphs_of_order(tree, connected=True))
 
 
@@ -1427,7 +1407,7 @@ def _free_planes(
 ) -> Iterator[PlaneGraph]:
     """Every sphere embedding, with each face in turn as the outer face,
     of every graph of :func:`free_planar_corpus` at ``orders`` that
-    ``keep`` accepts.  The corpus walks only pattern-free graphs, so the
+    ``keep`` accepts.  The corpus grows only pattern-free graphs, so the
     planes need no freeness test."""
     for n in orders:
         for g in free_planar_corpus(n, pattern):

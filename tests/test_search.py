@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -27,7 +28,12 @@ from ptl.embedding import (
 )
 from ptl.families import catalog_block
 from ptl.io import graph6_decode, graph6_encode
-from ptl.patterns import as_pattern, contains_subgraph_bruteforce, is_free
+from ptl.patterns import (
+    as_pattern,
+    contains_subgraph_at,
+    contains_subgraph_bruteforce,
+    is_free,
+)
 from ptl import search
 from ptl.search import (
     DEFAULT_CEILING,
@@ -144,12 +150,8 @@ def test_subset_reps_keep_the_small_orbits():
 
 def test_every_child_has_one_fate():
     # each offered child is kept or counted under exactly one rejection
-    def has_triangle(g):
-        bits = g.adj_bits
-        return any(bits[u] & bits[v] for u, v in g.edges)
-
-    tree = _Augmentation(7, planar=True, prune=has_triangle)
-    nodes = list(tree.walk(_ROOT))
+    tree = _Augmentation(7, planar=True, spec=as_pattern("C3"))
+    nodes = [node for level in tree.levels() for node in level]
     offered = sum(
         len(_subset_reps(g.n, gens, min(map(int.bit_count, g.adj_bits)) + 1))
         for g, _, gens in nodes
@@ -164,8 +166,8 @@ class _MaxDegreeAugmentation(_Augmentation):
     """The deletion rule before minimum-degree deletion, kept as the
     reference: the canonical deletion vertex carries the last canonical
     label, so it has maximum degree.  Every subset is offered, and each
-    child that passes the degree test, planarity and the prune gets a
-    full canonical search; nothing is counted."""
+    child that passes the degree test, planarity and the pattern test
+    gets a full canonical search; nothing is counted."""
 
     def children(self, node):
         g, _, gens = node
@@ -180,7 +182,10 @@ class _MaxDegreeAugmentation(_Augmentation):
             if self.planar and not _cofacial(masks, s):
                 continue
             child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
-            if self.prune is not None and self.prune(child):
+            if (
+                self.spec is not None
+                and contains_subgraph_at(child, self.spec, new) is not None
+            ):
                 continue
             perm, child_gens = canonical_data(child)
             target = perm.index(new)
@@ -191,11 +196,11 @@ class _MaxDegreeAugmentation(_Augmentation):
 
 
 def _forms_by_order(tree):
-    """The canonical graph6 forms a tree walk yields, by order."""
-    forms = {}
-    for g, perm, _ in tree.walk(_ROOT):
-        forms.setdefault(g.n, []).append(graph6_encode(g.relabeled(perm)))
-    return forms
+    """The canonical graph6 forms of a tree's levels, by order."""
+    return {
+        order: [graph6_encode(g.relabeled(perm)) for g, perm, _ in level]
+        for order, level in enumerate(tree.levels(), start=1)
+    }
 
 
 def _assert_same_graphs(limit, planar):
@@ -310,6 +315,19 @@ def test_enumerate_no_duplicates():
         seen.add(form)
 
 
+def test_enumerate_yield_order_is_pinned():
+    # graph6 lines of every graph, then every planar graph, of orders
+    # 1 to 7, in the order they are yielded
+    digest = hashlib.sha256()
+    for planar in (False, True):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n, planar=planar):
+                digest.update(graph6_encode(g) + b"\n")
+    assert digest.hexdigest() == (
+        "2e4c7c5910561cb47802d3072bb2a51e88992b70875ce851452361787824fcaf"
+    )
+
+
 # -- exact oracle -------------------------------------------------------------
 
 # ex_P(n, pattern), frozen from the exhaustive runs.
@@ -373,7 +391,11 @@ def test_extension_seed_is_a_lower_bound():
         spec = as_pattern(pattern)
         for n in range(2, 9):
             ex = exact_planar_turan(n, pattern).ex
-            seed = search._extension_bound(n, spec)
+            maximizers = [
+                graph6_decode(form)
+                for form in exact_planar_turan(n - 1, pattern).witnesses
+            ]
+            seed = search._extension_bound(maximizers, n, spec)
             built = search._seed_bound(n, spec)
             assert seed <= ex and built <= ex, (pattern, n)
             assert (built > seed) == ((n, pattern) in beaten), (pattern, n, seed)
@@ -393,6 +415,17 @@ def test_oracle_witnesses_are_extremal():
         g = graph6_decode(form)
         assert g.m == 4
         assert is_planar(g) and is_free(g, "Theta4")
+
+
+def test_one_vertex_patterns_leave_no_free_graph():
+    # the root is the one-vertex graph, which contains K1 and P1, so the
+    # tree holds no free graph of any order
+    for pattern in ("K1", "P1"):
+        for n in range(1, 6):
+            assert naive_planar_turan(n, pattern) == (-1, frozenset())
+            with pytest.raises(SearchError, match="no connected"):
+                exact_planar_turan(n, pattern)
+        assert free_planar_corpus(1, pattern) == ()
 
 
 def test_oracle_agrees_with_naive_small():
