@@ -37,14 +37,14 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import families, search
 from .decomposition import decompose, e_i_analysis
 from .embedding import Graph, NonPlanarError, PlaneGraph, embed
 from .families import FamilyError
 from .io import graph6_encode, load_plane_graph_json, read_graph_lines
-from .patterns import build_pattern, contains_subgraph
+from .patterns import build_pattern, contains_subgraph, is_free
 
 __all__ = ["main"]
 
@@ -179,17 +179,16 @@ def cmd_family(args: argparse.Namespace) -> int:
         ("size", str(instance.expected_size), str(instance.plane.m)),
     ]
     if instance.freeness is not None:
-        checks.append((f"{instance.freeness}-free", "yes", "yes"))
-    checks.append(("planar embedding", "yes", "yes"))
+        free = "yes" if is_free(instance.plane.graph, instance.freeness) else "no"
+        checks.append((f"{instance.freeness}-free", "yes", free))
     width = max(len(c[0]) for c in checks)
     print(f"{args.name}({params}):")
     for name, expected, actual in checks:
-        ok = expected == actual
-        verdict = "pass" if ok else "fail"
+        verdict = "pass" if expected == actual else "fail"
         print(f"  {name:<{width}}  expected={expected}  actual={actual}  {verdict}")
     print(f"wrote {g6_path}")
     print(f"wrote {json_path}")
-    return 0
+    return 0 if all(expected == actual for _, expected, actual in checks) else 1
 
 
 # =========================================================================
@@ -436,8 +435,10 @@ def _check_density_rows(which: str, expected: dict[str, Fraction]) -> str:
     return f"{len(rows)} rows exact"
 
 
-def _check_tb_catalog(pattern: str, max_order: int, workers: int) -> str:
-    report = search.enumerate_solid_tbs(max_order, pattern, workers=workers)
+def _check_tb_catalog(pattern: str, workers: int) -> str:
+    report = search.enumerate_solid_tbs(
+        search.TB_DEFAULT_CEILING, pattern, workers=workers
+    )
     if not report.diff_is_empty:
         raise CheckFailure(
             f"missing={ {k: v for k, v in report.missing.items() if v} } "
@@ -449,8 +450,8 @@ def _check_tb_catalog(pattern: str, max_order: int, workers: int) -> str:
 
 def _check_naive_agreement(pattern: str, workers: int) -> str:
     values = []
-    for n in range(1, 6):
-        report = search.exact_planar_turan(n, pattern, workers=workers)
+    for report in search.exact_planar_turan_orders(5, pattern, workers=workers):
+        n = report.n
         naive_ex, naive_forms = search.naive_planar_turan(n, pattern)
         if report.ex != naive_ex:
             raise CheckFailure(
@@ -463,10 +464,15 @@ def _check_naive_agreement(pattern: str, workers: int) -> str:
     return f"ex values n=1..5: {values}"
 
 
+def _oracle_to_10(pattern: str, workers: int) -> Iterator[search.SearchReport]:
+    """The oracle's reports of orders 1..10, one past its default ceiling."""
+    return search.exact_planar_turan_orders(10, pattern, workers=workers, ceiling=10)
+
+
 def _check_c3_line(workers: int) -> str:
-    for n in range(5, 11):
-        got = search.exact_planar_turan(n, "C3", workers=workers, ceiling=10).ex
-        if got != 2 * n - 4:
+    for report in _oracle_to_10("C3", workers):
+        n, got = report.n, report.ex
+        if n >= 5 and got != 2 * n - 4:
             raise CheckFailure(f"ex_P({n}, C3) = {got}, expected {2 * n - 4}")
     return "ex_P(n, C3) = 2n-4 for n in 5..10"
 
@@ -511,14 +517,13 @@ def _check_counting_identity() -> str:
 
 def _check_thm2_small_bound(workers: int) -> str:
     notes = []
-    for n in range(6, 11):
-        got = search.exact_planar_turan(n, "H5", workers=workers, ceiling=10).ex
-        limit = families.bound(n, "thm2")
-        if not limit.in_range or got > limit.value:
-            raise CheckFailure(
-                f"n={n}: ex {got} exceeds bound {limit.value}"
-            )
-        notes.append(f"ex_P({n}, H5) = {got} <= {limit.value}")
+    for report in _oracle_to_10("H5", workers):
+        if report.n < 6:
+            continue
+        n, got, limit = report.n, report.ex, report.bound_value
+        if not report.bound_in_range or got > limit:
+            raise CheckFailure(f"n={n}: ex {got} exceeds bound {limit}")
+        notes.append(f"ex_P({n}, H5) = {got} <= {limit}")
     return "; ".join(notes)
 
 
@@ -577,17 +582,13 @@ def _check_odd_constructions() -> str:
 
 def _check_family_le_oracle(workers: int) -> str:
     notes = []
-    for n, sizes in (
-        (6, (families.k2_plus_matching(6).plane.m,)),
-        (
-            7,
-            (
-                families.k2_vee_matching(7).plane.m,
-                families.apex_outerplanar(7).plane.m,
-            ),
-        ),
-    ):
-        ex = search.exact_planar_turan(n, "H6", workers=workers).ex
+    for report in _oracle_to_10("H6", workers):
+        n, ex = report.n, report.ex
+        if n < 6:
+            continue
+        odd = (families.k2_vee_matching, families.apex_outerplanar)
+        builders = odd if n % 2 else (families.k2_plus_matching,)
+        sizes = [builder(n).plane.m for builder in builders]
         if max(sizes) > ex:
             raise CheckFailure(
                 f"n={n}: construction size {max(sizes)} exceeds oracle {ex}"
@@ -609,7 +610,7 @@ def _bundle(theorem: str, workers: int) -> list[tuple[str, Callable[[], str]]]:
         return [
             ("density-table-H4",
              lambda: _check_density_rows("H4", _EXPECTED_H4_DENSITIES)),
-            ("tb-catalog-H4", lambda: _check_tb_catalog("H4", 8, workers)),
+            ("tb-catalog-H4", lambda: _check_tb_catalog("H4", workers)),
             ("naive-agreement-C3",
              lambda: _check_naive_agreement("C3", workers)),
             ("naive-agreement-Theta4",
@@ -625,7 +626,7 @@ def _bundle(theorem: str, workers: int) -> list[tuple[str, Callable[[], str]]]:
         return [
             ("density-table-H5",
              lambda: _check_density_rows("H5", _EXPECTED_H5_DENSITIES)),
-            ("tb-catalog-H5", lambda: _check_tb_catalog("H5", 9, workers)),
+            ("tb-catalog-H5", lambda: _check_tb_catalog("H5", workers)),
             ("naive-agreement-H5",
              lambda: _check_naive_agreement("H5", workers)),
             ("small-n-bound", lambda: _check_thm2_small_bound(workers)),

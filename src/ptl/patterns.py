@@ -52,7 +52,6 @@ __all__ = [
     "is_free",
     "k1_join_linear_forest",
     "matching_plus",
-    "pattern_names",
     "theta",
     "wheel",
 ]
@@ -269,11 +268,6 @@ def build_pattern(name: str) -> PatternSpec:
         except ValueError as exc:
             raise ValueError(f"bad pattern {name!r}: {exc}") from exc
     raise ValueError(f"unknown pattern {name!r}")
-
-
-def pattern_names() -> list[str]:
-    """The fixed pattern names accepted by :func:`build_pattern`."""
-    return list(_fixed_patterns())
 
 
 def as_pattern(pattern: "PatternSpec | Graph | str") -> PatternSpec:

@@ -6,7 +6,8 @@ The engines:
   given order, with optional connectivity / planarity filters.
 * :func:`exact_planar_turan` -- the exact oracle for the maximum edge count
   of a pattern-free planar graph on ``n`` vertices, with witnesses, for
-  bridgeless patterns.
+  bridgeless patterns; :func:`exact_planar_turan_orders` yields its
+  report at every order ``1..n`` from one pass.
 * :func:`enumerate_solid_tbs` -- the census of pattern-free solid
   triangular blocks, grown order by order and diffed against the expected
   catalog; :func:`certify_solid_tbs_direct` is the independent slow census
@@ -51,8 +52,10 @@ no plane code, so it stays independent of the census it certifies.
 The augmentation tree and the growth census both grow one order at a
 time: each order's nodes are split into static shares, one per worker,
 and the workers return the next order's nodes, as tree nodes or as
-:class:`PlaneGraph` objects.  The oracle solves its orders bottom-up,
-each seeded from the maximizers of the order below.
+:class:`PlaneGraph` objects.  The oracle is one bottom-up pass over
+orders ``1..n``, each seeded from the maximizers of the order below; the
+pass yields each order's report, which covers that order's tree only,
+so one pass serves a loop over ``n``.
 
 Determinism contract: every report produced here is byte-identical across
 runs and across worker counts once timing fields are stripped.  To that
@@ -112,6 +115,7 @@ __all__ = [
     "enumerate_graphs",
     "enumerate_solid_tbs",
     "exact_planar_turan",
+    "exact_planar_turan_orders",
     "free_planar_corpus",
     "naive_planar_turan",
     "outer_variants",
@@ -137,8 +141,8 @@ class CeilingExceededError(SearchError):
 #: and the default one of :func:`exact_planar_turan`.
 DEFAULT_CEILING = 9
 
-#: Default order ceilings for the solid-TB census, per pattern.
-TB_DEFAULT_CEILING = {"H4": 9, "H5": 10}
+#: Default order ceiling of the solid-TB census, for both patterns.
+TB_DEFAULT_CEILING = 16
 
 @contextmanager
 def _share_map(workers: int) -> Iterator[Callable]:
@@ -662,22 +666,82 @@ def _extension_bound(
 
 
 def _solve(
-    n: int, spec: PatternSpec, workers: int
-) -> tuple[int, list[Graph], int, dict[str, int], int]:
-    """The oracle's search at order ``n``: ``(best, maximizers,
-    enumerated, rejected, seed)``, ``best`` being ``-1`` when no connected
-    pattern-free planar graph of order ``n`` exists.  Orders ``1..n`` are
-    solved bottom-up, each seeded from the order below, and only order
-    ``n`` grows at ``workers``; the counts cover its tree only."""
+    max_n: int, spec: PatternSpec, workers: int, start: float
+) -> Iterator[SearchReport]:
+    """The oracle's pass: the report of each order ``1..max_n`` in turn,
+    each seeded from the maximizers of the order below.  Only order
+    ``max_n`` grows at ``workers``; ``elapsed_ms`` runs from ``start``."""
+    bound_name = _BOUND_FOR_PATTERN.get(spec.name)
     maximizers: list[Graph] = []
-    for k in range(1, n + 1):
-        seed = max(_seed_bound(k, spec), _extension_bound(maximizers, k, spec))
-        tree = _Augmentation(k, planar=True, spec=spec, seed=seed)
-        levels = list(tree.levels(workers if k == n else 1))
+    for n in range(1, max_n + 1):
+        seed = max(_seed_bound(n, spec), _extension_bound(maximizers, n, spec))
+        tree = _Augmentation(n, planar=True, spec=spec, seed=seed)
+        levels = list(tree.levels(workers if n == max_n else 1))
         final = [(g, perm) for g, perm, _ in levels[-1] if g.is_connected()]
         best = max((g.m for g, _ in final), default=-1)
+        if best < 0:
+            raise SearchError(
+                f"no connected {spec.name}-free planar graph of order {n} exists"
+            )
+        if best < seed:
+            raise AssertionError(
+                "exhaustive search missed its own seed construction -- internal error"
+            )
         maximizers = [g.relabeled(perm) for g, perm in final if g.m == best]
-    return best, maximizers, sum(map(len, levels)), tree.rejected, seed
+        bound = None if bound_name is None else families.bound(n, bound_name)
+        yield SearchReport(
+            n=n,
+            pattern=spec.name,
+            ex=best,
+            witnesses=tuple(sorted(graph6_encode(g).decode() for g in maximizers)),
+            enumerated=sum(map(len, levels)),
+            rejected=tree.rejected,
+            elapsed_ms=int((time.monotonic() - start) * 1000),
+            bound_name=bound_name,
+            bound_value=None if bound is None else bound.value,
+            bound_in_range=None if bound is None else bound.in_range,
+        )
+
+
+def exact_planar_turan_orders(
+    max_n: int,
+    pattern: "PatternSpec | Graph | str",
+    *,
+    workers: int = 1,
+    ceiling: int | None = None,
+) -> Iterator[SearchReport]:
+    """The :func:`exact_planar_turan` reports of orders ``1..max_n``, from
+    one bottom-up pass that runs as they are drawn.  Each report covers
+    only its own order's tree, and ``elapsed_ms`` counts from this call.
+
+    Args:
+        max_n: Largest graph order, ``1 <= max_n <= ceiling``.
+        pattern: Pattern name, spec, or graph.
+        workers: Static shares per level of the order-``max_n`` tree,
+            expanded in parallel when > 1; the lower orders run in this
+            process.  Results are identical for every value.
+        ceiling: Enumeration ceiling; defaults to :data:`DEFAULT_CEILING`.
+
+    Raises:
+        CeilingExceededError: If ``max_n`` exceeds the ceiling.
+        SearchError: If ``max_n < 1``, ``workers < 1`` or the pattern has
+            a bridge, all raised by this call; and when the pass reaches
+            an order with no connected pattern-free planar graph.
+    """
+    limit = DEFAULT_CEILING if ceiling is None else ceiling
+    if max_n < 1:
+        raise SearchError("order must be at least 1")
+    if max_n > limit:
+        raise CeilingExceededError(f"order {max_n} exceeds the ceiling {limit}")
+    if workers < 1:
+        raise SearchError("worker count must be at least 1")
+    spec = as_pattern(pattern)
+    if _has_bridge(spec.graph):
+        raise SearchError(
+            f"pattern {spec.name} has a bridge: the oracle searches connected "
+            "graphs only, which finds ex_P only for bridgeless patterns"
+        )
+    return _solve(max_n, spec, workers, time.monotonic())
 
 
 def exact_planar_turan(
@@ -688,7 +752,8 @@ def exact_planar_turan(
     ceiling: int | None = None,
 ) -> SearchReport:
     """Exact maximum edge count of a pattern-free planar graph on ``n``
-    vertices, with all maximizers.
+    vertices, with all maximizers, and the relevant theorem-bound
+    comparison for the ``H4``/``H5``/``H6`` patterns.
 
     The augmentation tree over planar pattern-free graphs is explored
     exhaustively; maximizers are reported among connected graphs.  That
@@ -706,74 +771,15 @@ def exact_planar_turan(
     The seed is a verified lower bound, the larger of the constructions
     of :func:`_seed_bound` and the best planar pattern-free one-vertex
     extension of the maximizers of order ``n - 1``
-    (:func:`_extension_bound`).  Orders ``1..n`` are solved bottom-up,
-    the lower ones in this process at one worker, so each seed is fixed
+    (:func:`_extension_bound`).  So orders ``1..n`` are solved in one
+    bottom-up pass, and this is its last report: the arguments and errors
+    are those of :func:`exact_planar_turan_orders` at ``max_n = n``.  The
+    lower orders run in this process at one worker, so each seed is fixed
     and reports are byte-identical across worker counts.  The report's
     counts cover the order-``n`` tree only.
-
-    Args:
-        n: Graph order, ``1 <= n <= ceiling``.
-        pattern: Pattern name, spec, or graph.
-        workers: Static partition width; each order's nodes are split
-            into that many static shares, expanded in parallel when > 1.
-            Results are identical for every value.
-        ceiling: Enumeration ceiling; defaults to :data:`DEFAULT_CEILING`.
-
-    Returns:
-        The :class:`SearchReport`, including the relevant theorem-bound
-        comparison for the ``H4``/``H5``/``H6`` patterns.
-
-    Raises:
-        CeilingExceededError: If ``n`` exceeds the ceiling.
-        SearchError: If ``n < 1``, ``workers < 1`` or the pattern has a
-            bridge.
     """
-    limit = DEFAULT_CEILING if ceiling is None else ceiling
-    if n < 1:
-        raise SearchError("order must be at least 1")
-    if n > limit:
-        raise CeilingExceededError(f"order {n} exceeds the ceiling {limit}")
-    if workers < 1:
-        raise SearchError("worker count must be at least 1")
-    spec = as_pattern(pattern)
-    if _has_bridge(spec.graph):
-        raise SearchError(
-            f"pattern {spec.name} has a bridge: the oracle searches connected "
-            "graphs only, which finds ex_P only for bridgeless patterns"
-        )
-    start = time.monotonic()
-    best, maximizers, enumerated, rejected, seed = _solve(n, spec, workers)
-    if best < 0:
-        raise SearchError(
-            f"no connected {spec.name}-free planar graph of order {n} exists"
-        )
-    if best < seed:
-        raise AssertionError(
-            "exhaustive search missed its own seed construction -- "
-            "internal error"
-        )
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    bound_name = _BOUND_FOR_PATTERN.get(spec.name)
-    bound_value = None
-    bound_in_range = None
-    if bound_name is not None:
-        b = families.bound(n, bound_name)
-        bound_value = b.value
-        bound_in_range = b.in_range
-    return SearchReport(
-        n=n,
-        pattern=spec.name,
-        ex=best,
-        witnesses=tuple(
-            sorted(graph6_encode(g).decode("ascii") for g in maximizers)
-        ),
-        enumerated=enumerated,
-        rejected=rejected,
-        elapsed_ms=elapsed_ms,
-        bound_name=bound_name,
-        bound_value=bound_value,
-        bound_in_range=bound_in_range,
-    )
+    *_, last = exact_planar_turan_orders(n, pattern, workers=workers, ceiling=ceiling)
+    return last
 
 
 def naive_planar_turan(
@@ -1004,19 +1010,18 @@ def enumerate_solid_tbs(
         max_order: Largest order to scan (``>= 3``).
         pattern: ``H4`` or ``H5`` (name, spec, or graph).
         workers: Static partition width for expanding each order.
-        ceiling: Order ceiling; defaults per pattern to
-            :data:`TB_DEFAULT_CEILING`.
+        ceiling: Order ceiling; defaults to :data:`TB_DEFAULT_CEILING`.
 
     Returns:
         The :class:`TBCatalogReport`; its diff is empty iff the growth
         census matches the expected catalog at every scanned order.
     """
     spec = as_pattern(pattern)
-    if spec.name not in TB_DEFAULT_CEILING:
+    if spec.name not in ("H4", "H5"):
         raise SearchError(
             f"solid-TB census supports H4 and H5, not {spec.name!r}"
         )
-    limit = TB_DEFAULT_CEILING[spec.name] if ceiling is None else ceiling
+    limit = TB_DEFAULT_CEILING if ceiling is None else ceiling
     if max_order < 3:
         raise SearchError("max_order must be at least 3")
     if max_order > limit:

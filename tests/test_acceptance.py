@@ -1,8 +1,9 @@
 """Acceptance gate: one test and one PASS/FAIL line per criterion.
 
-Every numbered criterion runs at its stated tolerance.  Reports produced
-for criteria 2-3 are cached and reused by the determinism rerun in
-criterion 7, which compares byte-identical JSON modulo timing fields.
+Every numbered criterion runs at its stated tolerance.  Census reports
+produced for criterion 2 are cached and reused by the determinism rerun
+in criterion 7, which compares byte-identical JSON modulo timing fields;
+the oracle's reports come from one pass per pattern.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from ptl.embedding import PlaneGraph
 PATTERNS = ("C3", "Theta4", "H4", "H5", "H6")
 
 _CENSUS_CACHE: dict[tuple[str, int, int], search.TBCatalogReport] = {}
-_ORACLE_CACHE: dict[tuple[int, str, int], search.SearchReport] = {}
 
 
 def _census(pattern: str, max_order: int, workers: int = 1):
@@ -28,15 +28,6 @@ def _census(pattern: str, max_order: int, workers: int = 1):
             max_order, pattern, workers=workers
         )
     return _CENSUS_CACHE[key]
-
-
-def _oracle(n: int, pattern: str, workers: int = 1):
-    key = (n, pattern, workers)
-    if key not in _ORACLE_CACHE:
-        _ORACLE_CACHE[key] = search.exact_planar_turan(
-            n, pattern, workers=workers
-        )
-    return _ORACLE_CACHE[key]
 
 
 # -- criterion 1 ---------------------------------------------------------------
@@ -133,16 +124,18 @@ def test_criterion_3_exact_oracle(criterion_reporter):
     problems = []
 
     # every (n <= 7, pattern) run terminates
-    values = {}
-    for pattern in PATTERNS:
-        for n in range(1, 8):
-            values[(n, pattern)] = _oracle(n, pattern).ex
+    reports = {
+        (report.n, pattern): report
+        for pattern in PATTERNS
+        for report in search.exact_planar_turan_orders(7, pattern)
+    }
+    values = {key: report.ex for key, report in reports.items()}
 
     # (a) agreement with the naive all-labelings oracle at n <= 5
     for pattern in PATTERNS:
         for n in range(1, 6):
             naive_ex, naive_forms = search.naive_planar_turan(n, pattern)
-            report = _oracle(n, pattern)
+            report = reports[(n, pattern)]
             if report.ex != naive_ex:
                 problems.append(
                     f"(a) {pattern} n={n}: oracle {report.ex} != naive {naive_ex}"
@@ -367,11 +360,14 @@ def test_criterion_7_determinism(criterion_reporter):
         if len(set(reports)) != 1:
             problems.append(f"census {pattern}<={max_order} differs by workers")
 
+    # a pass grows only its last order at its worker count, so each order
+    # is solved at each count by its own call, against one serial pass
     for pattern in PATTERNS:
-        for n in range(1, 8):
-            reports = [
-                _oracle(n, pattern, workers=w).comparable_json()
-                for w in worker_counts
+        for report in search.exact_planar_turan_orders(7, pattern):
+            n = report.n
+            reports = [report.comparable_json()] + [
+                search.exact_planar_turan(n, pattern, workers=w).comparable_json()
+                for w in worker_counts[1:]
             ]
             if len(set(reports)) != 1:
                 problems.append(f"oracle ({n}, {pattern}) differs by workers")

@@ -141,6 +141,19 @@ def test_family_gen_json_embedding(capsys, tmp_path):
     assert pg.n == 17
 
 
+def test_family_gen_reports_the_freeness_test(capsys, tmp_path, monkeypatch):
+    # the freeness row prints what is_free says, and a failed row exits 1
+    monkeypatch.setattr(cli, "is_free", lambda graph, pattern: False)
+    code, out, _ = run(
+        capsys, "family", "gen", "--name", "k2_plus_matching",
+        "--param", "n=10", "--out", str(tmp_path),
+    )
+    assert code == 1
+    row = next(line for line in out.splitlines() if "H6-free" in line)
+    assert row.split()[1:] == ["expected=yes", "actual=no", "fail"]
+    assert "planar embedding" not in out
+
+
 def test_family_gen_bad_params(capsys, tmp_path):
     code, _, err = run(
         capsys, "family", "gen", "--name", "k2_plus_matching",
@@ -385,6 +398,13 @@ def test_tb_enumerate_h5_gap(capsys):
                        "--max", "7")
     assert code == 0
     assert "order 7: found 4, expected 4" in out.splitlines()
+    assert "catalog diff: empty" in out
+
+
+def test_tb_enumerate_h5_to_its_default_ceiling(capsys):
+    code, out, _ = run(capsys, "tb", "enumerate", "--pattern", "H5",
+                       "--max", "16")
+    assert code == 0
     assert "catalog diff: empty" in out
 
 

@@ -21,7 +21,6 @@ from ptl.patterns import (
     is_free,
     k1_join_linear_forest,
     matching_plus,
-    pattern_names,
     theta,
     wheel,
 )
@@ -40,12 +39,6 @@ def test_catalog_shapes():
     for name, (n, m) in _SHAPES.items():
         g = build_pattern(name).graph
         assert (g.n, g.m) == (n, m), name
-
-
-def test_pattern_names_cover_catalog():
-    names = pattern_names()
-    for name in _SHAPES:
-        assert name in names
 
 
 def test_grammar_families():

@@ -57,6 +57,7 @@ from ptl.search import (
     enumerate_graphs,
     enumerate_solid_tbs,
     exact_planar_turan,
+    exact_planar_turan_orders,
     free_planar_corpus,
     naive_planar_turan,
     outer_variants,
@@ -236,12 +237,11 @@ def test_min_degree_rule_matches_max_degree_reference():
                     best[g.n] = (g.m, [form])
                 elif g.m == m:
                     forms.append(form)
-        for n in range(1, 9):
-            report = exact_planar_turan(n, pattern)
-            ex, forms = best[n]
+        for report in exact_planar_turan_orders(8, pattern):
+            ex, forms = best[report.n]
             assert (report.ex, report.witnesses) == (ex, tuple(sorted(forms))), (
                 pattern,
-                n,
+                report.n,
             )
 
 
@@ -352,14 +352,16 @@ def test_oracle_within_literature_bounds():
     # Theory 83, 2016); ex_P(n, Theta4) <= 12(n - 2)/5 (Lan, Shi and Song,
     # Discrete Math. 342, 2019)
     bounds = {
+        "C3": lambda n: 2 * n - 4,
         "C4": lambda n: Fraction(15 * (n - 2), 7),
         "Theta4": lambda n: Fraction(12 * (n - 2), 5),
     }
-    for n in range(4, 11):
-        assert exact_planar_turan(n, "C3", ceiling=10).ex == 2 * n - 4, n
-        for pattern, bound in bounds.items():
-            ex = exact_planar_turan(n, pattern, ceiling=10).ex
-            assert ex <= bound(n), (n, pattern, ex)
+    for pattern, bound in bounds.items():
+        for report in exact_planar_turan_orders(10, pattern, ceiling=10):
+            n, ex = report.n, report.ex
+            if n >= 4:
+                assert ex <= bound(n), (n, pattern, ex)
+                assert pattern != "C3" or ex == bound(n), n
 
 
 def test_oracle_counters_at_order_8():
@@ -389,11 +391,11 @@ def test_extension_seed_is_a_lower_bound():
     below = {(7, "H3"), (8, "H3")}
     for pattern in ("C3", "C4", "Theta4", "H4", "H5", "H6", "H3", "W5"):
         spec = as_pattern(pattern)
+        reports = list(exact_planar_turan_orders(8, pattern))
         for n in range(2, 9):
-            ex = exact_planar_turan(n, pattern).ex
+            ex = reports[n - 1].ex
             maximizers = [
-                graph6_decode(form)
-                for form in exact_planar_turan(n - 1, pattern).witnesses
+                graph6_decode(form) for form in reports[n - 2].witnesses
             ]
             seed = search._extension_bound(maximizers, n, spec)
             built = search._seed_bound(n, spec)
@@ -481,6 +483,44 @@ def test_fate_counts_do_not_depend_on_workers():
         assert rejected == report.rejected and set(rejected) == set(FATES)
         assert report.pruned == rejected["planarity"] + rejected["domain"]
         assert report.to_record()["pruned"] == report.pruned
+
+
+def test_orders_pass_matches_calls_at_every_order():
+    # one pass to order 8 gives, at every order, the report of a call at
+    # that order, counters included, at one worker and at two
+    for pattern in ("C3", "C4", "Theta4", "H3", "H4", "H5", "H6", "W5"):
+        for workers in (1, 2):
+            reports = list(exact_planar_turan_orders(8, pattern, workers=workers))
+            assert [report.n for report in reports] == list(range(1, 9))
+            for report in reports:
+                call = exact_planar_turan(report.n, pattern, workers=workers)
+                assert report.comparable_json() == call.comparable_json(), (
+                    pattern,
+                    workers,
+                    report.n,
+                )
+
+
+def test_orders_pass_checks_arguments_when_called(monkeypatch):
+    # bad arguments raise at the call, before any order is solved; no
+    # free graph is found when the order that lacks one is reached
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order was solved")
+
+    monkeypatch.setattr(search, "_Augmentation", refuse)
+    for args, kwargs, error in (
+        ((0, "C3"), {}, SearchError),
+        ((DEFAULT_CEILING + 1, "C3"), {}, CeilingExceededError),
+        ((5, "C3"), {"workers": 0}, SearchError),
+        ((5, "P4"), {}, SearchError),
+    ):
+        with pytest.raises(error):
+            exact_planar_turan_orders(*args, **kwargs)
+    exact_planar_turan_orders(5, "C3")
+    monkeypatch.undo()
+    orders = exact_planar_turan_orders(5, "K1")
+    with pytest.raises(SearchError, match="K1-free planar graph of order 1 "):
+        next(orders)
 
 
 def test_jsonl_record_shape():
