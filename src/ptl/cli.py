@@ -326,7 +326,7 @@ def cmd_turan(args: argparse.Namespace) -> int:
         n, pattern, workers=args.workers, ceiling=ceiling
     )
     effective_ceiling = (
-        ceiling if ceiling is not None else search.DEFAULT_CEILING
+        ceiling if ceiling is not None else search.ORACLE_DEFAULT_CEILING
     )
     record = report.jsonl_record()
     record["config"] = _config_hash(pattern.name, effective_ceiling)
@@ -465,8 +465,8 @@ def _check_naive_agreement(pattern: str, workers: int) -> str:
 
 
 def _oracle_to_10(pattern: str, workers: int) -> Iterator[search.SearchReport]:
-    """The oracle's reports of orders 1..10, one past its default ceiling."""
-    return search.exact_planar_turan_orders(10, pattern, workers=workers, ceiling=10)
+    """The oracle's reports of orders 1..10, from one pass."""
+    return search.exact_planar_turan_orders(10, pattern, workers=workers)
 
 
 def _check_c3_line(workers: int) -> str:

@@ -28,12 +28,21 @@ drops a child that contains the pattern through its new vertex.
 Planarity needs no graph test per child.  If ``G`` is planar and a new
 vertex joins the set ``S``, then ``G`` plus that vertex is planar iff every
 component of ``G`` that ``S`` meets has some plane embedding with its
-part of ``S`` on one face.  So each planar parent computes, once, the
+part of ``S`` on one face.  So each planar parent reads, once, the
 maximal face-vertex bitmasks of each component over all its rotation
-systems, and each child is decided by bitmask tests against them.
+systems, and each child is decided by bitmask tests against them.  The
+parent searches for no rotation system: it inherits the face walks of
+every system of its components from its own parent, since deleting the
+new vertex from a plane embedding leaves one of the parent's with the
+vertex inside one face.  So the walks of a component that ``S`` lies in
+are split at one corner per vertex of ``S`` (:func:`_split_faces`), and
+only a component that ``S`` forms by joining components or closing a
+cycle in a tree is searched afresh.
 
-Rotation systems come from one enumerator, :func:`_rotation_systems`,
-which inserts edges into corners of one face.  :func:`plane_embeddings`
+Rotation systems are searched for by one enumerator,
+:func:`_rotation_systems`, which inserts edges into corners of one
+face; it serves that fallback, :func:`_cofacial_masks` (the masks of
+one graph, searched from scratch) and :func:`plane_embeddings`, which
 builds one plane graph per rotation system, for every connected planar
 graph alike (a 3-connected one yields its embedding and its mirror), and
 the direct census and the lemma scans read every embedding from there,
@@ -78,7 +87,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import families, patterns
@@ -108,6 +117,7 @@ from .patterns import PatternSpec, as_pattern, contains_subgraph_at, is_free
 __all__ = [
     "CeilingExceededError",
     "DEFAULT_CEILING",
+    "ORACLE_DEFAULT_CEILING",
     "SearchError",
     "SearchReport",
     "TBCatalogReport",
@@ -137,9 +147,12 @@ class CeilingExceededError(SearchError):
     """Requested order exceeds the configured enumeration ceiling."""
 
 
-#: Order ceiling of :func:`enumerate_graphs` and :func:`free_planar_corpus`,
-#: and the default one of :func:`exact_planar_turan`.
+#: Order ceiling of :func:`enumerate_graphs` and :func:`free_planar_corpus`.
 DEFAULT_CEILING = 9
+
+#: Default order ceiling of :func:`exact_planar_turan` and
+#: :func:`exact_planar_turan_orders`, whose pruned trees stay small.
+ORACLE_DEFAULT_CEILING = 11
 
 #: Default order ceiling of the solid-TB census, for both patterns.
 TB_DEFAULT_CEILING = 16
@@ -162,13 +175,24 @@ def _share_map(workers: int) -> Iterator[Callable]:
 # =========================================================================
 
 
+#: The plane embeddings of one component with a cycle: its vertex
+#: bitmask, the face walks of each of its rotation systems (as
+#: :func:`ptl.embedding._dart_faces` lists them) and the maximal vertex
+#: bitmasks of those faces.
+_Embeddings = tuple[int, list[tuple[tuple[int, ...], ...]], list[int]]
+
+#: How a node's embeddings are derived when it becomes a parent: the
+#: embeddings of its parent's components with a cycle, and the bitmask
+#: of its new vertex's neighbours (:func:`_node_embeddings`).
+_Recipe = tuple[tuple[_Embeddings, ...], int]
+
 #: A node of the augmentation tree: the graph, its canonical labeling
 #: (``perm[old] = new``) and generators of its automorphism group, all
-#: from one canonical search.
-_Node = tuple[Graph, tuple[int, ...], list[tuple[int, ...]]]
+#: from one canonical search, and the recipe of its embeddings.
+_Node = tuple[Graph, tuple[int, ...], list[tuple[int, ...]], _Recipe]
 
 #: The one-vertex graph every augmentation tree grows from.
-_ROOT: _Node = (Graph.from_edges(1, []), (0,), [])
+_ROOT: _Node = (Graph.from_edges(1, []), (0,), [], ((), 0))
 
 
 def _subset_reps(n: int, gens: Sequence[tuple[int, ...]], size: int) -> list[int]:
@@ -270,13 +294,20 @@ class _Augmentation:
     all: freeness is hereditary, and a graph's canonical parent is an
     induced subgraph.
 
-    Planarity is read from the parent's cofacial masks
-    (:func:`_cofacial_masks`), computed when its first child reaches
-    that step: a planar parent plus a vertex joined to ``S`` is planar
-    iff, in every component ``S`` meets, ``S`` lies on one face of some
-    embedding.  This needs every parent to be planar, which holds
-    because the tree starts at one vertex and keeps only planar
-    children.  The tree is plain data, so pool workers receive it whole.
+    Planarity is read from the parent's cofacial masks, the maximal
+    face-vertex bitmasks of its components with a cycle over all their
+    rotation systems: a planar parent plus a vertex joined to ``S`` is
+    planar iff, in every component ``S`` meets, ``S`` lies on one face
+    of some embedding.  This needs every parent to be planar, which
+    holds because the tree starts at one vertex and keeps only planar
+    children.  The masks come from the face walks of every rotation
+    system, which each node inherits from its parent rather than
+    searches for (:func:`_node_embeddings`), built when its first child
+    reaches the planarity step.  A kept child carries only the recipe,
+    so the last order, whose nodes never become parents, builds no
+    walks; without ``planar`` no walks are built and the recipes hold
+    none.  The tree and its nodes are plain data, so pool workers
+    receive them whole.
     """
 
     limit: int
@@ -289,11 +320,12 @@ class _Augmentation:
 
     def children(self, node: _Node) -> list[_Node]:
         """The kept children of ``node``, in subset-representative order."""
-        g, _, gens = node
+        g, _, gens, recipe = node
         new = g.n
         rejected = self.rejected
         degree_rejects = _degree_rejects(g)
         kept: list[_Node] = []
+        embeddings: tuple[_Embeddings, ...] = ()
         masks: list[tuple[int, list[int]]] | None = None
         # The canonical deletion vertex (the vertex carrying the first
         # canonical label) has minimum degree: canonical search ranks
@@ -309,7 +341,8 @@ class _Augmentation:
                 continue
             if self.planar:
                 if masks is None:
-                    masks = _cofacial_masks(g)
+                    embeddings = _node_embeddings(g, recipe)
+                    masks = [(comp, faces) for comp, _, faces in embeddings]
                 if not _cofacial(masks, s):
                     rejected["planarity"] += 1
                     continue
@@ -337,7 +370,7 @@ class _Augmentation:
                 if roots[target] != roots[new]:
                     rejected["mckay"] += 1
                     continue
-            kept.append((child, perm, child_gens))
+            kept.append((child, perm, child_gens, (embeddings, s)))
         return kept
 
     def _outside(self, g: Graph) -> bool:
@@ -354,7 +387,9 @@ class _Augmentation:
         within an order.  Each order is grown when asked for, from
         ``workers`` static shares of the order below (:func:`_expand`);
         a child's fate depends only on its parent, so neither the nodes
-        nor :attr:`rejected` depend on the shares."""
+        nor :attr:`rejected` depend on the shares.  A node's recipe
+        holds its parent's embeddings, so a share carries them to the
+        worker with the node."""
         level = [] if self._outside(_ROOT[0]) else [_ROOT]
         yield level
         with _share_map(workers) as share_map:
@@ -407,13 +442,116 @@ def _edge_potential(m: int, delta: int, k: int, n: int) -> int:
     return p
 
 
+def _embeddings(
+    comp: int, systems: list[tuple[tuple[int, ...], ...]]
+) -> _Embeddings:
+    """The :data:`_Embeddings` of the component with vertex bitmask
+    ``comp`` whose rotation systems have the face walks ``systems``."""
+    faces: set[int] = set()
+    for walks in systems:
+        for walk in walks:
+            bits = 0
+            for v in walk:
+                bits |= 1 << v
+            faces.add(bits)
+    maximal: list[int] = []
+    for f in sorted(faces, key=int.bit_count, reverse=True):
+        if all(f & ~kept for kept in maximal):
+            maximal.append(f)
+    return comp, systems, maximal
+
+
+def _searched_embeddings(edges: list[tuple[int, int]]) -> _Embeddings:
+    """The :data:`_Embeddings` of the connected planar graph spanned by
+    ``edges``, from every system of :func:`_rotation_systems`."""
+    verts = sorted({v for e in edges for v in e})
+    systems = [
+        tuple(tuple(verts[v] for v in walk) for walk in _dart_faces(system)[1])
+        for system in _rotation_systems(Graph.spanned_by(edges))
+    ]
+    return _embeddings(sum(1 << v for v in verts), systems)
+
+
+def _split_faces(parent: _Embeddings, s: int, new: int) -> _Embeddings:
+    """The embeddings of a component with a new vertex ``new`` joined to
+    the vertex bitmask ``s`` inside it, from the component's own.
+
+    Deleting the new vertex from a plane embedding of the child leaves
+    one of the parent's, with the new vertex inside one face; so the
+    child's rotation systems are the parent's with the new vertex put
+    into a face whose walk holds ``s``, at one corner (one occurrence in
+    the walk) per vertex of ``s``.  The corners at positions
+    ``p_1 < ... < p_k`` split the walk ``W`` into the ``k`` walks
+    ``W[p_i..p_{i+1}] + (new,)``, cyclically; for ``k = 1`` that is
+    ``W[p:] + W[:p] + (W[p], new)``.  Distinct corners give distinct
+    systems, so each system of the child is met once.
+    """
+    comp, systems, _ = parent
+    k = s.bit_count()
+    derived: list[tuple[tuple[int, ...], ...]] = []
+    for walks in systems:
+        for i, walk in enumerate(walks):
+            where: dict[int, list[int]] = {}
+            for p, v in enumerate(walk):
+                if s >> v & 1:
+                    where.setdefault(v, []).append(p)
+            if len(where) < k:
+                continue
+            rest_before, rest_after = walks[:i], walks[i + 1 :]
+            for corners in product(*where.values()):
+                ps = sorted(corners)
+                pieces = tuple(
+                    walk[a : b + 1] + (new,) for a, b in zip(ps, ps[1:])
+                ) + (walk[ps[-1] :] + walk[: ps[0] + 1] + (new,),)
+                derived.append(rest_before + pieces + rest_after)
+    return _embeddings(comp | 1 << new, derived)
+
+
+def _node_embeddings(
+    g: Graph, recipe: _Recipe
+) -> tuple[_Embeddings, ...]:
+    """The embeddings of the components with a cycle of the tree node
+    ``g``, from its recipe: its parent's embeddings and the bitmask ``s``
+    of the neighbours of its new vertex, the last one.
+
+    Components that ``s`` misses are the parent's, unchanged.  When
+    ``s`` lies in one of the parent's components with a cycle, that
+    component's embeddings are split by :func:`_split_faces`, with no
+    search.  Otherwise the new vertex joins several components or
+    hangs on a tree, and its component, if that has a cycle, is
+    searched afresh by :func:`_searched_embeddings`.
+    """
+    inherited, s = recipe
+    if not s:
+        return inherited
+    new = g.n - 1
+    kept = tuple(e for e in inherited if not e[0] & s)
+    met = [e for e in inherited if e[0] & s]
+    if len(met) == 1 and not s & ~met[0][0]:
+        return kept + (_split_faces(met[0], s, new),)
+    bits = g.adj_bits
+    comp = frontier = 1 << new
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        fresh = bits[v] & ~comp
+        comp |= fresh
+        frontier |= fresh
+    edges = [e for e in g.edges if comp >> e[0] & 1]
+    if len(edges) < comp.bit_count():
+        return kept
+    return kept + (_searched_embeddings(edges),)
+
+
 def _cofacial_masks(g: Graph) -> list[tuple[int, list[int]]]:
-    """The cofacial masks of a planar graph.
+    """The cofacial masks of a planar graph, searched from scratch.
 
     One pair per component with a cycle: the component's vertex bitmask
     and the maximal vertex bitmasks of its faces over all of its rotation
     systems.  A tree component has one face, holding all its vertices, so
-    it is left out and nothing is enumerated for it.
+    it is left out and nothing is enumerated for it.  The augmentation
+    tree derives the same masks from its parents
+    (:func:`_node_embeddings`).
     """
     roots = _union_roots(g.n, g.edges)
     spans: dict[int, list[tuple[int, int]]] = {}
@@ -421,21 +559,9 @@ def _cofacial_masks(g: Graph) -> list[tuple[int, list[int]]]:
         spans.setdefault(roots[e[0]], []).append(e)
     masks: list[tuple[int, list[int]]] = []
     for edges in spans.values():
-        verts = sorted({v for e in edges for v in e})
-        if len(edges) < len(verts):
-            continue
-        faces: set[int] = set()
-        for system in _rotation_systems(Graph.spanned_by(edges)):
-            for walk in _dart_faces(system)[1]:
-                bits = 0
-                for v in walk:
-                    bits |= 1 << verts[v]
-                faces.add(bits)
-        maximal: list[int] = []
-        for f in sorted(faces, key=int.bit_count, reverse=True):
-            if all(f & ~kept for kept in maximal):
-                maximal.append(f)
-        masks.append((sum(1 << v for v in verts), maximal))
+        if len(edges) >= len({v for e in edges for v in e}):
+            comp, _, maximal = _searched_embeddings(edges)
+            masks.append((comp, maximal))
     return masks
 
 
@@ -497,7 +623,7 @@ def _graphs_of_order(tree: _Augmentation, connected: bool) -> Iterator[Graph]:
         nodes = next(levels)
     if n > 1:  # order n streams: held whole, order 9 quadruples the peak RSS
         nodes = (child for parent in nodes for child in tree.children(parent))
-    for g, perm, _ in nodes:
+    for g, perm, _, _ in nodes:
         if not connected or g.is_connected():
             yield g.relabeled(perm)
 
@@ -676,8 +802,10 @@ def _solve(
     for n in range(1, max_n + 1):
         seed = max(_seed_bound(n, spec), _extension_bound(maximizers, n, spec))
         tree = _Augmentation(n, planar=True, spec=spec, seed=seed)
-        levels = list(tree.levels(workers if n == max_n else 1))
-        final = [(g, perm) for g, perm, _ in levels[-1] if g.is_connected()]
+        enumerated = 0
+        for level in tree.levels(workers if n == max_n else 1):
+            enumerated += len(level)
+        final = [(g, perm) for g, perm, _, _ in level if g.is_connected()]
         best = max((g.m for g, _ in final), default=-1)
         if best < 0:
             raise SearchError(
@@ -694,7 +822,7 @@ def _solve(
             pattern=spec.name,
             ex=best,
             witnesses=tuple(sorted(graph6_encode(g).decode() for g in maximizers)),
-            enumerated=sum(map(len, levels)),
+            enumerated=enumerated,
             rejected=tree.rejected,
             elapsed_ms=int((time.monotonic() - start) * 1000),
             bound_name=bound_name,
@@ -720,7 +848,8 @@ def exact_planar_turan_orders(
         workers: Static shares per level of the order-``max_n`` tree,
             expanded in parallel when > 1; the lower orders run in this
             process.  Results are identical for every value.
-        ceiling: Enumeration ceiling; defaults to :data:`DEFAULT_CEILING`.
+        ceiling: Enumeration ceiling; defaults to
+            :data:`ORACLE_DEFAULT_CEILING`.
 
     Raises:
         CeilingExceededError: If ``max_n`` exceeds the ceiling.
@@ -728,7 +857,7 @@ def exact_planar_turan_orders(
             a bridge, all raised by this call; and when the pass reaches
             an order with no connected pattern-free planar graph.
     """
-    limit = DEFAULT_CEILING if ceiling is None else ceiling
+    limit = ORACLE_DEFAULT_CEILING if ceiling is None else ceiling
     if max_n < 1:
         raise SearchError("order must be at least 1")
     if max_n > limit:
@@ -1212,7 +1341,7 @@ def certify_solid_tbs_direct(
         raise SearchError("max_order must be at least 3")
     tree = _Augmentation(max_order, planar=True, spec=as_pattern(pattern))
     forms: dict[int, set[str]] = {k: set() for k in range(3, max_order + 1)}
-    for g, perm, _ in chain.from_iterable(tree.levels()):
+    for g, perm, _, _ in chain.from_iterable(tree.levels()):
         if g.n < 3 or not g.is_connected():
             continue
         g = g.relabeled(perm)

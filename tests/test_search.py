@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -17,9 +18,11 @@ from ptl.decomposition import decompose
 from ptl.embedding import (
     Graph,
     PlaneGraph,
+    _dart_faces,
     _least_plane_code,
     _min_rotation,
     _orbit_partition,
+    _union_roots,
     canonical_data,
     canonical_form,
     canonical_labeling,
@@ -38,6 +41,7 @@ from ptl import search
 from ptl.search import (
     DEFAULT_CEILING,
     FATES,
+    ORACLE_DEFAULT_CEILING,
     CeilingExceededError,
     SearchError,
     _ROOT,
@@ -49,7 +53,9 @@ from ptl.search import (
     _edge_potential,
     _grown_children,
     _is_biconnected,
+    _node_embeddings,
     _rotation_systems,
+    _searched_embeddings,
     _solid_outer_faces,
     _sphere_key,
     _subset_reps,
@@ -155,7 +161,7 @@ def test_every_child_has_one_fate():
     nodes = [node for level in tree.levels() for node in level]
     offered = sum(
         len(_subset_reps(g.n, gens, min(map(int.bit_count, g.adj_bits)) + 1))
-        for g, _, gens in nodes
+        for g, _, gens, _ in nodes
         if g.n < 7
     )
     assert set(tree.rejected) == set(FATES)
@@ -168,10 +174,13 @@ class _MaxDegreeAugmentation(_Augmentation):
     reference: the canonical deletion vertex carries the last canonical
     label, so it has maximum degree.  Every subset is offered, and each
     child that passes the degree test, planarity and the pattern test
-    gets a full canonical search; nothing is counted."""
+    gets a full canonical search; nothing is counted.  Planarity is
+    read from :func:`_cofacial_masks`, searched afresh for every parent,
+    so the reference inherits no embeddings and its nodes carry no
+    recipe."""
 
     def children(self, node):
-        g, _, gens = node
+        g, _, gens, _ = node
         new = g.n
         deg = [b.bit_count() for b in g.adj_bits]
         masks = _cofacial_masks(g) if self.planar else None
@@ -192,14 +201,14 @@ class _MaxDegreeAugmentation(_Augmentation):
             target = perm.index(new)
             roots = _orbit_partition(child.n, child_gens)
             if roots[target] == roots[new]:
-                kept.append((child, perm, child_gens))
+                kept.append((child, perm, child_gens, None))
         return kept
 
 
 def _forms_by_order(tree):
     """The canonical graph6 forms of a tree's levels, by order."""
     return {
-        order: [graph6_encode(g.relabeled(perm)) for g, perm, _ in level]
+        order: [graph6_encode(g.relabeled(perm)) for g, perm, _, _ in level]
         for order, level in enumerate(tree.levels(), start=1)
     }
 
@@ -282,6 +291,110 @@ def test_cofacial_masks_agree_with_networkx():
         s = sum(1 << v for v in nbrs)
         assert _cofacial(_cofacial_masks(g), s) is planar
         assert is_planar(g.with_new_vertex(nbrs)) is planar
+
+
+def _face_cycles(systems):
+    """A multiset of rotation systems, each as the sorted least cyclic
+    rotations of its face walks."""
+
+    def least(walk):
+        first = min(walk)
+        if walk.count(first) > 1:
+            return _min_rotation(walk)
+        i = walk.index(first)
+        return walk[i:] + walk[:i]
+
+    return Counter(tuple(sorted(map(least, walks))) for walks in systems)
+
+
+def _cyclic_spans(g):
+    """The edge lists of the components of ``g`` that have a cycle."""
+    roots = _union_roots(g.n, g.edges)
+    spans = {}
+    for e in g.edges:
+        spans.setdefault(roots[e[0]], []).append(e)
+    return [
+        edges
+        for edges in spans.values()
+        if len(edges) >= len({v for e in edges for v in e})
+    ]
+
+
+def _searched_face_cycles(g):
+    """The face cycles of every system of :func:`_rotation_systems` of
+    each component of ``g`` with a cycle, by its vertex bitmask."""
+    out = {}
+    for edges in _cyclic_spans(g):
+        verts = sorted({v for e in edges for v in e})
+        out[sum(1 << v for v in verts)] = _face_cycles(
+            [tuple(verts[v] for v in walk) for walk in _dart_faces(system)[1]]
+            for system in search._rotation_systems(Graph.spanned_by(edges))
+        )
+    return out
+
+
+def _assert_embeddings_searched(g, embeddings):
+    """``embeddings`` are those of ``g``'s components with a cycle: the
+    same systems, mirror images included, as a search finds, and the
+    masks of :func:`_cofacial_masks`."""
+    got = {comp: _face_cycles(systems) for comp, systems, _ in embeddings}
+    assert len(got) == len(embeddings), g.edges
+    assert got == _searched_face_cycles(g), g.edges
+    assert sorted((comp, sorted(faces)) for comp, _, faces in embeddings) == sorted(
+        (comp, sorted(faces)) for comp, faces in _cofacial_masks(g)
+    ), g.edges
+
+
+def test_inherited_embeddings_match_rotation_systems(monkeypatch):
+    # every node of the planar tree to order 8, disconnected ones
+    # included, derives its embeddings from its parent's; the face
+    # cycles and _cofacial_masks read one search per component
+    searched = {}
+
+    def once(g):
+        if g not in searched:
+            searched[g] = _rotation_systems(g)
+        return searched[g]
+
+    monkeypatch.setattr(search, "_rotation_systems", once)
+    tree = _Augmentation(8, planar=True)
+    for level in tree.levels():
+        for g, _, _, recipe in level:
+            embeddings = _node_embeddings(g, recipe)
+            searched.clear()
+            _assert_embeddings_searched(g, embeddings)
+
+
+def test_inherited_embeddings_by_hand():
+    def child(g, nbrs):
+        parent = tuple(map(_searched_embeddings, _cyclic_spans(g)))
+        s = sum(1 << v for v in nbrs)
+        grown = g.with_new_vertex(nbrs)
+        embeddings = _node_embeddings(grown, (parent, s))
+        _assert_embeddings_searched(grown, embeddings)
+        return parent, embeddings
+
+    # a pendant at the cut vertex of two triangles, which the face
+    # around both of them passes twice: one system per occurrence
+    bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    (parent,), (grown,) = child(bowtie, [0])
+    assert any(walk.count(0) == 2 for walks in parent[1] for walk in walks)
+    assert len(grown[1]) == sum(
+        walk.count(0) for walks in parent[1] for walk in walks
+    )
+    # S across two components with cycles, next to one that S misses
+    triangles = Graph.from_edges(
+        9, [(a + i, a + j) for a in (0, 3, 6) for i, j in ((0, 1), (0, 2), (1, 2))]
+    )
+    parent, embeddings = child(triangles, [0, 3])
+    assert embeddings[0] is parent[2] and len(embeddings) == 2
+    # S of two vertices in a tree component closes a cycle; the triangle
+    # that S misses keeps its embeddings
+    path_and_triangle = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5)])
+    (triangle,), embeddings = child(path_and_triangle, [0, 2])
+    assert embeddings[0] is triangle and len(embeddings) == 2
+    # a pendant on a tree stays a tree, so it carries no embeddings
+    assert child(path_and_triangle, [2])[1] == (triangle,)
 
 
 def test_augmentation_needs_no_planarity_test(monkeypatch):
@@ -455,8 +568,14 @@ def test_oracle_refuses_patterns_with_a_bridge():
 
 
 def test_oracle_ceiling():
+    # the oracle has its own default ceiling, above the enumeration's;
+    # the checks run at the call, so order 11 is allowed without a search
+    assert (DEFAULT_CEILING, ORACLE_DEFAULT_CEILING) == (9, 11)
     with pytest.raises(CeilingExceededError):
-        exact_planar_turan(DEFAULT_CEILING + 1, "C3")
+        exact_planar_turan(ORACLE_DEFAULT_CEILING + 1, "C3")
+    exact_planar_turan_orders(ORACLE_DEFAULT_CEILING, "C3")
+    with pytest.raises(CeilingExceededError):
+        next(enumerate_graphs(DEFAULT_CEILING + 1))
     # explicit ceiling overrides the default
     report = exact_planar_turan(4, "C3", ceiling=4)
     assert report.ex == 4
@@ -510,7 +629,7 @@ def test_orders_pass_checks_arguments_when_called(monkeypatch):
     monkeypatch.setattr(search, "_Augmentation", refuse)
     for args, kwargs, error in (
         ((0, "C3"), {}, SearchError),
-        ((DEFAULT_CEILING + 1, "C3"), {}, CeilingExceededError),
+        ((ORACLE_DEFAULT_CEILING + 1, "C3"), {}, CeilingExceededError),
         ((5, "C3"), {"workers": 0}, SearchError),
         ((5, "P4"), {}, SearchError),
     ):
