@@ -39,25 +39,30 @@ are split at one corner per vertex of ``S`` (:func:`_split_faces`), and
 only a component that ``S`` forms by joining components or closing a
 cycle in a tree is searched afresh.
 
+The tree node is the one source of embeddings for the oracle and the
+direct census: the oracle's seed reads each maximizer's masks from its
+node, and the direct census reads each candidate's face walks from its
+node and builds no plane graph.
+
 Rotation systems are searched for by one enumerator,
 :func:`_rotation_systems`, which inserts edges into corners of one
-face; it serves that fallback, :func:`_cofacial_masks` (the masks of
-one graph, searched from scratch) and :func:`plane_embeddings`, which
+face; it serves that fallback and :func:`plane_embeddings`, which
 builds one plane graph per rotation system, for every connected planar
-graph alike (a 3-connected one yields its embedding and its mirror), and
-the direct census and the lemma scans read every embedding from there,
-with no networkx call.  The two component-density scans read each plane
+graph alike (a 3-connected one yields its embedding and its mirror);
+the lemma scans read every embedding from there, with no networkx
+call.  The two component-density scans read each plane
 once, from :func:`_free_planes`, and decompose it once; their hosts come
 from :func:`free_planar_corpus`, so no plane is tested for freeness
 again.
 Every face, of a partial or a complete rotation system, is read from one
-dart-orbit walk, :func:`ptl.embedding._dart_faces`.  The censuses build
-no plane graph only to read faces back: a grown child is tested for
-freeness on its abstract graph before its plane graph is built, and the
-solid outer faces of an embedding come from its 3-faces by one
-union-find.  Only the growth census tells sphere embeddings apart, by
-:func:`_sphere_key`; the direct census checks every embedding and reads
-no plane code, so it stays independent of the census it certifies.
+dart-orbit walk, :func:`ptl.embedding._dart_faces`.  The growth census
+builds no plane graph only to read faces back: a grown child is tested
+for freeness on its abstract graph before its plane graph is built.  In
+both censuses the solid outer faces of an embedding come from its
+3-faces by one union-find.  Only the growth census tells sphere
+embeddings apart, by :func:`_sphere_key`; the direct census checks every
+embedding and reads no plane code, so it stays independent of the census
+it certifies.
 The augmentation tree and the growth census both grow one order at a
 time: each order's nodes are split into static shares, one per worker,
 and the workers return the next order's nodes, as tree nodes or as
@@ -325,8 +330,7 @@ class _Augmentation:
         rejected = self.rejected
         degree_rejects = _degree_rejects(g)
         kept: list[_Node] = []
-        embeddings: tuple[_Embeddings, ...] = ()
-        masks: list[tuple[int, list[int]]] | None = None
+        embeddings: tuple[_Embeddings, ...] | None = None
         # The canonical deletion vertex (the vertex carrying the first
         # canonical label) has minimum degree: canonical search ranks
         # vertices by ascending degree in its first refinement and
@@ -340,10 +344,9 @@ class _Augmentation:
                 rejected["degree"] += 1
                 continue
             if self.planar:
-                if masks is None:
+                if embeddings is None:
                     embeddings = _node_embeddings(g, recipe)
-                    masks = [(comp, faces) for comp, _, faces in embeddings]
-                if not _cofacial(masks, s):
+                if not _cofacial(embeddings, s):
                     rejected["planarity"] += 1
                     continue
             child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
@@ -370,7 +373,7 @@ class _Augmentation:
                 if roots[target] != roots[new]:
                     rejected["mckay"] += 1
                     continue
-            kept.append((child, perm, child_gens, (embeddings, s)))
+            kept.append((child, perm, child_gens, (embeddings or (), s)))
         return kept
 
     def _outside(self, g: Graph) -> bool:
@@ -543,35 +546,15 @@ def _node_embeddings(
     return kept + (_searched_embeddings(edges),)
 
 
-def _cofacial_masks(g: Graph) -> list[tuple[int, list[int]]]:
-    """The cofacial masks of a planar graph, searched from scratch.
-
-    One pair per component with a cycle: the component's vertex bitmask
-    and the maximal vertex bitmasks of its faces over all of its rotation
-    systems.  A tree component has one face, holding all its vertices, so
-    it is left out and nothing is enumerated for it.  The augmentation
-    tree derives the same masks from its parents
-    (:func:`_node_embeddings`).
-    """
-    roots = _union_roots(g.n, g.edges)
-    spans: dict[int, list[tuple[int, int]]] = {}
-    for e in g.edges:
-        spans.setdefault(roots[e[0]], []).append(e)
-    masks: list[tuple[int, list[int]]] = []
-    for edges in spans.values():
-        if len(edges) >= len({v for e in edges for v in e}):
-            comp, _, maximal = _searched_embeddings(edges)
-            masks.append((comp, maximal))
-    return masks
-
-
-def _cofacial(masks: list[tuple[int, list[int]]], s: int) -> bool:
-    """Whether the parent whose :func:`_cofacial_masks` are ``masks``
-    stays planar with a new vertex joined to the vertex bitmask ``s``:
-    within every component it meets, ``s`` lies on one face."""
+def _cofacial(embeddings: Sequence[_Embeddings], s: int) -> bool:
+    """Whether the planar parent whose components with a cycle have the
+    ``embeddings`` stays planar with a new vertex joined to the vertex
+    bitmask ``s``: within every component it meets, ``s`` lies on one
+    face.  A tree component has one face, holding all its vertices, so
+    it has no embeddings and never refuses ``s``."""
     return all(
         not s & comp or any(not s & comp & ~f for f in faces)
-        for comp, faces in masks
+        for comp, _, faces in embeddings
     )
 
 
@@ -764,24 +747,26 @@ def _has_bridge(g: Graph) -> bool:
 
 
 def _extension_bound(
-    maximizers: list[Graph], n: int, spec: PatternSpec
+    maximizers: list[_Node], n: int, spec: PatternSpec
 ) -> int:
     """A verified lower bound for ``ex_P(n, pattern)`` from the order
-    below: the most edges of one of its ``maximizers`` plus one new
-    vertex, kept planar and pattern-free (0 with no maximizer).
+    below: the most edges of one of its ``maximizers``, tree nodes of
+    that order, plus one new vertex, kept planar and pattern-free (0
+    with no maximizer).
 
     A maximizer is connected and pattern-free, so the extension is
     connected, and free unless it contains the pattern through its new
-    vertex; planarity is read from the maximizer's cofacial masks.
-    Neighbourhoods are tried largest first, so each maximizer stops at
-    its best one.
+    vertex; planarity is read from the embeddings the node inherits
+    (:func:`_node_embeddings`), in its own labels, which the bound does
+    not depend on.  Neighbourhoods are tried largest first, so each
+    maximizer stops at its best one.
     """
     best = 0
-    for g in maximizers:
-        masks = _cofacial_masks(g)
+    for g, _, _, recipe in maximizers:
+        embeddings = _node_embeddings(g, recipe)
         for k in range(min(g.n, _planar_cap(n) - g.m), max(best - g.m, 0), -1):
             if any(
-                _cofacial(masks, sum(1 << v for v in nbrs))
+                _cofacial(embeddings, sum(1 << v for v in nbrs))
                 and contains_subgraph_at(g.with_new_vertex(nbrs), spec, g.n)
                 is None
                 for nbrs in combinations(range(g.n), k)
@@ -795,18 +780,19 @@ def _solve(
     max_n: int, spec: PatternSpec, workers: int, start: float
 ) -> Iterator[SearchReport]:
     """The oracle's pass: the report of each order ``1..max_n`` in turn,
-    each seeded from the maximizers of the order below.  Only order
-    ``max_n`` grows at ``workers``; ``elapsed_ms`` runs from ``start``."""
+    each seeded from the maximizer nodes of the order below, which are
+    relabeled only for the witnesses.  Only order ``max_n`` grows at
+    ``workers``; ``elapsed_ms`` runs from ``start``."""
     bound_name = _BOUND_FOR_PATTERN.get(spec.name)
-    maximizers: list[Graph] = []
+    maximizers: list[_Node] = []
     for n in range(1, max_n + 1):
         seed = max(_seed_bound(n, spec), _extension_bound(maximizers, n, spec))
         tree = _Augmentation(n, planar=True, spec=spec, seed=seed)
         enumerated = 0
         for level in tree.levels(workers if n == max_n else 1):
             enumerated += len(level)
-        final = [(g, perm) for g, perm, _, _ in level if g.is_connected()]
-        best = max((g.m for g, _ in final), default=-1)
+        final = [node for node in level if node[0].is_connected()]
+        best = max((node[0].m for node in final), default=-1)
         if best < 0:
             raise SearchError(
                 f"no connected {spec.name}-free planar graph of order {n} exists"
@@ -815,13 +801,16 @@ def _solve(
             raise AssertionError(
                 "exhaustive search missed its own seed construction -- internal error"
             )
-        maximizers = [g.relabeled(perm) for g, perm in final if g.m == best]
+        maximizers = [node for node in final if node[0].m == best]
+        witnesses = sorted(
+            graph6_encode(g.relabeled(perm)).decode() for g, perm, _, _ in maximizers
+        )
         bound = None if bound_name is None else families.bound(n, bound_name)
         yield SearchReport(
             n=n,
             pattern=spec.name,
             ex=best,
-            witnesses=tuple(sorted(graph6_encode(g).decode() for g in maximizers)),
+            witnesses=tuple(witnesses),
             enumerated=enumerated,
             rejected=tree.rejected,
             elapsed_ms=int((time.monotonic() - start) * 1000),
@@ -1071,24 +1060,25 @@ def _sphere_key(rotation: Sequence[Sequence[int]]) -> bytes:
     )
 
 
-def _solid_outer_faces(pg: PlaneGraph) -> list[Face]:
-    """Faces whose designation as outer makes ``pg`` a single spanning
-    solid TB.
+def _solid_outer_faces(faces: Sequence[Face], m: int) -> list[Face]:
+    """The ``faces`` of one rotation system of a connected graph with
+    ``m`` edges whose designation as outer makes that plane graph a
+    single spanning solid TB.
 
     With outer face ``f`` the inner 3-faces are every 3-face but ``f``.
-    They form one block spanning ``pg`` iff every edge lies on one of
-    them and they are chained through shared edges.  Such a block is
-    solid: its plane subgraph is ``pg`` itself, so its holes are the
-    inner faces that are not 3-faces, and none of them is bounded by a
-    3-cycle.  (It is also 2-connected, by ear induction over the chain.)
+    They form one block spanning the plane graph iff every edge lies on
+    one of them and they are chained through shared edges.  Such a block
+    is solid: its plane subgraph is the plane graph itself, so its holes
+    are the inner faces that are not 3-faces, and none of them is bounded
+    by a 3-cycle.  (It is also 2-connected, by ear induction over the
+    chain.)
     """
-    faces = pg.faces()
     triangles = [f for f in faces if f.is_triangle()]
     result: list[Face] = []
     for outer in faces:
         inner = [t for t in triangles if t != outer]
         covered = {e for t in inner for e in t.edge_set}
-        if len(covered) == pg.graph.m and len(_triangle_classes(inner)) == 1:
+        if len(covered) == m and len(_triangle_classes(inner)) == 1:
             result.append(outer)
     return result
 
@@ -1110,7 +1100,7 @@ def _tb_worker(
             key = _sphere_key(child.rotation)
             if key not in seen:
                 seen.add(key)
-                if _solid_outer_faces(child):
+                if _solid_outer_faces(child.faces(), child.m):
                     out.append((key, child))
     return out
 
@@ -1317,11 +1307,13 @@ def certify_solid_tbs_direct(
 
     For every connected pattern-free planar graph of order 3 to
     ``max_order`` (every level of the planar augmentation tree, which
-    keeps only pattern-free children like the oracle's, each graph
-    canonically relabeled as :func:`enumerate_graphs` yields it) that is
-    2-connected and has every edge on a triangle, every sphere embedding
-    is read from :func:`plane_embeddings`, and the graph counts iff some
-    embedding and outer-face choice is a single spanning solid TB.  That
+    keeps only pattern-free children like the oracle's) that is
+    2-connected and has every edge on a triangle, the face walks of
+    every sphere embedding are read from its tree node
+    (:func:`_node_embeddings`, in the node's own labels), and the graph
+    counts iff some embedding and outer-face choice is a single spanning
+    solid TB.  No plane graph is built, and only the recorded graph6 is
+    relabeled canonically, as :func:`enumerate_graphs` yields it.  The
     verdict does not depend on telling embeddings apart, so none is
     skipped as a repeat.  This procedure never uses the growth
     reduction or its sphere keys, so it certifies
@@ -1341,17 +1333,19 @@ def certify_solid_tbs_direct(
         raise SearchError("max_order must be at least 3")
     tree = _Augmentation(max_order, planar=True, spec=as_pattern(pattern))
     forms: dict[int, set[str]] = {k: set() for k in range(3, max_order + 1)}
-    for g, perm, _, _ in chain.from_iterable(tree.levels()):
+    for g, perm, _, recipe in chain.from_iterable(tree.levels()):
         if g.n < 3 or not g.is_connected():
             continue
-        g = g.relabeled(perm)
         bits = g.adj_bits
         if any(not bits[u] & bits[v] for u, v in g.edges):
             continue
         if not _is_biconnected(g):
             continue
-        if any(_solid_outer_faces(pg) for pg in plane_embeddings(g)):
-            forms[g.n].add(graph6_encode(g).decode("ascii"))
+        ((_, systems, _),) = _node_embeddings(g, recipe)
+        if any(
+            _solid_outer_faces([Face(w) for w in walks], g.m) for walks in systems
+        ):
+            forms[g.n].add(graph6_encode(g.relabeled(perm)).decode("ascii"))
     return {k: tuple(sorted(v)) for k, v in forms.items()}
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ptl
-from ptl import cli
+from ptl import cli, families
 from ptl.cli import (
     _append_jsonl,
     _build_parser,
@@ -141,17 +141,20 @@ def test_family_gen_json_embedding(capsys, tmp_path):
     assert pg.n == 17
 
 
-def test_family_gen_reports_the_freeness_test(capsys, tmp_path, monkeypatch):
-    # the freeness row prints what is_free says, and a failed row exits 1
-    monkeypatch.setattr(cli, "is_free", lambda graph, pattern: False)
-    code, out, _ = run(
+def test_family_gen_refuses_a_failed_self_check(capsys, tmp_path, monkeypatch):
+    # the construction tests its own freeness; a failure is a usage error
+    # that prints the FamilyError and writes no file
+    monkeypatch.setattr(families, "is_free", lambda graph, pattern: False)
+    code, out, err = run(
         capsys, "family", "gen", "--name", "k2_plus_matching",
         "--param", "n=10", "--out", str(tmp_path),
     )
-    assert code == 1
-    row = next(line for line in out.splitlines() if "H6-free" in line)
-    assert row.split()[1:] == ["expected=yes", "actual=no", "fail"]
-    assert "planar embedding" not in out
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: k2_plus_matching({'n': 10}): graph contains a copy of H6\n"
+    )
+    assert not any(tmp_path.iterdir())
 
 
 def test_family_gen_bad_params(capsys, tmp_path):

@@ -48,7 +48,6 @@ from ptl.search import (
     _Augmentation,
     _arc_runs_ok,
     _cofacial,
-    _cofacial_masks,
     _degree_rejects,
     _edge_potential,
     _grown_children,
@@ -175,21 +174,21 @@ class _MaxDegreeAugmentation(_Augmentation):
     label, so it has maximum degree.  Every subset is offered, and each
     child that passes the degree test, planarity and the pattern test
     gets a full canonical search; nothing is counted.  Planarity is
-    read from :func:`_cofacial_masks`, searched afresh for every parent,
-    so the reference inherits no embeddings and its nodes carry no
-    recipe."""
+    read from :func:`_reference_embeddings`, searched afresh for every
+    parent, so the reference inherits no embeddings and its nodes carry
+    no recipe."""
 
     def children(self, node):
         g, _, gens, _ = node
         new = g.n
         deg = [b.bit_count() for b in g.adj_bits]
-        masks = _cofacial_masks(g) if self.planar else None
+        embeddings = _reference_embeddings(g) if self.planar else None
         kept = []
         for s in _subset_reps(new, gens, new):
             k = s.bit_count()
             if k < max(deg) or any(s >> v & 1 and deg[v] >= k for v in range(new)):
                 continue
-            if self.planar and not _cofacial(masks, s):
+            if self.planar and not _cofacial(embeddings, s):
                 continue
             child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
             if (
@@ -275,11 +274,11 @@ def test_cofacial_masks_agree_with_networkx():
     # new vertex joined to every subset of its vertices
     for n in range(1, 7):
         for g in enumerate_graphs(n, planar=True):
-            masks = _cofacial_masks(g)
+            embeddings = _reference_embeddings(g)
             for s in range(1 << n):
                 nbrs = [v for v in range(n) if s >> v & 1]
                 child = g.with_new_vertex(nbrs)
-                assert _cofacial(masks, s) == is_planar(child), (g.edges, nbrs)
+                assert _cofacial(embeddings, s) == is_planar(child), (g.edges, nbrs)
     k4 = Graph.complete(4)
     k23 = Graph.from_edges(5, [(u, w) for u in (0, 1) for w in (2, 3, 4)])
     forest = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5)])
@@ -289,7 +288,7 @@ def test_cofacial_masks_agree_with_networkx():
         (forest, (1, 2, 3, 5, 6), True),  # meets all three trees
     ):
         s = sum(1 << v for v in nbrs)
-        assert _cofacial(_cofacial_masks(g), s) is planar
+        assert _cofacial(_reference_embeddings(g), s) is planar
         assert is_planar(g.with_new_vertex(nbrs)) is planar
 
 
@@ -320,6 +319,13 @@ def _cyclic_spans(g):
     ]
 
 
+def _reference_embeddings(g):
+    """The embeddings of the components of ``g`` with a cycle, each
+    searched from scratch by :func:`_rotation_systems`: the reference
+    for those the tree inherits."""
+    return tuple(map(_searched_embeddings, _cyclic_spans(g)))
+
+
 def _searched_face_cycles(g):
     """The face cycles of every system of :func:`_rotation_systems` of
     each component of ``g`` with a cycle, by its vertex bitmask."""
@@ -336,19 +342,19 @@ def _searched_face_cycles(g):
 def _assert_embeddings_searched(g, embeddings):
     """``embeddings`` are those of ``g``'s components with a cycle: the
     same systems, mirror images included, as a search finds, and the
-    masks of :func:`_cofacial_masks`."""
+    masks of :func:`_reference_embeddings`."""
     got = {comp: _face_cycles(systems) for comp, systems, _ in embeddings}
     assert len(got) == len(embeddings), g.edges
     assert got == _searched_face_cycles(g), g.edges
     assert sorted((comp, sorted(faces)) for comp, _, faces in embeddings) == sorted(
-        (comp, sorted(faces)) for comp, faces in _cofacial_masks(g)
+        (comp, sorted(faces)) for comp, _, faces in _reference_embeddings(g)
     ), g.edges
 
 
 def test_inherited_embeddings_match_rotation_systems(monkeypatch):
     # every node of the planar tree to order 8, disconnected ones
     # included, derives its embeddings from its parent's; the face
-    # cycles and _cofacial_masks read one search per component
+    # cycles and the reference masks read one search per component
     searched = {}
 
     def once(g):
@@ -367,7 +373,7 @@ def test_inherited_embeddings_match_rotation_systems(monkeypatch):
 
 def test_inherited_embeddings_by_hand():
     def child(g, nbrs):
-        parent = tuple(map(_searched_embeddings, _cyclic_spans(g)))
+        parent = _reference_embeddings(g)
         s = sum(1 << v for v in nbrs)
         grown = g.with_new_vertex(nbrs)
         embeddings = _node_embeddings(grown, (parent, s))
@@ -499,7 +505,8 @@ def test_extension_seed_is_a_lower_bound():
     # one vertex added to a maximizer of the order below; at these orders
     # the constructions of _seed_bound beat it only for H4 at 6 and 8, H3
     # at 5 and W5 at 6, and the better of the two reaches ex everywhere
-    # but for H3 at 7 and 8
+    # but for H3 at 7 and 8.  Each witness is a node whose recipe holds
+    # its searched embeddings and no new vertex, so they pass unchanged
     beaten = {(6, "H4"), (8, "H4"), (5, "H3"), (6, "W5")}
     below = {(7, "H3"), (8, "H3")}
     for pattern in ("C3", "C4", "Theta4", "H4", "H5", "H6", "H3", "W5"):
@@ -508,7 +515,8 @@ def test_extension_seed_is_a_lower_bound():
         for n in range(2, 9):
             ex = reports[n - 1].ex
             maximizers = [
-                graph6_decode(form) for form in reports[n - 2].witnesses
+                (g, tuple(range(g.n)), [], (_reference_embeddings(g), 0))
+                for g in map(graph6_decode, reports[n - 2].witnesses)
             ]
             seed = search._extension_bound(maximizers, n, spec)
             built = search._seed_bound(n, spec)
@@ -763,6 +771,25 @@ def test_direct_census_walks_only_free_graphs(monkeypatch):
         assert direct == {k: found[k] for k in range(3, 8)}
 
 
+def test_direct_census_reads_embeddings_from_the_tree(monkeypatch):
+    # every candidate's face walks come from its tree node: no rotation
+    # system is searched for by plane_embeddings, and no plane graph is
+    # built
+    grown = {
+        pattern: enumerate_solid_tbs(7, pattern).found
+        for pattern in ("H4", "H5")
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct census built a plane graph")
+
+    monkeypatch.setattr(search, "plane_embeddings", refuse)
+    monkeypatch.setattr(PlaneGraph, "build", refuse)
+    for pattern, found in grown.items():
+        direct = certify_solid_tbs_direct(7, pattern)
+        assert direct == {k: found[k] for k in range(3, 8)}
+
+
 def test_direct_census_order_limit():
     with pytest.raises(SearchError, match="orders <= 9"):
         certify_solid_tbs_direct(10, "H5")
@@ -853,7 +880,7 @@ def test_solid_outer_faces_match_decompose_definition():
     for n in range(1, 8):
         for g in enumerate_graphs(n, connected=True, planar=True):
             for pg in plane_embeddings(g):
-                faces = _solid_outer_faces(pg)
+                faces = _solid_outer_faces(pg.faces(), pg.m)
                 assert faces == _reference_solid_outer_faces(pg), pg.rotation
                 solid += bool(faces)
     # 3-connected graphs count twice: their embedding and its mirror
@@ -940,8 +967,10 @@ def test_embeddings_match_brute_force_small():
 
 
 def test_embeddings_match_brute_force_direct_candidates_order_7():
-    # the graphs certify_solid_tbs_direct(7, H4|H5) enumerates rotation
-    # systems for: 2- but not 3-connected, every edge on a triangle
+    # _rotation_systems arbitrates the face walks that the tree nodes
+    # inherit, so it is pinned against brute force on the candidates of
+    # certify_solid_tbs_direct(7, H4|H5) that are not 3-connected: 2-
+    # connected, every edge on a triangle
     specs = [as_pattern("H4"), as_pattern("H5")]
     checked = 0
     for g in enumerate_graphs(7, connected=True, planar=True):
@@ -1091,7 +1120,7 @@ def test_sphere_key_partitions_like_all_darts_key():
             )
             first = {}
             for key, child in zip(keys, children):
-                if _solid_outer_faces(child):
+                if _solid_outer_faces(child.faces(), child.m):
                     first.setdefault(key, child)
             parents = list(first.values())
         assert parents
@@ -1125,10 +1154,6 @@ def test_plane_embeddings_read_only_rotation_systems(monkeypatch):
     def refuse(*args):
         raise AssertionError("plane_embeddings called embed")
 
-    grown = {
-        pattern: enumerate_solid_tbs(7, pattern).found
-        for pattern in ("H4", "H5")
-    }
     monkeypatch.setattr(search, "embed", refuse)
     graphs = [
         g
@@ -1139,9 +1164,6 @@ def test_plane_embeddings_read_only_rotation_systems(monkeypatch):
     for g in graphs:
         rotations = [pg.rotation for pg in plane_embeddings(g)]
         assert rotations == _rotation_systems(g), g.edges
-    for pattern, found in grown.items():
-        direct = certify_solid_tbs_direct(7, pattern)
-        assert direct == {k: found[k] for k in range(3, 8)}
 
 
 def test_plane_embeddings_dedupe():
