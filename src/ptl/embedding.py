@@ -659,6 +659,24 @@ def _dart_faces(
     return face, walks
 
 
+def _walk_rotation(
+    n: int, walks: Iterable[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The rotation system on ``0..n-1`` whose :func:`_dart_faces` walks
+    are ``walks``, the inverse of that tracer: the rotation at ``walk[i]``
+    maps ``walk[i-1]`` to ``walk[i+1]``.  Each rotation starts at its
+    smallest neighbour; a vertex on no walk has none."""
+    succ: list[dict[int, int]] = [{} for _ in range(n)]
+    for walk in walks:
+        for i, v in enumerate(walk):
+            succ[v][walk[i - 1]] = walk[(i + 1) % len(walk)]
+    rotation = [[min(nxt)] if nxt else [] for nxt in succ]
+    for r, nxt in zip(rotation, succ):
+        while len(r) < len(nxt):
+            r.append(nxt[r[-1]])
+    return tuple(map(tuple, rotation))
+
+
 def _trace_faces(
     rotation: Sequence[Sequence[int]],
 ) -> tuple[tuple[Face, ...], list[dict[int, int]]]:

@@ -23,8 +23,8 @@ labeling and automorphism generators decide McKay's test, give the
 child's subset orbits as a parent and relabel it when yielded.  The
 tree is plain data with one traversal, :meth:`_Augmentation.levels`,
 which grows it one order at a time.  The oracle, the direct census and
-:func:`free_planar_corpus` take only pattern-free graphs: the tree
-drops a child that contains the pattern through its new vertex.
+the lemma scans take only pattern-free graphs: the tree drops a child
+that contains the pattern through its new vertex.
 Planarity needs no graph test per child.  If ``G`` is planar and a new
 vertex joins the set ``S``, then ``G`` plus that vertex is planar iff every
 component of ``G`` that ``S`` meets has some plane embedding with its
@@ -39,21 +39,20 @@ are split at one corner per vertex of ``S`` (:func:`_split_faces`), and
 only a component that ``S`` forms by joining components or closing a
 cycle in a tree is searched afresh.
 
-The tree node is the one source of embeddings for the oracle and the
-direct census: the oracle's seed reads each maximizer's masks from its
-node, and the direct census reads each candidate's face walks from its
-node and builds no plane graph.
+The tree node is the one source of embeddings for the oracle, the
+direct census and the lemma scans: the oracle's seed reads each
+maximizer's masks from its node, the direct census reads each
+candidate's face walks from its node and builds no plane graph, and
+:func:`_free_planes` builds the scans one plane graph per system of
+each node of the last order, so no plane is tested for freeness again.
 
 Rotation systems are searched for by one enumerator,
 :func:`_rotation_systems`, which inserts edges into corners of one
 face; it serves that fallback and :func:`plane_embeddings`, which
 builds one plane graph per rotation system, for every connected planar
-graph alike (a 3-connected one yields its embedding and its mirror);
-the lemma scans read every embedding from there, with no networkx
-call.  The two component-density scans read each plane
-once, from :func:`_free_planes`, and decompose it once; their hosts come
-from :func:`free_planar_corpus`, so no plane is tested for freeness
-again.
+graph alike (a 3-connected one yields its embedding and its mirror),
+and is the tests' slow arbiter for the lemma scans; neither calls
+networkx.  The two component-density scans decompose each plane once.
 Every face, of a partial or a complete rotation system, is read from one
 dart-orbit walk, :func:`ptl.embedding._dart_faces`.  The growth census
 builds no plane graph only to read faces back: a grown child is tested
@@ -111,6 +110,7 @@ from .embedding import (
     _orbit_partition,
     _refine_cells,
     _union_roots,
+    _walk_rotation,
     canonical_data,
     canonical_form,
     embed,
@@ -131,7 +131,6 @@ __all__ = [
     "enumerate_solid_tbs",
     "exact_planar_turan",
     "exact_planar_turan_orders",
-    "free_planar_corpus",
     "naive_planar_turan",
     "outer_variants",
     "plane_embeddings",
@@ -152,7 +151,7 @@ class CeilingExceededError(SearchError):
     """Requested order exceeds the configured enumeration ceiling."""
 
 
-#: Order ceiling of :func:`enumerate_graphs` and :func:`free_planar_corpus`.
+#: Order ceiling of :func:`enumerate_graphs` and the lemma scans.
 DEFAULT_CEILING = 9
 
 #: Default order ceiling of :func:`exact_planar_turan` and
@@ -248,17 +247,17 @@ def _degree_rejects(g: Graph) -> Callable[[int], bool]:
 
     That holds iff some vertex outside ``s`` has degree below ``|s|``, or
     some vertex of ``s`` has degree below ``|s| - 1`` (it gains the new
-    vertex as a neighbour).
+    vertex as a neighbour).  So with ``delta`` the parent's minimum
+    degree, it holds for ``delta + 1`` vertices iff ``s`` misses a vertex
+    of degree ``delta``, for more always, and for fewer never.
     """
     deg = [b.bit_count() for b in g.adj_bits]
-    # below[k]: the vertices of degree below k
-    below = [
-        sum(1 << v for v in range(g.n) if deg[v] < k) for k in range(g.n + 1)
-    ]
+    delta = min(deg)
+    least = sum(1 << v for v, d in enumerate(deg) if d == delta)
 
     def rejects(s: int) -> bool:
         k = s.bit_count()
-        return bool(below[k] & ~s) or k > 0 and bool(below[k - 1] & s)
+        return k > delta and (k > delta + 1 or bool(least & ~s))
 
     return rejects
 
@@ -587,12 +586,15 @@ def enumerate_graphs(
         CeilingExceededError: If ``n`` exceeds :data:`DEFAULT_CEILING`.
         SearchError: If ``n < 1``.
     """
-    yield from _graphs_of_order(_Augmentation(n, planar=planar), connected)
+    for g, perm, _, _ in _last_level(_Augmentation(n, planar=planar)):
+        if not connected or g.is_connected():
+            yield g.relabeled(perm)
 
 
-def _graphs_of_order(tree: _Augmentation, connected: bool) -> Iterator[Graph]:
-    """The canonically relabeled graphs of order ``tree.limit`` in
-    ``tree``, as :func:`enumerate_graphs` documents them."""
+def _last_level(tree: _Augmentation) -> Iterable[_Node]:
+    """The kept nodes of order ``tree.limit``, in preorder, streamed from
+    the order below; the order is checked as :func:`enumerate_graphs`
+    documents."""
     n = tree.limit
     if n < 1:
         raise SearchError("order must be at least 1")
@@ -606,9 +608,7 @@ def _graphs_of_order(tree: _Augmentation, connected: bool) -> Iterator[Graph]:
         nodes = next(levels)
     if n > 1:  # order n streams: held whole, order 9 quadruples the peak RSS
         nodes = (child for parent in nodes for child in tree.children(parent))
-    for g, perm, _, _ in nodes:
-        if not connected or g.is_connected():
-            yield g.relabeled(perm)
+    return nodes
 
 
 # =========================================================================
@@ -1334,12 +1334,8 @@ def certify_solid_tbs_direct(
     tree = _Augmentation(max_order, planar=True, spec=as_pattern(pattern))
     forms: dict[int, set[str]] = {k: set() for k in range(3, max_order + 1)}
     for g, perm, _, recipe in chain.from_iterable(tree.levels()):
-        if g.n < 3 or not g.is_connected():
-            continue
         bits = g.adj_bits
-        if any(not bits[u] & bits[v] for u, v in g.edges):
-            continue
-        if not _is_biconnected(g):
+        if any(not bits[u] & bits[v] for u, v in g.edges) or not _is_biconnected(g):
             continue
         ((_, systems, _),) = _node_embeddings(g, recipe)
         if any(
@@ -1354,44 +1350,17 @@ def certify_solid_tbs_direct(
 # =========================================================================
 
 
-def free_planar_corpus(
-    n: int, pattern: "PatternSpec | Graph | str"
-) -> tuple[Graph, ...]:
-    """All connected pattern-free planar graphs of order ``n``, up to
-    isomorphism.
-
-    The augmentation tree drops every child that contains the pattern
-    through its new vertex, and the root if it contains the pattern, so
-    only free graphs are grown.
-
-    Connected graphs suffice for laws quantified over components: a
-    triangular component, and likewise a theta configuration, lives
-    inside one connectivity component, and material nested in another
-    component's face can only remove host 3-faces.
-
-    Args:
-        n: Order of the corpus members.
-        pattern: The pattern every member must avoid.
-
-    Raises:
-        CeilingExceededError: If ``n`` exceeds :data:`DEFAULT_CEILING`.
-        SearchError: If ``n < 1``.
-    """
-    tree = _Augmentation(n, planar=True, spec=as_pattern(pattern))
-    return tuple(_graphs_of_order(tree, connected=True))
-
-
 def plane_embeddings(g: Graph) -> Iterator[PlaneGraph]:
     """Every sphere embedding of a connected planar graph.
 
     One per rotation system of :func:`_rotation_systems`, once each, in
     sorted rotation order, whatever the connectivity of ``g``: a
     3-connected graph yields its embedding and its mirror image.
-    Embeddings equal up to isomorphism or reflection are all yielded;
-    the laws checked on them do not depend on the embedding's labels or
-    handedness.  The outer face of the yielded graphs is arbitrary --
-    callers that care about the inner/outer distinction should fan out
-    with :func:`outer_variants`.
+    Embeddings equal up to isomorphism or reflection are all yielded.
+    The outer face of the yielded graphs is arbitrary -- callers that
+    care about the inner/outer distinction should fan out with
+    :func:`outer_variants`.  The lemma scans read their planes from the
+    tree (:func:`_free_planes`); this search is the tests' arbiter.
 
     Args:
         g: Connected planar graph.
@@ -1533,41 +1502,56 @@ def verify_theta_pair_laws(
 def _free_planes(
     pattern: str, orders: Iterable[int], keep: Callable[[Graph], bool]
 ) -> Iterator[PlaneGraph]:
-    """Every sphere embedding, with each face in turn as the outer face,
-    of every graph of :func:`free_planar_corpus` at ``orders`` that
-    ``keep`` accepts.  The corpus grows only pattern-free graphs, so the
-    planes need no freeness test."""
+    """Every sphere embedding, one per rotation system, of every
+    connected pattern-free planar graph with a cycle at ``orders`` that
+    ``keep`` accepts, in the labels of its node of :func:`_last_level`.
+
+    The tree grows only pattern-free graphs, so no plane is tested for
+    freeness, and each rotation is read back by
+    :func:`ptl.embedding._walk_rotation` from the face walks that the
+    node inherits (:func:`_node_embeddings`).  A tree has none and is
+    skipped: it has no 3-face, so no lemma says anything about it.
+    Connected graphs suffice for laws quantified over components: a
+    triangular component, and likewise a theta configuration, lives
+    inside one connectivity component, and material nested in another
+    component's face can only remove host 3-faces.
+    """
+    spec = as_pattern(pattern)
     for n in orders:
-        for g in free_planar_corpus(n, pattern):
-            if keep(g):
-                for pg in plane_embeddings(g):
-                    yield from outer_variants(pg)
+        tree = _Augmentation(n, planar=True, spec=spec)
+        for g, _, _, recipe in _last_level(tree):
+            if g.is_connected() and keep(g):
+                for _, systems, _ in _node_embeddings(g, recipe):
+                    for walks in systems:
+                        yield PlaneGraph.build(g, _walk_rotation(g.n, walks))
+
+
+def _on_triangles(g: Graph) -> bool:
+    """Whether every vertex of ``g`` lies on a triangle."""
+    bits = g.adj_bits
+    covered = 0
+    for u, v in g.edges:
+        if bits[u] & bits[v]:
+            covered |= 1 << u | 1 << v
+    return covered == (1 << g.n) - 1
 
 
 def scan_h4_component_density() -> tuple[str, ...]:
     """Exhaustive order-7 scan of the H4 component-density law.
 
-    Decomposes every plane of :func:`_free_planes` once: all sphere
-    embeddings and outer faces of every connected H4-free planar graph on
-    7 vertices whose vertices all lie on triangles (a component of order
-    >= 7 in a 7-vertex host spans it, and every component vertex lies on
-    a 3-face).  Every component of order >= 7 is checked against the
-    ``(6|D|-12)/(5|D|)`` limit.  The lemma exempts the antiprisms B15(8)
-    and B15(10), which have 8 and 10 vertices and so cannot be a
-    component of a 7-vertex host; a scan raised to order 8 or more must
-    exempt them again.  Expected empty.
+    Decomposes every plane once: each sphere embedding of
+    :func:`_free_planes` with each face in turn outer, of every connected
+    H4-free planar graph on 7 vertices whose vertices all lie on
+    triangles (a component of order >= 7 in a 7-vertex host spans it,
+    and every component vertex lies on a 3-face).  Every component of
+    order >= 7 is checked against the ``(6|D|-12)/(5|D|)`` limit.  The
+    lemma exempts the antiprisms B15(8) and B15(10), which have 8 and 10
+    vertices and so cannot be a component of a 7-vertex host; a scan
+    raised to order 8 or more must exempt them again.  Expected empty.
     """
-
-    def on_triangles(g: Graph) -> bool:
-        bits = g.adj_bits
-        covered = 0
-        for u, v in g.edges:
-            if bits[u] & bits[v]:
-                covered |= 1 << u | 1 << v
-        return covered == (1 << g.n) - 1
-
     violations: list[str] = []
-    for idx, pg in enumerate(_free_planes("H4", (7,), on_triangles)):
+    planes = _free_planes("H4", (7,), _on_triangles)
+    for idx, pg in enumerate(chain.from_iterable(map(outer_variants, planes))):
         for comp in decompose(pg).components:
             size = len(comp.vertices)
             if size < 7:
@@ -1585,11 +1569,11 @@ def scan_h4_component_density() -> tuple[str, ...]:
 def scan_h5_component_density() -> tuple[tuple[str, ...], int]:
     """Exhaustive scan of the H5 component-density law at orders 3-6.
 
-    Decomposes every plane of :func:`_free_planes` once: all sphere
-    embeddings and outer faces of every connected H5-free planar graph
-    with 3 to 6 vertices.  A triangular component of density above 1 is
-    a violation; one of density exactly 1 is counted and must be a B5 or
-    B2p copy.
+    Decomposes every plane once: each sphere embedding of
+    :func:`_free_planes` with each face in turn outer, of every connected
+    H5-free planar graph with a cycle and 3 to 6 vertices.  A triangular
+    component of density above 1 is a violation; one of density exactly
+    1 is counted and must be a B5 or B2p copy.
 
     Returns:
         The violations (expected empty) and the number of density-1
@@ -1602,7 +1586,8 @@ def scan_h5_component_density() -> tuple[tuple[str, ...], int]:
     }
     violations: list[str] = []
     hits = 0
-    for idx, pg in enumerate(_free_planes("H5", range(3, 7), lambda g: True)):
+    planes = _free_planes("H5", range(3, 7), lambda g: True)
+    for idx, pg in enumerate(chain.from_iterable(map(outer_variants, planes))):
         for comp in decompose(pg).components:
             if comp.density < 1:
                 continue
@@ -1629,17 +1614,13 @@ def scan_theta_pairs() -> tuple[str, ...]:
     Covers every connected C3|Theta4-free planar graph with 4 to 7
     vertices that has at least two edges on two abstract triangles (an
     ``E_I`` edge lies on two 3-faces, so graphs below that threshold have
-    no pairs), over every sphere embedding of :func:`plane_embeddings`.
-    The laws are outer-face independent, so no outer fanout is needed.
-    Expected empty.
+    no pairs, and each such graph has a cycle), over every sphere
+    embedding of :func:`_free_planes`.  The laws are outer-face
+    independent, so no outer fanout is needed.  Expected empty.
     """
-    violations: list[str] = []
-    for n in range(4, 8):
-        for g in free_planar_corpus(n, "C3|Theta4"):
-            bits = g.adj_bits
-            if sum(
-                (bits[u] & bits[v]).bit_count() >= 2 for u, v in g.edges
-            ) < 2:
-                continue
-            violations.extend(verify_theta_pair_laws(plane_embeddings(g)))
-    return tuple(violations)
+
+    def has_pairs(g: Graph) -> bool:
+        bits = g.adj_bits
+        return sum((bits[u] & bits[v]).bit_count() >= 2 for u, v in g.edges) >= 2
+
+    return verify_theta_pair_laws(_free_planes("C3|Theta4", range(4, 8), has_pairs))

@@ -15,6 +15,7 @@ import pytest
 
 from ptl import families, search
 from ptl.embedding import PlaneGraph
+from ptl.patterns import is_free
 
 PATTERNS = ("C3", "Theta4", "H4", "H5", "H6")
 
@@ -308,9 +309,10 @@ def _identity_corpora():
     for pattern in PATTERNS:
         exhaustive: list[PlaneGraph] = []
         for n in range(3, 7):
-            for g in search.free_planar_corpus(n, pattern):
-                for pg in search.plane_embeddings(g):
-                    exhaustive.extend(search.outer_variants(pg))
+            for g in search.enumerate_graphs(n, connected=True, planar=True):
+                if is_free(g, pattern):
+                    for pg in search.plane_embeddings(g):
+                        exhaustive.extend(search.outer_variants(pg))
         yield f"{pattern}-free corpus n<=6", exhaustive
 
     yield "random planar", search.random_plane_corpus(

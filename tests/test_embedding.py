@@ -15,8 +15,10 @@ from ptl.embedding import (
     NonPlanarError,
     PlaneGraph,
     _CanonState,
+    _dart_faces,
     _orbit_partition,
     _refine_cells,
+    _walk_rotation,
     automorphism_generators,
     canonical_data,
     canonical_form,
@@ -450,6 +452,15 @@ def test_faces_match_reference_tracer():
                         assert pg.faces_of_edge((u, v)) == sides
                     checked += 1
     assert checked == 2 * 778
+
+
+def test_walk_rotation_inverts_dart_faces():
+    # every rotation system of every connected planar graph with n <= 7
+    # comes back from its face walks
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected=True, planar=True):
+            for system in _rotation_systems(g):
+                assert _walk_rotation(n, _dart_faces(system)[1]) == system
 
 
 def test_build_validates_euler():

@@ -50,9 +50,12 @@ from ptl.search import (
     _cofacial,
     _degree_rejects,
     _edge_potential,
+    _free_planes,
     _grown_children,
     _is_biconnected,
+    _last_level,
     _node_embeddings,
+    _on_triangles,
     _rotation_systems,
     _searched_embeddings,
     _solid_outer_faces,
@@ -63,7 +66,6 @@ from ptl.search import (
     enumerate_solid_tbs,
     exact_planar_turan,
     exact_planar_turan_orders,
-    free_planar_corpus,
     naive_planar_turan,
     outer_variants,
     plane_embeddings,
@@ -548,7 +550,8 @@ def test_one_vertex_patterns_leave_no_free_graph():
             assert naive_planar_turan(n, pattern) == (-1, frozenset())
             with pytest.raises(SearchError, match="no connected"):
                 exact_planar_turan(n, pattern)
-        assert free_planar_corpus(1, pattern) == ()
+        tree = _Augmentation(1, planar=True, spec=as_pattern(pattern))
+        assert list(_last_level(tree)) == []
 
 
 def test_oracle_agrees_with_naive_small():
@@ -897,20 +900,80 @@ def test_census_report_round_trip():
 
 # -- corpora -------------------------------------------------------------------
 
-def test_free_planar_corpus():
-    triangle_free = free_planar_corpus(4, "C3")
+def _free_connected(n, pattern):
+    """The connected graphs of the last level of the order-``n`` tree
+    that grows only ``pattern``-free graphs, relabeled canonically."""
+    tree = _Augmentation(n, planar=True, spec=as_pattern(pattern))
+    return [
+        g.relabeled(perm)
+        for g, perm, _, _ in _last_level(tree)
+        if g.is_connected()
+    ]
+
+
+def test_free_last_level():
+    triangle_free = _free_connected(4, "C3")
     assert len(triangle_free) == 3  # P4, K1,3, C4
     assert all(is_free(g, "C3") for g in triangle_free)
 
 
-def test_free_planar_corpus_matches_filtered_enumeration():
+def test_free_last_level_matches_filtered_enumeration():
     # the pruned walk yields the free graphs of the full walk, in order
     for n in range(1, 8):
         every = list(enumerate_graphs(n, connected=True, planar=True))
         for pattern in ("C3", "Theta4", "H4", "H5", "C3|Theta4"):
-            got = [g.edges for g in free_planar_corpus(n, pattern)]
+            got = [g.edges for g in _free_connected(n, pattern)]
             want = [g.edges for g in every if is_free(g, pattern)]
             assert got == want, (n, pattern)
+
+
+def _sphere_multiset(planes):
+    """The planes as a multiset of (canonical form, least plane code of
+    the rotation, not of its mirror, from the darts whose end degrees
+    are least): equal keys mean isomorphic sphere embeddings, with
+    orientation kept."""
+    forms = {}
+    keys = Counter()
+    for pg in planes:
+        if pg.graph not in forms:
+            forms[pg.graph] = canonical_form(pg.graph)
+        deg = [len(r) for r in pg.rotation]
+        ends = {
+            (v, w): (deg[v], deg[w]) for v, r in enumerate(pg.rotation) for w in r
+        }
+        least = min(ends.values())
+        code = min(
+            embedding._bfs_plane_code(pg.rotation, dart)
+            for dart, pair in ends.items()
+            if pair == least
+        )
+        keys[forms[pg.graph], code] += 1
+    return keys
+
+
+def test_free_planes_match_searched_embeddings(monkeypatch):
+    # the tree's planes are the searched ones of every free graph with a
+    # cycle that the scan keeps, each sphere embedding once; no plane is
+    # searched for by plane_embeddings
+    def refuse(g):
+        raise AssertionError("a lemma scan searched for embeddings")
+
+    monkeypatch.setattr(search, "plane_embeddings", refuse)
+    for pattern, orders, keep, count in [
+        ("H5", range(3, 7), lambda g: True, 646),
+        ("H4", (7,), _on_triangles, 442),
+        ("C3|Theta4", range(4, 8), lambda g: True, 8348),
+    ]:
+        got = _sphere_multiset(_free_planes(pattern, orders, keep))
+        want = _sphere_multiset(
+            pg
+            for n in orders
+            for g in enumerate_graphs(n, connected=True, planar=True)
+            if g.m >= g.n and keep(g) and is_free(g, pattern)
+            for pg in plane_embeddings(g)
+        )
+        assert got == want, pattern
+        assert sum(got.values()) == count, pattern
 
 
 def _brute_force_embeddings(g: Graph):
@@ -1213,9 +1276,12 @@ def test_scan_h5_component_density_clean():
     assert equality_hits == 62
 
 
-def _corpus_of(order: int, host: Graph):
-    """A stand-in for ``free_planar_corpus`` holding one host graph."""
-    return lambda n, pattern: (host,) if n == order else ()
+def _level_of(order: int, host: Graph):
+    """A stand-in for ``_last_level`` holding one host graph at ``order``,
+    as a node whose recipe holds its searched embeddings and no new
+    vertex, so the scan's filter and the rotation read-back still run."""
+    node = (host, tuple(range(host.n)), [], (_reference_embeddings(host), 0))
+    return lambda tree: [node] if tree.limit == order else []
 
 
 @pytest.mark.parametrize(
@@ -1226,7 +1292,7 @@ def test_scan_h5_component_density_reports(monkeypatch, block, note):
     # B9 (the octahedron) has density 7/6; B8 has density 1 but is
     # neither B5 nor B2p
     host = catalog_block(block).graph
-    monkeypatch.setattr(search, "free_planar_corpus", _corpus_of(6, host))
+    monkeypatch.setattr(search, "_last_level", _level_of(6, host))
     violations, _ = scan_h5_component_density()
     assert violations and all(note in v for v in violations)
 
@@ -1238,7 +1304,7 @@ def test_scan_h4_component_density_reports(monkeypatch):
     ]
     host = Graph.from_edges(7, octahedron + [(0, 6), (2, 6), (4, 6)])
     assert host.m == 3 * 7 - 6
-    monkeypatch.setattr(search, "free_planar_corpus", _corpus_of(7, host))
+    monkeypatch.setattr(search, "_last_level", _level_of(7, host))
     violations = scan_h4_component_density()
     assert violations
     assert all("above (6|D|-12)/(5|D|) = 6/7" in v for v in violations)
@@ -1263,7 +1329,7 @@ def test_density_scans_decompose_each_plane_once(monkeypatch):
     assert calls[0] == 2440
     calls[0] = 0
     assert scan_h5_component_density() == ((), 62)
-    assert calls[0] == 2508
+    assert calls[0] == 2456
 
 
 def test_theta_scan_tests_each_host_once(monkeypatch):
