@@ -11,10 +11,11 @@ This module is the structural foundation of the package:
 * :class:`PlaneGraph` -- an immutable combinatorial plane embedding: a
   rotation system (clockwise neighbour order around every vertex) plus a
   designated outer face.  Faces are recovered by dart traversal.
-* :func:`embed` -- planarity test and embedding construction (delegates the
-  planarity decision to :mod:`networkx`, everything else is first-party),
-  raising :class:`NonPlanarError` with a Kuratowski witness when the input
-  is not planar.
+* :func:`embed` -- planarity test and embedding construction by Brandes'
+  left-right planarity test (a first-party port of networkx 3.6.1's that
+  gives the same rotations), raising :class:`NonPlanarError` with a
+  Kuratowski witness when the input is not planar; :func:`is_planar` runs
+  the test's verdict alone.
 * :func:`plane_graph_from_positions` -- build a plane graph from straight
   line (or mildly bent) drawing coordinates; used by the generators of the
   fixed catalog drawings.
@@ -913,13 +914,373 @@ def _least_plane_code(
 # =========================================================================
 
 
+# Brandes' left-right planarity test, ported from networkx 3.6.1's
+# ``LRPlanarity`` to vertices ``0..n-1``.  The depth-first orientation
+# numbers the oriented edges ``0..m-1`` in the order it orients them;
+# ``head[e]`` is the head of edge ``e``, and every per-edge table is a list
+# indexed by edge.  A conflict pair is a list ``[left.low, left.high,
+# right.low, right.high]`` of edges; an interval is empty when both of its
+# ends are ``None``.  Traversal orders follow networkx's exactly (adjacency
+# in edge insertion order, stable sorts by nesting depth, roots in vertex
+# order), so the rotations equal ``check_planarity(G).get_data()``.
+
+
+def _lr_orientation(n: int, adj: Sequence[Sequence[int]]) -> tuple:
+    """Orient the graph by depth-first search from each unvisited vertex in
+    turn (networkx's ``dfs_orientation``).
+
+    Returns ``(roots, height, parent, parent_edge, head, out, lowpt,
+    nesting)``: ``parent[v]`` and ``parent_edge[v]`` are ``v``'s parent and
+    the tree edge from it (``-1`` and ``None`` at a root), and ``out[v]``
+    lists the edges oriented out of ``v`` in orientation order.
+    """
+    height = [-1] * n
+    parent = [-1] * n
+    parent_edge: list[int | None] = [None] * n
+    head: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    nesting: list[int] = []
+    roots: list[int] = []
+    ind = [0] * n
+    paused = [False] * n  # v waits on the tree edge to adj[v][ind[v]]
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            nbrs = adj[v]
+            i = ind[v]
+            while i < len(nbrs):
+                w = nbrs[i]
+                if paused[v]:
+                    paused[v] = False
+                    vw = parent_edge[w]
+                elif height[w] > hv or w == parent[v]:
+                    # the parent and every finished descendant of v
+                    # oriented their edge to v already
+                    i += 1
+                    continue
+                else:
+                    vw = len(head)
+                    head.append(w)
+                    out[v].append(vw)
+                    lowpt.append(hv)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    if height[w] < 0:  # tree edge
+                        parent[w] = v
+                        parent_edge[w] = vw
+                        height[w] = hv + 1
+                        paused[v] = True
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt[vw] = height[w]  # back edge
+                low, low2 = lowpt[vw], lowpt2[vw]
+                nesting[vw] = 2 * low + (low2 < hv)
+                if e is not None:
+                    if low < lowpt[e]:
+                        lowpt2[e] = min(lowpt[e], low2)
+                        lowpt[e] = low
+                    elif low > lowpt[e]:
+                        lowpt2[e] = min(lowpt2[e], low)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], low2)
+                i += 1
+            ind[v] = i
+    return roots, height, parent, parent_edge, head, out, lowpt, nesting
+
+
+def _lr_sides(
+    roots: Sequence[int],
+    height: Sequence[int],
+    parent: Sequence[int],
+    parent_edge: Sequence[int | None],
+    head: Sequence[int],
+    ordered: Sequence[Sequence[int]],
+    lowpt: Sequence[int],
+) -> tuple[list[int | None], list[int]] | None:
+    """The testing phase: ``(ref, side)`` of every edge, or ``None`` when
+    the constraints conflict, i.e. the graph is not planar (networkx's
+    ``dfs_testing``, ``add_constraints`` and ``remove_back_edges``).
+    ``ordered[v]`` lists ``v``'s out-edges by nesting depth."""
+    m = len(head)
+    ref: list[int | None] = [None] * m
+    side = [1] * m
+    lowpt_edge: list[int | None] = [None] * m
+    stack_bottom: list[list | None] = [None] * m
+    S: list[list] = []
+
+    def conflicting(low, high, b: int) -> bool:
+        return not (low is None and high is None) and lowpt[high] > lowpt[b]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        P: list = [None, None, None, None]
+        # merge the return edges of ei into P's right interval
+        while True:
+            Q = S.pop()
+            if not (Q[0] is None and Q[1] is None):
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if not (Q[0] is None and Q[1] is None):
+                return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:  # align
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is stack_bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier edges into P's left
+        while conflicting(S[-1][0], S[-1][1], ei) or conflicting(
+            S[-1][2], S[-1][3], ei
+        ):
+            Q = S.pop()
+            if conflicting(Q[2], Q[3], ei):
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+            if conflicting(Q[2], Q[3], ei):
+                return False
+            ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [None, None, None, None]:
+            S.append(P)
+        return True
+
+    def lowest(P: list) -> int:
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e: int, u: int) -> None:
+        hu = height[u]
+        # drop entire conflict pairs
+        while S and lowest(S[-1]) == hu:
+            P = S.pop()
+            if P[0] is not None:
+                side[P[0]] = -1
+        if S:  # trim the next one
+            P = S[-1]
+            while P[1] is not None and head[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] is None and P[0] is not None:  # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and head[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] is None and P[2] is not None:  # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+        # the side of e is the side of a highest return edge
+        if lowpt[e] < hu:
+            hl, hr = S[-1][1], S[-1][3]
+            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    ind = [0] * len(ordered)
+    paused = [False] * len(ordered)  # as in _lr_orientation
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            edges = ordered[v]
+            i = ind[v]
+            while i < len(edges):
+                ei = edges[i]
+                if paused[v]:
+                    paused[v] = False
+                else:
+                    stack_bottom[ei] = S[-1] if S else None
+                    w = head[ei]
+                    if ei == parent_edge[w]:  # tree edge
+                        paused[v] = True
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt_edge[ei] = ei  # back edge
+                    S.append([None, None, ei, ei])
+                if lowpt[ei] < hv:  # integrate the new return edges
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None
+                i += 1
+            ind[v] = i
+            if not paused[v] and e is not None:
+                remove_back_edges(e, parent[v])
+    return ref, side
+
+
+def _lr_rotation(
+    roots: Sequence[int],
+    parent_edge: Sequence[int | None],
+    head: Sequence[int],
+    out: Sequence[Sequence[int]],
+    nesting: list[int],
+    ref: list[int | None],
+    side: list[int],
+) -> list[tuple[int, ...]]:
+    """The clockwise rotation system of a graph that passed the test
+    (networkx's ``sign``, ``dfs_embedding`` and the half-edge bookkeeping
+    of ``PlanarEmbedding``, whose ``get_data`` it returns)."""
+    n = len(out)
+    for e in range(len(head)):  # resolve each side along its ref chain
+        chain, x = [], e
+        while ref[x] is not None:
+            chain.append(x)
+            x = ref[x]
+        s = side[x]
+        for y in reversed(chain):
+            s = side[y] = side[y] * s
+            ref[y] = None
+    for e, s in enumerate(side):
+        nesting[e] *= s
+    ordered = [sorted(edges, key=nesting.__getitem__) for edges in out]
+
+    # The half-edges out of v: cw[v][w] and ccw[v][w] are the neighbours
+    # after w clockwise and counterclockwise, first[v] is the leftmost one,
+    # where networkx's rotation at v starts.
+    cw: list[dict[int, int]] = [{} for _ in range(n)]
+    ccw: list[dict[int, int]] = [{} for _ in range(n)]
+    first: list[int | None] = [None] * n
+
+    def after(v: int, w: int, a: int) -> None:  # w clockwise after a
+        b = cw[v][a]
+        cw[v][w], ccw[v][w] = b, a
+        ccw[v][b] = w
+        cw[v][a] = w
+
+    def before(v: int, w: int, b: int) -> None:  # w counterclockwise of b
+        a = ccw[v][b]
+        cw[v][w], ccw[v][w] = b, a
+        cw[v][a] = w
+        ccw[v][b] = w
+        if b == first[v]:
+            first[v] = w
+
+    def leftmost(v: int, w: int) -> None:
+        if first[v] is None:
+            cw[v][w] = ccw[v][w] = first[v] = w
+        else:
+            before(v, w, first[v])
+
+    for v, edges in enumerate(ordered):
+        for i, e in enumerate(edges):
+            if i == 0:
+                leftmost(v, head[e])
+            else:
+                after(v, head[e], head[edges[i - 1]])
+
+    left_ref = [0] * n
+    right_ref = [0] * n
+    ind = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            edges = ordered[v]
+            while ind[v] < len(edges):
+                e = edges[ind[v]]
+                ind[v] += 1
+                w = head[e]
+                if e == parent_edge[w]:  # tree edge
+                    leftmost(w, v)
+                    left_ref[v] = right_ref[v] = w
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[e] == 1:  # back edge
+                    after(w, v, right_ref[w])
+                else:
+                    before(w, v, left_ref[w])
+                    left_ref[w] = v
+
+    rotation = []
+    for v in range(n):
+        r: list[int] = []
+        if first[v] is not None:
+            r.append(first[v])
+            x = cw[v][first[v]]
+            while x != r[0]:
+                r.append(x)
+                x = cw[v][x]
+        rotation.append(tuple(r))
+    return rotation
+
+
+def _lr_test(n: int, adj: Sequence[Sequence[int]]) -> tuple | None:
+    """The left-right test on ``0..n-1`` with adjacency lists ``adj``:
+    ``None`` for a non-planar graph, else the arguments of
+    :func:`_lr_rotation`."""
+    if n > 2 and sum(map(len, adj)) // 2 > 3 * n - 6:
+        return None
+    roots, height, parent, parent_edge, head, out, lowpt, nesting = (
+        _lr_orientation(n, adj)
+    )
+    ordered = [sorted(edges, key=nesting.__getitem__) for edges in out]
+    sides = _lr_sides(roots, height, parent, parent_edge, head, ordered, lowpt)
+    if sides is None:
+        return None
+    return (roots, parent_edge, head, out, nesting, *sides)
+
+
+def _adjacency_lists(g: Graph) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _kuratowski_edges(g: Graph) -> set[Edge]:
+    """A Kuratowski subgraph's edges of a non-planar graph: try deleting
+    each edge in turn and keep those whose deletion leaves a planar graph
+    (networkx's ``get_counterexample``: for each vertex ``u``, over
+    ``u``'s current neighbours; a kept edge goes back at the end of both
+    adjacency lists)."""
+    adj = _adjacency_lists(g)
+    kept: set[Edge] = set()
+    for u in range(g.n):
+        for v in list(adj[u]):
+            adj[u].remove(v)
+            adj[v].remove(u)
+            if _lr_test(g.n, adj) is not None:
+                adj[u].append(v)
+                adj[v].append(u)
+                kept.add(normalize_edge(u, v))
+    return kept
+
+
 def embed(g: Graph) -> PlaneGraph:
     """Embed a connected planar graph in the plane.
 
-    The rotation system comes from a combinatorial planarity algorithm;
-    the outer face is then re-designated as a face of maximum length,
-    ties broken by lexicographically least boundary walk.  The choice of
-    rotation system is deterministic for a given graph.
+    The rotation system comes from Brandes' left-right planarity test,
+    a first-party port of networkx 3.6.1's, whose rotations it
+    reproduces; the outer face is then re-designated as a face of maximum
+    length, ties broken by lexicographically least boundary walk.  The
+    choice of rotation system is deterministic for a given graph.
 
     Args:
         g: A connected graph.
@@ -930,40 +1291,29 @@ def embed(g: Graph) -> PlaneGraph:
     Raises:
         ValueError: If ``g`` is empty or disconnected.
         NonPlanarError: If ``g`` is not planar; the exception carries a
-            Kuratowski witness subgraph.
+            Kuratowski witness subgraph, the one networkx 3.6.1's
+            ``get_counterexample`` finds.
     """
-    import networkx as nx
-
     if g.n == 0:
         raise ValueError("cannot embed the empty graph")
     if not g.is_connected():
         raise ValueError("embed() requires a connected graph")
     if g.n == 1:
         return PlaneGraph.build(g, [()], outer_walk=(0,))
-
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges)
-    is_planar, certificate = nx.check_planarity(nxg, counterexample=True)
-    if not is_planar:
-        witness = Graph.from_edges(g.n, list(certificate.edges()))
+    state = _lr_test(g.n, _adjacency_lists(g))
+    if state is None:
         raise NonPlanarError(
             f"graph with {g.n} vertices and {g.m} edges is not planar",
-            witness,
+            Graph.from_edges(g.n, _kuratowski_edges(g)),
         )
-    data = certificate.get_data()
-    rotation = [tuple(data[v]) for v in range(g.n)]
-    return PlaneGraph.build(g, rotation, outer_walk=None)
+    return PlaneGraph.build(g, _lr_rotation(*state), outer_walk=None)
 
 
 def is_planar(g: Graph) -> bool:
-    """Whether ``g`` (connected or not) admits a plane embedding."""
-    import networkx as nx
-
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges)
-    return nx.check_planarity(nxg, counterexample=False)[0]
+    """Whether ``g`` (connected or not) admits a plane embedding, by the
+    testing phase of Brandes' left-right planarity test alone (the port
+    of networkx 3.6.1's); no embedding is built."""
+    return _lr_test(g.n, _adjacency_lists(g)) is not None
 
 
 # =========================================================================

@@ -51,8 +51,9 @@ Rotation systems are searched for by one enumerator,
 face; it serves that fallback and :func:`plane_embeddings`, which
 builds one plane graph per rotation system, for every connected planar
 graph alike (a 3-connected one yields its embedding and its mirror),
-and is the tests' slow arbiter for the lemma scans; neither calls
-networkx.  The two component-density scans decompose each plane once.
+and is the tests' slow arbiter for the lemma scans; neither runs the
+left-right planarity test of :func:`ptl.embedding.embed`.  The two
+component-density scans decompose each plane once.
 Every face, of a partial or a complete rotation system, is read from one
 dart-orbit walk, :func:`ptl.embedding._dart_faces`.  The growth census
 builds no plane graph only to read faces back: a grown child is tested
@@ -1383,6 +1384,24 @@ def outer_variants(pg: PlaneGraph) -> Iterator[PlaneGraph]:
         yield pg.with_outer(f)
 
 
+def _prufer_tree_edges(n: int, seq: Sequence[int]) -> set[tuple[int, int]]:
+    """The edges of the tree on ``0..n-1`` (``n >= 2``) whose Pruefer
+    sequence is ``seq``: each entry in turn is joined to the least leaf
+    left, and the last two leaves to each other."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = set()
+    for x in seq:
+        leaf = degree.index(1)
+        edges.add((min(leaf, x), max(leaf, x)))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    u, v = [i for i in range(n) if degree[i] == 1]
+    edges.add((u, v))
+    return edges
+
+
 def random_plane_corpus(
     count: int, *, max_n: int = 12, seed: int = 0
 ) -> Iterator[PlaneGraph]:
@@ -1397,17 +1416,12 @@ def random_plane_corpus(
         max_n: Maximum order (minimum is 1).
         seed: RNG seed.
     """
-    import networkx as nx
-
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, max_n)
         # Uniform random tree via a random Pruefer sequence.
         seq = [rng.randrange(n) for _ in range(n - 2)]
-        edges: set[tuple[int, int]] = set()
-        if n >= 2:
-            tree = nx.from_prufer_sequence(seq)
-            edges = {(min(u, v), max(u, v)) for u, v in tree.edges}
+        edges = _prufer_tree_edges(n, seq) if n >= 2 else set()
         g = Graph.from_edges(n, sorted(edges))
         non_edges = [
             (u, v)

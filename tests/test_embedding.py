@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import assume, given, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
+from networkx.algorithms.planarity import get_counterexample
 
+import ptl
 from conftest import graphs, mirrored
 from ptl.embedding import (
     Graph,
@@ -36,7 +42,7 @@ from ptl.families import (
     wheel_ring,
 )
 from ptl.io import graph6_decode
-from ptl.search import _rotation_systems, enumerate_graphs
+from ptl.search import _rotation_systems, enumerate_graphs, random_plane_corpus
 
 
 # -- basic embeddings ------------------------------------------------------
@@ -98,23 +104,53 @@ def test_face_walks_cover_every_edge_twice(g):
 
 # -- planarity and witnesses ------------------------------------------------
 
+# networkx's left-right test is the slow arbiter of the port: the same
+# verdicts, the same rotations and the same Kuratowski witnesses.
+
+def _nx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _nx_witness(g):
+    return Graph.from_edges(g.n, get_counterexample(_nx_graph(g)).edges())
+
+
+def _assert_matches_networkx(g, rotation=None):
+    """``is_planar(g)`` is networkx's verdict; if ``g`` is connected and
+    planar, its rotation (``embed(g)``'s unless given) is networkx's."""
+    planar, certificate = nx.check_planarity(_nx_graph(g))
+    assert is_planar(g) is planar, g.edges
+    if planar and g.n and g.is_connected():
+        data = certificate.get_data()
+        expected = tuple(tuple(data[v]) for v in range(g.n))
+        assert (rotation or embed(g).rotation) == expected, g.edges
+    return planar
+
+
 def test_k5_not_planar():
     assert not is_planar(Graph.complete(5))
     with pytest.raises(NonPlanarError) as info:
         embed(Graph.complete(5))
+    assert str(info.value) == "graph with 5 vertices and 10 edges is not planar"
     witness = info.value.witness
     # a K5 subdivision witness: five branch vertices of degree 4
     assert sorted(witness.degree_sequence)[-5:] == [4, 4, 4, 4, 4] or sorted(
         witness.degree_sequence
     )[-6:] == [3, 3, 3, 3, 3, 3]
+    assert witness == _nx_witness(Graph.complete(5))
 
 
 def test_k33_not_planar():
     g = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
     with pytest.raises(NonPlanarError) as info:
         embed(g)
+    assert str(info.value) == "graph with 6 vertices and 9 edges is not planar"
     witness = info.value.witness
     assert all(d >= 2 for d in witness.degree_sequence)
+    assert witness == _nx_witness(g)
 
 
 def test_planar_boundary_cases():
@@ -126,6 +162,71 @@ def test_planar_boundary_cases():
     )
     assert is_planar(g)
     assert embed(g).face_vector() == {3: 6}
+
+
+def test_planarity_matches_networkx_to_order_7():
+    non_planar = 0
+    for k in range(1, 8):
+        for g in enumerate_graphs(k):
+            if _assert_matches_networkx(g) or not g.is_connected():
+                continue
+            non_planar += 1
+            with pytest.raises(NonPlanarError) as info:
+                embed(g)
+            assert info.value.witness == _nx_witness(g), g.edges
+    assert non_planar == 221
+
+
+def test_rotations_match_networkx_order_8():
+    graphs = list(enumerate_graphs(8, connected=True, planar=True))
+    assert len(graphs) == 5974
+    for g in graphs:
+        assert _assert_matches_networkx(g)
+
+
+def test_planarity_matches_networkx_on_random_graphs():
+    for pg in random_plane_corpus(200, max_n=20, seed=11):
+        assert _assert_matches_networkx(pg.graph, pg.rotation)
+    rng = random.Random(25)
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randint(5, 30)
+        p = rng.uniform(0.05, 0.4)
+        g = Graph.from_edges(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ])
+        verdicts.add(_assert_matches_networkx(g))
+    assert verdicts == {True, False}
+
+
+_NO_NETWORKX = """
+import sys
+import ptl, ptl.cli
+from ptl.embedding import Graph, NonPlanarError, embed, is_planar
+from ptl.search import random_plane_corpus
+assert is_planar(Graph.complete(4)) and not is_planar(Graph.complete(5))
+embed(Graph.complete(4))
+try:
+    embed(Graph.complete(5))
+except NonPlanarError:
+    pass
+else:
+    raise AssertionError("K5 embedded")
+assert len(list(random_plane_corpus(5))) == 5
+assert "networkx" not in sys.modules, "networkx was imported"
+"""
+
+
+def test_ptl_imports_no_networkx():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ptl.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_NETWORKX],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # -- canonical forms and isomorphism ----------------------------------------

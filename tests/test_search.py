@@ -7,9 +7,10 @@ import json
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
+import networkx as nx
 import pytest
 
 from conftest import mirrored
@@ -56,6 +57,7 @@ from ptl.search import (
     _last_level,
     _node_embeddings,
     _on_triangles,
+    _prufer_tree_edges,
     _rotation_systems,
     _searched_embeddings,
     _solid_outer_faces,
@@ -408,7 +410,7 @@ def test_inherited_embeddings_by_hand():
 def test_augmentation_needs_no_planarity_test(monkeypatch):
     # the tree decides planarity from its parents' faces alone
     def refuse(g):
-        raise AssertionError("networkx planarity test called")
+        raise AssertionError("planarity test called")
 
     monkeypatch.setattr(search, "is_planar", refuse)
     assert sum(1 for _ in enumerate_graphs(7, planar=True)) == 822
@@ -1257,6 +1259,25 @@ def test_random_plane_corpus_deterministic():
         canonical_form(g) for g in other
     ]
     assert all(g.n <= 10 and g.is_connected() for g in first)
+
+
+def test_random_plane_corpus_stream_is_pinned():
+    # every plane's JSON, as networkx's Pruefer decoder and planarity test
+    # gave them before the first-party ones replaced both
+    digest = hashlib.sha256()
+    for pg in random_plane_corpus(400, seed=0):
+        digest.update(pg.to_json().encode() + b"\n")
+    assert digest.hexdigest() == (
+        "0b5eaa9a8d7534ae071803cf5be3128f937f11d9dd3441aa0ee6d2ed6830ff96"
+    )
+
+
+def test_prufer_tree_edges_match_networkx():
+    for n in range(2, 7):
+        for seq in product(range(n), repeat=n - 2):
+            tree = nx.from_prufer_sequence(list(seq))
+            expected = {(min(e), max(e)) for e in tree.edges}
+            assert _prufer_tree_edges(n, seq) == expected, seq
 
 
 def test_counting_identity_verifier():
