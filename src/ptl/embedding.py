@@ -1247,6 +1247,7 @@ def _lr_test(n: int, adj: Sequence[Sequence[int]]) -> tuple | None:
 
 
 def _adjacency_lists(g: Graph) -> list[list[int]]:
+    """Neighbour lists in the order networkx fills them from ``g.edges``."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
         adj[u].append(v)
