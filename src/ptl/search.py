@@ -294,7 +294,10 @@ class _Augmentation:
 
     The domain tests drop a child whose :func:`_edge_potential` at
     ``limit`` is below a nonzero ``seed``, then one that contains
-    ``spec`` through its new vertex; the root meets them too.  So with
+    ``spec`` through its new vertex; the root meets them too.  A child's
+    potential depends only on its subset's size, so each parent finds
+    once the least size that reaches the seed, and a child with a smaller
+    subset is never built.  So with
     ``spec`` the tree keeps exactly the free graphs and reaches them
     all: freeness is hereditary, and a graph's canonical parent is an
     induced subgraph.
@@ -339,6 +342,15 @@ class _Augmentation:
         # of degree above that fails McKay's test, and its subsets are
         # not listed; the pre-test rejects the rest of lower degree.
         delta = min(b.bit_count() for b in g.adj_bits)
+        # A child that passes the pre-test has minimum degree |S| and
+        # m + |S| edges, and the edge potential grows with both, so a
+        # subset smaller than ``least`` fails the seed unbuilt.
+        least = 0
+        if self.seed:
+            while least <= delta + 1 and _edge_potential(
+                g.m + least, least, new + 1, self.limit
+            ) < self.seed:
+                least += 1
         for s in _subset_reps(g.n, gens, delta + 1):
             if degree_rejects(s):
                 rejected["degree"] += 1
@@ -349,6 +361,9 @@ class _Augmentation:
                 if not _cofacial(embeddings, s):
                     rejected["planarity"] += 1
                     continue
+            if s.bit_count() < least:
+                rejected["domain"] += 1
+                continue
             child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
             if self._outside(child):
                 rejected["domain"] += 1
@@ -1014,6 +1029,12 @@ def _grown_children(pg: PlaneGraph, spec: PatternSpec) -> Iterator[PlaneGraph]:
     is tested on the child's abstract graph, so a plane graph is built
     only for a pattern-free child.  Children come face by face, then by
     increasing selection mask; the census keeps the first of each class.
+
+    A mask that contains one whose child holds the pattern is skipped
+    untested.  The walk's vertices are distinct, so its child is that
+    child plus edges at the new vertex, and containment survives added
+    edges: the skip drops only children the test would drop.  Masks
+    ascend, so every subset of a mask is met before it.
     """
     new = pg.graph.n
     for face in pg.faces():
@@ -1021,12 +1042,16 @@ def _grown_children(pg: PlaneGraph, spec: PatternSpec) -> Iterator[PlaneGraph]:
         length = len(walk)
         if length < 2 or len(set(walk)) != length:
             continue
+        bad: list[int] = []
         for mask in range(1, 1 << length):
-            if not _arc_runs_ok(mask, length):
+            if not _arc_runs_ok(mask, length) or any(
+                not b & ~mask for b in bad
+            ):
                 continue
             sel = [i for i in range(length) if mask >> i & 1]
             graph = pg.graph.with_new_vertex(walk[i] for i in sel)
             if not is_free(graph, spec):
+                bad.append(mask)
                 continue
             rotation = [list(r) for r in pg.rotation]
             rotation.append([walk[i] for i in reversed(sel)])

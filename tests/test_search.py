@@ -1191,6 +1191,62 @@ def test_sphere_key_partitions_like_all_darts_key():
         assert parents
 
 
+def _reference_grown_children(pg, spec):
+    """Reference growth step: the rotations of the pattern-free children
+    from every run-shaped selection of every face, each one tested."""
+    new = pg.graph.n
+    for face in pg.faces():
+        walk = face.walk
+        length = len(walk)
+        if length < 2 or len(set(walk)) != length:
+            continue
+        for mask in range(1, 1 << length):
+            if not _arc_runs_ok(mask, length):
+                continue
+            sel = [i for i in range(length) if mask >> i & 1]
+            graph = pg.graph.with_new_vertex(walk[i] for i in sel)
+            if not search.is_free(graph, spec):
+                continue
+            rotation = [list(r) for r in pg.rotation]
+            rotation.append([walk[i] for i in reversed(sel)])
+            for i in sel:
+                w = walk[i]
+                prev = walk[(i - 1) % length]
+                rotation[w].insert(rotation[w].index(prev) + 1, new)
+            yield tuple(tuple(r) for r in rotation)
+
+
+def test_grown_children_skip_supersets_like_full_scan(monkeypatch):
+    # one parent per class up to order 12: skipping the supersets of a
+    # selection that holds the pattern yields the same children in the
+    # same order, from fewer freeness tests
+    calls = Counter()
+    side = ["full"]
+
+    def counted(graph, spec):
+        calls[side[0]] += 1
+        return is_free(graph, spec)
+
+    monkeypatch.setattr(search, "is_free", counted)
+    for pattern in ("H4", "H5"):
+        spec = as_pattern(pattern)
+        parents = [catalog_block("B1").plane]
+        for _ in range(4, 13):
+            first = {}
+            for parent in parents:
+                side[0] = "full"
+                expected = list(_reference_grown_children(parent, spec))
+                side[0] = "skip"
+                children = list(_grown_children(parent, spec))
+                assert [c.rotation for c in children] == expected
+                for child in children:
+                    if _solid_outer_faces(child.faces(), child.m):
+                        first.setdefault(_sphere_key(child.rotation), child)
+            parents = list(first.values())
+        assert parents
+    assert 0 < calls["skip"] < calls["full"]
+
+
 def test_plane_embeddings_need_connected_graph():
     for g in (Graph.from_edges(0, []), Graph.from_edges(3, [(0, 1)])):
         with pytest.raises(ValueError, match="connected"):
