@@ -10,7 +10,8 @@ This module is the structural foundation of the package:
   :func:`automorphism_generators` and :func:`vertex_orbits`.
 * :class:`PlaneGraph` -- an immutable combinatorial plane embedding: a
   rotation system (clockwise neighbour order around every vertex) plus a
-  designated outer face.  Faces are recovered by dart traversal.
+  designated outer face.  Its faces come from one dart traversal, or
+  from the face walks its maker already holds.
 * :func:`embed` -- planarity test and embedding construction by Brandes'
   left-right planarity test (a first-party port of networkx 3.6.1's that
   gives the same rotations), raising :class:`NonPlanarError` with a
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -678,17 +679,6 @@ def _walk_rotation(
     return tuple(map(tuple, rotation))
 
 
-def _trace_faces(
-    rotation: Sequence[Sequence[int]],
-) -> tuple[tuple[Face, ...], list[dict[int, int]]]:
-    """The faces of a connected rotation system, in :func:`_dart_faces`
-    order, and the face id of every dart."""
-    face, walks = _dart_faces(rotation)
-    if not walks:
-        return (Face((0,)),), face
-    return tuple(Face(_min_rotation(tuple(w))) for w in walks), face
-
-
 class NonPlanarError(ValueError):
     """Raised when a graph admits no plane embedding.
 
@@ -712,11 +702,15 @@ class PlaneGraph:
             clockwise order.
         outer: The designated outer (unbounded) face; must be one of the
             faces induced by the rotation system.
+
+    Every plane graph is made by :meth:`_from_walks`, which keeps its
+    faces and the face of each dart in ``_traced``, or by :meth:`with_outer`.
     """
 
     graph: Graph
     rotation: tuple[tuple[int, ...], ...]
     outer: Face
+    _traced: tuple = field(compare=False, repr=False)
 
     @staticmethod
     def build(
@@ -724,7 +718,7 @@ class PlaneGraph:
         rotation: Sequence[Sequence[int]],
         outer_walk: Sequence[int] | None = None,
     ) -> "PlaneGraph":
-        """Validate a rotation system and construct a plane graph.
+        """Validate a rotation system from outside and construct a plane graph.
 
         Args:
             graph: Underlying graph; must be connected.
@@ -751,30 +745,41 @@ class PlaneGraph:
                     f"rotation at vertex {v} does not list its neighbours"
                 )
         rot = tuple(tuple(r) for r in rotation)
-        traced = _trace_faces(rot)
-        faces = traced[0]
+        return PlaneGraph._from_walks(graph, rot, _dart_faces(rot)[1], outer_walk)
+
+    @staticmethod
+    def _from_walks(
+        graph: Graph,
+        rotation: tuple[tuple[int, ...], ...],
+        walks: Sequence[Sequence[int]],
+        outer_walk: Sequence[int] | None = None,
+    ) -> "PlaneGraph":
+        """The plane graph of ``rotation`` from the :func:`_dart_faces`
+        walks its producer holds, in any order and from any start; its
+        faces follow them (K1, with none, has ``Face((0,))``).  Only
+        Euler's formula and ``outer_walk`` (see :meth:`build`) are checked."""
+        face: list[dict[int, int]] = [{} for _ in range(graph.n)]
+        for fid, walk in enumerate(walks):
+            for i, v in enumerate(walk):
+                face[walk[i - 1]][v] = fid
+        faces = tuple(Face(_min_rotation(tuple(w))) for w in walks)
+        if not graph.m:  # K1: one face, with no dart
+            faces = (Face((0,)),)
         if graph.n - graph.m + len(faces) != 2:
             raise ValueError(
                 "rotation system is not a plane embedding: "
                 f"V-E+F = {graph.n}-{graph.m}+{len(faces)} != 2"
             )
         if outer_walk is None:
-            outer = max(
-                faces, key=lambda f: (f.length, [-x for x in f.walk])
-            )
-            # max() with negated walk implements: longest face first,
-            # lexicographically least canonical walk among the longest.
+            # longest face first, least canonical walk among the longest
+            outer = max(faces, key=lambda f: (f.length, [-x for x in f.walk]))
         else:
-            target = _min_rotation(tuple(outer_walk))
-            matches = [f for f in faces if f.walk == target]
-            if not matches:
+            outer = Face(_min_rotation(tuple(outer_walk)))
+            if outer not in faces:
                 raise ValueError(
                     f"walk {tuple(outer_walk)} is not a face of the embedding"
                 )
-            outer = matches[0]
-        pg = PlaneGraph(graph, rot, outer)
-        object.__setattr__(pg, "_traced", traced)
-        return pg
+        return PlaneGraph(graph, rotation, outer, (faces, face))
 
     # -- faces -------------------------------------------------------------
 
@@ -787,10 +792,6 @@ class PlaneGraph:
     def m(self) -> int:
         """Number of edges."""
         return self.graph.m
-
-    @cached_property
-    def _traced(self) -> tuple[tuple[Face, ...], list[dict[int, int]]]:
-        return _trace_faces(self.rotation)
 
     def faces(self) -> tuple[Face, ...]:
         """All faces (outer included), in deterministic traversal order."""
@@ -821,9 +822,7 @@ class PlaneGraph:
         """The same embedding with a different face designated outer."""
         if face not in self.faces():
             raise ValueError("face is not a face of this embedding")
-        pg = PlaneGraph(self.graph, self.rotation, face)
-        object.__setattr__(pg, "_traced", self._traced)
-        return pg
+        return PlaneGraph(self.graph, self.rotation, face, self._traced)
 
     # -- canonical code ------------------------------------------------------
 
@@ -1287,7 +1286,7 @@ def embed(g: Graph) -> PlaneGraph:
         g: A connected graph.
 
     Returns:
-        A validated :class:`PlaneGraph`.
+        The :class:`PlaneGraph`, its faces in :func:`_dart_faces` order.
 
     Raises:
         ValueError: If ``g`` is empty or disconnected.
@@ -1299,15 +1298,14 @@ def embed(g: Graph) -> PlaneGraph:
         raise ValueError("cannot embed the empty graph")
     if not g.is_connected():
         raise ValueError("embed() requires a connected graph")
-    if g.n == 1:
-        return PlaneGraph.build(g, [()], outer_walk=(0,))
     state = _lr_test(g.n, _adjacency_lists(g))
     if state is None:
         raise NonPlanarError(
             f"graph with {g.n} vertices and {g.m} edges is not planar",
             Graph.from_edges(g.n, _kuratowski_edges(g)),
         )
-    return PlaneGraph.build(g, _lr_rotation(*state), outer_walk=None)
+    rotation = tuple(_lr_rotation(*state))
+    return PlaneGraph._from_walks(g, rotation, _dart_faces(rotation)[1])
 
 
 def is_planar(g: Graph) -> bool:

@@ -896,8 +896,7 @@ def augment_with_b2prime(pg: PlaneGraph, face: Face) -> PlaneGraph:
     edges += [(a + shift, b + shift) for a, b in ins.graph.edges]
     edges += [(w, partner[j] + shift) for j, w in enumerate(host_cycle)]
     graph = Graph.from_edges(pg.n + 6, edges)
-    return PlaneGraph.build(graph, tuple(tuple(r) for r in rotation),
-                            outer_walk=pg.outer.walk)
+    return PlaneGraph.build(graph, rotation, outer_walk=pg.outer.walk)
 
 
 def b5_ring_augmented(x: int, y: int) -> FamilyInstance:

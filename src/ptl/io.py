@@ -369,4 +369,4 @@ def load_plane_graph_json(text: str) -> PlaneGraph:
     if set(edges) != mirrored:
         raise FormatError("rotation lists are not symmetric")
     graph = Graph.from_edges(n, edges)
-    return PlaneGraph.build(graph, [tuple(r) for r in rotation], outer)
+    return PlaneGraph.build(graph, rotation, outer)

@@ -43,8 +43,8 @@ The tree node is the one source of embeddings for the oracle, the
 direct census and the lemma scans: the oracle's seed reads each
 maximizer's masks from its node, the direct census reads each
 candidate's face walks from its node and builds no plane graph, and
-:func:`_free_planes` builds the scans one plane graph per system of
-each node of the last order, so no plane is tested for freeness again.
+:func:`_free_planes` makes the scans one plane graph per system of each
+node of the last order from the node's walks, tracing no face again.
 
 Rotation systems are searched for by one enumerator,
 :func:`_rotation_systems`, which inserts edges into corners of one
@@ -55,18 +55,18 @@ and is the tests' slow arbiter for the lemma scans; neither runs the
 left-right planarity test of :func:`ptl.embedding.embed`.  The two
 component-density scans decompose each plane once.
 Every face, of a partial or a complete rotation system, is read from one
-dart-orbit walk, :func:`ptl.embedding._dart_faces`.  The growth census
-builds no plane graph only to read faces back: a grown child is tested
-for freeness on its abstract graph before its plane graph is built.  In
-both censuses the solid outer faces of an embedding come from its
-3-faces by one union-find.  Only the growth census tells sphere
-embeddings apart, by :func:`_sphere_key`; the direct census checks every
-embedding and reads no plane code, so it stays independent of the census
-it certifies.
+dart-orbit walk, :func:`ptl.embedding._dart_faces`, and a new vertex
+splits a face walk by one rule, :func:`_split_walk`, in the tree and the
+growth census alike.  The growth census carries graphs with their face
+walks and builds no plane graph.  In both censuses the solid outer faces
+of an embedding come from its 3-faces by one union-find.  Only the
+growth census tells sphere embeddings apart, by :func:`_sphere_key`; the
+direct census checks every embedding and reads no plane code, so it
+stays independent of the census it certifies.
 The augmentation tree and the growth census both grow one order at a
 time: each order's nodes are split into static shares, one per worker,
 and the workers return the next order's nodes, as tree nodes or as
-:class:`PlaneGraph` objects.  The oracle is one bottom-up pass over
+graphs with their face walks.  The oracle is one bottom-up pass over
 orders ``1..n``, each seeded from the maximizers of the order below; the
 pass yields each order's report, which covers that order's tree only,
 so one pass serves a loop over ``n``.
@@ -76,7 +76,7 @@ runs and across worker counts once timing fields are stripped.  To that
 end the oracle prunes against a fixed, constructively verified seed bound
 (never a shared mutable incumbent), work is partitioned statically, and
 its merges are order-insensitive (sums, maxima, sorted unions).  The
-growth census keeps the first plane graph it meets of each sphere class
+growth census keeps the first child it meets of each sphere class
 (one :func:`_sphere_key`), so which member it keeps depends on the
 shares; but its report reads only which classes exist and each one's
 canonical form, and every member of a class shares both.
@@ -180,11 +180,17 @@ def _share_map(workers: int) -> Iterator[Callable]:
 # =========================================================================
 
 
+#: The face walks of one rotation system, each the tails of its darts in
+#: traversal order (as :func:`ptl.embedding._dart_faces` lists them).
+_Walks = tuple[tuple[int, ...], ...]
+
+#: A plane graph as the growth census carries it: graph and face walks.
+_Plane = tuple[Graph, _Walks]
+
 #: The plane embeddings of one component with a cycle: its vertex
-#: bitmask, the face walks of each of its rotation systems (as
-#: :func:`ptl.embedding._dart_faces` lists them) and the maximal vertex
-#: bitmasks of those faces.
-_Embeddings = tuple[int, list[tuple[tuple[int, ...], ...]], list[int]]
+#: bitmask, the face walks of each of its rotation systems and the
+#: maximal vertex bitmasks of those faces.
+_Embeddings = tuple[int, list[_Walks], list[int]]
 
 #: How a node's embeddings are derived when it becomes a parent: the
 #: embeddings of its parent's components with a cycle, and the bitmask
@@ -460,9 +466,7 @@ def _edge_potential(m: int, delta: int, k: int, n: int) -> int:
     return p
 
 
-def _embeddings(
-    comp: int, systems: list[tuple[tuple[int, ...], ...]]
-) -> _Embeddings:
+def _embeddings(comp: int, systems: list[_Walks]) -> _Embeddings:
     """The :data:`_Embeddings` of the component with vertex bitmask
     ``comp`` whose rotation systems have the face walks ``systems``."""
     faces: set[int] = set()
@@ -490,6 +494,16 @@ def _searched_embeddings(edges: list[tuple[int, int]]) -> _Embeddings:
     return _embeddings(sum(1 << v for v in verts), systems)
 
 
+def _split_walk(walk: tuple[int, ...], corners: Sequence[int], new: int) -> _Walks:
+    """The face walks that ``walk`` splits into when a new vertex ``new``
+    inside its face joins the walk at the ascending positions
+    ``corners``: ``W[p_i..p_{i+1}] + (new,)``, cyclically; for one
+    corner ``p`` that is ``W[p:] + W[:p] + (W[p], new)``."""
+    return tuple(
+        walk[a : b + 1] + (new,) for a, b in zip(corners, corners[1:])
+    ) + (walk[corners[-1] :] + walk[: corners[0] + 1] + (new,),)
+
+
 def _split_faces(parent: _Embeddings, s: int, new: int) -> _Embeddings:
     """The embeddings of a component with a new vertex ``new`` joined to
     the vertex bitmask ``s`` inside it, from the component's own.
@@ -498,15 +512,13 @@ def _split_faces(parent: _Embeddings, s: int, new: int) -> _Embeddings:
     one of the parent's, with the new vertex inside one face; so the
     child's rotation systems are the parent's with the new vertex put
     into a face whose walk holds ``s``, at one corner (one occurrence in
-    the walk) per vertex of ``s``.  The corners at positions
-    ``p_1 < ... < p_k`` split the walk ``W`` into the ``k`` walks
-    ``W[p_i..p_{i+1}] + (new,)``, cyclically; for ``k = 1`` that is
-    ``W[p:] + W[:p] + (W[p], new)``.  Distinct corners give distinct
-    systems, so each system of the child is met once.
+    the walk) per vertex of ``s``, split by :func:`_split_walk`.
+    Distinct corners give distinct systems, so each system of the child
+    is met once.
     """
     comp, systems, _ = parent
     k = s.bit_count()
-    derived: list[tuple[tuple[int, ...], ...]] = []
+    derived: list[_Walks] = []
     for walks in systems:
         for i, walk in enumerate(walks):
             where: dict[int, list[int]] = {}
@@ -515,13 +527,9 @@ def _split_faces(parent: _Embeddings, s: int, new: int) -> _Embeddings:
                     where.setdefault(v, []).append(p)
             if len(where) < k:
                 continue
-            rest_before, rest_after = walks[:i], walks[i + 1 :]
             for corners in product(*where.values()):
-                ps = sorted(corners)
-                pieces = tuple(
-                    walk[a : b + 1] + (new,) for a, b in zip(ps, ps[1:])
-                ) + (walk[ps[-1] :] + walk[: ps[0] + 1] + (new,),)
-                derived.append(rest_before + pieces + rest_after)
+                split = _split_walk(walk, sorted(corners), new)
+                derived.append(walks[:i] + split + walks[i + 1 :])
     return _embeddings(comp | 1 << new, derived)
 
 
@@ -1018,17 +1026,18 @@ def _arc_runs_ok(mask: int, length: int) -> bool:
     return not mask & ~(rotl | rotr)
 
 
-def _grown_children(pg: PlaneGraph, spec: PatternSpec) -> Iterator[PlaneGraph]:
-    """All pattern-free one-vertex plane extensions of ``pg`` whose new
-    spokes land on cyclic runs of >= 2 consecutive boundary vertices of a
-    single face.
+def _grown_children(g: Graph, walks: _Walks, spec: PatternSpec) -> Iterator[_Plane]:
+    """All pattern-free one-vertex plane extensions, as graphs with face
+    walks, of ``g`` with face walks ``walks`` whose new spokes land on
+    cyclic runs of >= 2 consecutive boundary vertices of a single face.
 
     In a solid TB every spoke of a removable vertex lies on an inner
     3-face, which forces exactly this run structure, so these moves invert
-    the vertex deletion of the classification's reduction step.  Freeness
-    is tested on the child's abstract graph, so a plane graph is built
-    only for a pattern-free child.  Children come face by face, then by
-    increasing selection mask; the census keeps the first of each class.
+    the vertex deletion of the classification's reduction step.  The new
+    vertex splits its face by :func:`_split_walk`, as in the augmentation
+    tree, and freeness is tested on the child's abstract graph.  Children
+    come face by face, then by increasing selection mask; the census
+    keeps the first of each class.
 
     A mask that contains one whose child holds the pattern is skipped
     untested.  The walk's vertices are distinct, so its child is that
@@ -1036,9 +1045,8 @@ def _grown_children(pg: PlaneGraph, spec: PatternSpec) -> Iterator[PlaneGraph]:
     edges: the skip drops only children the test would drop.  Masks
     ascend, so every subset of a mask is met before it.
     """
-    new = pg.graph.n
-    for face in pg.faces():
-        walk = face.walk
+    new = g.n
+    for i, walk in enumerate(walks):
         length = len(walk)
         if length < 2 or len(set(walk)) != length:
             continue
@@ -1048,20 +1056,12 @@ def _grown_children(pg: PlaneGraph, spec: PatternSpec) -> Iterator[PlaneGraph]:
                 not b & ~mask for b in bad
             ):
                 continue
-            sel = [i for i in range(length) if mask >> i & 1]
-            graph = pg.graph.with_new_vertex(walk[i] for i in sel)
+            sel = [p for p in range(length) if mask >> p & 1]
+            graph = g.with_new_vertex(walk[p] for p in sel)
             if not is_free(graph, spec):
                 bad.append(mask)
                 continue
-            rotation = [list(r) for r in pg.rotation]
-            rotation.append([walk[i] for i in reversed(sel)])
-            for i in sel:
-                w = walk[i]
-                prev = walk[(i - 1) % length]
-                rotation[w].insert(rotation[w].index(prev) + 1, new)
-            yield PlaneGraph.build(
-                graph, tuple(tuple(r) for r in rotation), outer_walk=None
-            )
+            yield graph, walks[:i] + _split_walk(walk, sel, new) + walks[i + 1 :]
 
 
 def _sphere_key(rotation: Sequence[Sequence[int]]) -> bytes:
@@ -1110,8 +1110,8 @@ def _solid_outer_faces(faces: Sequence[Face], m: int) -> list[Face]:
 
 
 def _tb_worker(
-    args: tuple[tuple[PlaneGraph, ...], PatternSpec],
-) -> list[tuple[bytes, PlaneGraph]]:
+    args: tuple[tuple[_Plane, ...], PatternSpec],
+) -> list[tuple[bytes, _Plane]]:
     """Expand one share of census parents (picklable entry point).
 
     Returns ``(sphere key, child)``, in the order found, for the first
@@ -1120,15 +1120,20 @@ def _tb_worker(
     """
     parents, spec = args
     seen: set[bytes] = set()
-    out: list[tuple[bytes, PlaneGraph]] = []
-    for parent in parents:
-        for child in _grown_children(parent, spec):
-            key = _sphere_key(child.rotation)
+    out: list[tuple[bytes, _Plane]] = []
+    for g, walks in parents:
+        for child, faces in _grown_children(g, walks, spec):
+            key = _sphere_key(_walk_rotation(child.n, faces))
             if key not in seen:
                 seen.add(key)
-                if _solid_outer_faces(child.faces(), child.m):
-                    out.append((key, child))
+                if _solid_outer_faces([Face(w) for w in faces], child.m):
+                    out.append((key, (child, faces)))
     return out
+
+
+def _graph_walks(pg: PlaneGraph) -> _Plane:
+    """A drawn census seed as the census carries it."""
+    return pg.graph, tuple(f.walk for f in pg.faces())
 
 
 def enumerate_solid_tbs(
@@ -1177,7 +1182,7 @@ def enumerate_solid_tbs(
         raise SearchError("worker count must be at least 1")
     start = time.monotonic()
     base = families.catalog_block("B1").plane
-    frontier: dict[bytes, PlaneGraph] = {_sphere_key(base.rotation): base}
+    frontier = {_sphere_key(base.rotation): _graph_walks(base)}
     found: dict[int, tuple[str, ...]] = {
         3: (canonical_form(base.graph).decode("ascii"),)
     }
@@ -1187,16 +1192,13 @@ def enumerate_solid_tbs(
             args = [(tuple(parents[i::workers]), spec) for i in range(workers)]
             frontier = {}
             for rows in share_map(_tb_worker, args):
-                for key, pg in rows:
-                    frontier.setdefault(key, pg)
+                for key, child in rows:
+                    frontier.setdefault(key, child)
             if order % 2 == 0 and order >= 6:
                 pg = families.catalog_block("B15", order).plane
                 if is_free(pg.graph, spec):
-                    frontier.setdefault(_sphere_key(pg.rotation), pg)
-            forms = {
-                canonical_form(pg.graph).decode("ascii")
-                for pg in frontier.values()
-            }
+                    frontier.setdefault(_sphere_key(pg.rotation), _graph_walks(pg))
+            forms = {canonical_form(g).decode("ascii") for g, _ in frontier.values()}
             found[order] = tuple(sorted(forms))
 
     expected_graphs = families.expected_tb_catalog(spec.name, max_order)
@@ -1546,10 +1548,10 @@ def _free_planes(
     ``keep`` accepts, in the labels of its node of :func:`_last_level`.
 
     The tree grows only pattern-free graphs, so no plane is tested for
-    freeness, and each rotation is read back by
-    :func:`ptl.embedding._walk_rotation` from the face walks that the
-    node inherits (:func:`_node_embeddings`).  A tree has none and is
-    skipped: it has no 3-face, so no lemma says anything about it.
+    freeness, and each plane is made from the face walks its node
+    inherits (:func:`_node_embeddings`), in their order, with no face
+    traced again.  A tree has none and is skipped: it has no 3-face, so
+    no lemma says anything about it.
     Connected graphs suffice for laws quantified over components: a
     triangular component, and likewise a theta configuration, lives
     inside one connectivity component, and material nested in another
@@ -1562,7 +1564,8 @@ def _free_planes(
             if g.is_connected() and keep(g):
                 for _, systems, _ in _node_embeddings(g, recipe):
                     for walks in systems:
-                        yield PlaneGraph.build(g, _walk_rotation(g.n, walks))
+                        rotation = _walk_rotation(g.n, walks)
+                        yield PlaneGraph._from_walks(g, rotation, walks)
 
 
 def _on_triangles(g: Graph) -> bool:

@@ -16,7 +16,9 @@ from networkx.algorithms.planarity import get_counterexample
 
 import ptl
 from conftest import graphs, mirrored
+from ptl import families
 from ptl.embedding import (
+    Face,
     Graph,
     NonPlanarError,
     PlaneGraph,
@@ -569,3 +571,71 @@ def test_build_validates_euler():
     rotation = [(1, 3), (0, 2), (1, 3), (0, 2)]
     pg = PlaneGraph.build(g, rotation)
     assert pg.face_vector() == {4: 2}
+
+
+def test_from_walks_agrees_with_build():
+    # the 778 plane rotation systems of the connected planar graphs with
+    # n <= 6, from their face walks in reverse order, each started at its
+    # second dart
+    checked = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n, connected=True, planar=True):
+            for system in _rotation_systems(g):
+                walks = [w[1:] + w[:1] for w in reversed(_dart_faces(system)[1])]
+                pg = PlaneGraph._from_walks(g, system, walks)
+                built = PlaneGraph.build(g, system)
+                assert pg == built
+                assert len(pg.faces()) == len(built.faces())
+                assert set(pg.faces()) == set(built.faces())
+                for e in g.edges:
+                    assert pg.faces_of_edge(e) == built.faces_of_edge(e)
+                if walks:
+                    with pytest.raises(ValueError, match="not a plane embedding"):
+                        PlaneGraph._from_walks(g, system, walks[1:])
+                checked += 1
+    assert checked == 778
+    k1 = PlaneGraph._from_walks(Graph.from_edges(1, []), ((),), [])
+    assert k1.faces() == (Face((0,)),) and k1.outer == Face((0,))
+
+
+def _family_drawings():
+    """Every catalogue block's drawing at orders up to 12, and every
+    family builder's instances with parameters up to 6."""
+    for name in (*families._FIXED, *families._PARAMETRIC):
+        for order in range(3, 13):
+            try:
+                yield families.catalog_block(name, order).plane
+            except families.FamilyError:
+                pass
+    for name, (keys, _) in families.FAMILY_BUILDERS.items():
+        for value in range(2, 7):
+            try:
+                yield families.family_instance(name, **dict.fromkeys(keys, value)).plane
+            except families.FamilyError:
+                pass
+
+
+def test_embed_checks_connectivity_once_and_agrees_with_build(monkeypatch):
+    graphs = [pg.graph for pg in random_plane_corpus(500, max_n=12, seed=0)]
+    graphs += [pg.graph for pg in _family_drawings()]
+    assert len(graphs) > 550
+    calls = []
+    is_connected = Graph.is_connected
+
+    def counted(self):
+        calls.append(self)
+        return is_connected(self)
+
+    monkeypatch.setattr(Graph, "is_connected", counted)
+    embedded = []
+    for g in graphs:
+        calls.clear()
+        embedded.append(embed(g))
+        assert calls == [g]
+    monkeypatch.undo()
+    for g, pg in zip(graphs, embedded):
+        built = PlaneGraph.build(g, pg.rotation)
+        assert pg.rotation == built.rotation
+        assert pg.outer == built.outer
+        assert pg.faces() == built.faces()
+        assert pg._traced[1] == built._traced[1]

@@ -17,6 +17,7 @@ from conftest import mirrored
 from ptl import embedding
 from ptl.decomposition import decompose
 from ptl.embedding import (
+    Face,
     Graph,
     PlaneGraph,
     _dart_faces,
@@ -24,6 +25,7 @@ from ptl.embedding import (
     _min_rotation,
     _orbit_partition,
     _union_roots,
+    _walk_rotation,
     canonical_data,
     canonical_form,
     canonical_labeling,
@@ -846,21 +848,33 @@ def test_pools_start_no_more_processes_than_cores(monkeypatch):
 
 
 def test_census_builds_only_pattern_free_children(monkeypatch):
-    # freeness is read from the child's abstract graph, so every plane
-    # graph the census builds is a pattern-free child
-    built = []
+    # freeness is read from the child's abstract graph, so every child
+    # the census grows is pattern-free; it carries each as its graph and
+    # face walks, so once the drawn seeds are cached it makes no plane
+    # graph at all
+    grown = []
 
-    class CountedPlaneGraph(PlaneGraph):
-        @staticmethod
-        def build(graph, rotation, outer_walk=None):
-            built.append(graph)
-            return PlaneGraph.build(graph, rotation, outer_walk)
+    def recorded(g, walks, spec):
+        for child in _grown_children(g, walks, spec):
+            grown.append(child[0])
+            yield child
 
-    monkeypatch.setattr(search, "PlaneGraph", CountedPlaneGraph)
+    monkeypatch.setattr(search, "_grown_children", recorded)
     report = enumerate_solid_tbs(10, "H5")
     assert report.diff_is_empty
-    assert len(built) > 100
-    assert all(is_free(g, "H5") for g in built)
+    assert len(grown) > 100
+    assert all(is_free(g, "H5") for g in grown)
+
+    made = []
+    init = PlaneGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlaneGraph, "__init__", counted)
+    assert enumerate_solid_tbs(10, "H5").found == report.found
+    assert made == []
 
 
 def _reference_solid_outer_faces(pg: PlaneGraph):
@@ -1176,24 +1190,25 @@ def test_sphere_key_partitions_like_all_darts_key():
     # and every grown census child up to order 9, one parent per class
     for pattern in ("H4", "H5"):
         spec = as_pattern(pattern)
-        parents = [catalog_block("B1").plane]
+        b1 = catalog_block("B1").plane
+        parents = [(b1.graph, tuple(f.walk for f in b1.faces()))]
         for _ in range(4, 10):
-            children = [c for p in parents for c in _grown_children(p, spec)]
-            keys = [_sphere_key(c.rotation) for c in children]
-            assert _same_partition(
-                keys, [_all_darts_key(c.rotation) for c in children]
-            )
+            children = [c for p in parents for c in _grown_children(*p, spec)]
+            rotations = [_walk_rotation(g.n, walks) for g, walks in children]
+            keys = [_sphere_key(r) for r in rotations]
+            assert _same_partition(keys, [_all_darts_key(r) for r in rotations])
             first = {}
-            for key, child in zip(keys, children):
-                if _solid_outer_faces(child.faces(), child.m):
-                    first.setdefault(key, child)
+            for key, (g, walks) in zip(keys, children):
+                if _solid_outer_faces([Face(w) for w in walks], g.m):
+                    first.setdefault(key, (g, walks))
             parents = list(first.values())
         assert parents
 
 
 def _reference_grown_children(pg, spec):
-    """Reference growth step: the rotations of the pattern-free children
-    from every run-shaped selection of every face, each one tested."""
+    """Reference growth step: the graphs and rotations of the pattern-free
+    children from every run-shaped selection of every face, each one
+    tested, with the new vertex put into each rotation list by hand."""
     new = pg.graph.n
     for face in pg.faces():
         walk = face.walk
@@ -1213,13 +1228,19 @@ def _reference_grown_children(pg, spec):
                 w = walk[i]
                 prev = walk[(i - 1) % length]
                 rotation[w].insert(rotation[w].index(prev) + 1, new)
-            yield tuple(tuple(r) for r in rotation)
+            yield graph, tuple(tuple(r) for r in rotation)
+
+
+def _least_first(rotation):
+    """Each rotation list started at its smallest neighbour."""
+    return tuple(r[r.index(min(r)) :] + r[: r.index(min(r))] for r in rotation)
 
 
 def test_grown_children_skip_supersets_like_full_scan(monkeypatch):
-    # one parent per class up to order 12: skipping the supersets of a
-    # selection that holds the pattern yields the same children in the
-    # same order, from fewer freeness tests
+    # one parent per class up to order 12: splitting face walks and
+    # skipping the supersets of a selection that holds the pattern yields
+    # the rotations of the reference's children in the same order, from
+    # fewer freeness tests
     calls = Counter()
     side = ["full"]
 
@@ -1237,9 +1258,13 @@ def test_grown_children_skip_supersets_like_full_scan(monkeypatch):
                 side[0] = "full"
                 expected = list(_reference_grown_children(parent, spec))
                 side[0] = "skip"
-                children = list(_grown_children(parent, spec))
-                assert [c.rotation for c in children] == expected
-                for child in children:
+                walks = tuple(f.walk for f in parent.faces())
+                children = list(_grown_children(parent.graph, walks, spec))
+                assert [_walk_rotation(g.n, w) for g, w in children] == [
+                    _least_first(rotation) for _, rotation in expected
+                ]
+                for graph, rotation in expected:
+                    child = PlaneGraph.build(graph, rotation)
                     if _solid_outer_faces(child.faces(), child.m):
                         first.setdefault(_sphere_key(child.rotation), child)
             parents = list(first.values())
