@@ -62,7 +62,6 @@ __all__ = [
     "verify_h5_extremal",
     "BoundValue",
     "bound",
-    "thm2_equality_split",
 ]
 
 Point = tuple[float, float]
@@ -1099,16 +1098,3 @@ def bound(n: int, which: str) -> BoundValue:
         raise FamilyError("bound argument must be a positive integer")
     return BoundValue(value=formula(n), in_range=in_range(n), stated_range=stated)
 
-
-def thm2_equality_split(n: int) -> tuple[int, int] | None:
-    """Decompose ``n`` as ``10x + 6y`` with ``x >= 2`` and ``y >= 0``.
-
-    This is the parameter split used by :func:`b5_ring_augmented` to build
-    an equality witness of order ``n``; returns ``None`` when no such
-    split exists.
-    """
-    for x in range(2, n // 10 + 1):
-        rest = n - 10 * x
-        if rest >= 0 and rest % 6 == 0:
-            return x, rest // 6
-    return None

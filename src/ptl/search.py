@@ -15,12 +15,13 @@ The engines:
 
 The first, the second and the direct census grow one canonical
 augmentation core, :class:`_Augmentation`, which deletes a vertex of
-minimum degree.  A child meets its tests cheapest first: McKay's degree
-pre-test and planarity are read from the parent before the child is
-built, then come the domain tests and the child's refined
-trivial colouring, and only then at most one canonical search, whose
-labeling and automorphism generators decide McKay's test, give the
-child's subset orbits as a parent and relabel it when yielded.  The
+minimum degree.  A parent offers only the neighbourhoods that pass
+McKay's degree pre-test, and a child meets its tests cheapest first:
+planarity is read from the parent before the child is built, then come
+the domain tests and the child's refined trivial colouring, and only
+then at most one canonical search, whose labeling and automorphism
+generators decide McKay's test, give the child's subset orbits as a
+parent and relabel it when yielded.  The
 tree is plain data with one traversal, :meth:`_Augmentation.levels`,
 which grows it one order at a time.  The oracle, the direct census and
 the lemma scans take only pattern-free graphs: the tree drops a child
@@ -30,14 +31,20 @@ vertex joins the set ``S``, then ``G`` plus that vertex is planar iff every
 component of ``G`` that ``S`` meets has some plane embedding with its
 part of ``S`` on one face.  So each planar parent reads, once, the
 maximal face-vertex bitmasks of each component over all its rotation
-systems, and each child is decided by bitmask tests against them.  The
-parent searches for no rotation system: it inherits the face walks of
-every system of its components from its own parent, since deleting the
-new vertex from a plane embedding leaves one of the parent's with the
-vertex inside one face.  So the walks of a component that ``S`` lies in
-are split at one corner per vertex of ``S`` (:func:`_split_faces`), and
-only a component that ``S`` forms by joining components or closing a
-cycle in a tree is searched afresh.
+systems, and each child is decided by bitmask tests against them.
+Every rotation system comes from one corner rule, :func:`_split_systems`.
+Deleting a vertex from a plane embedding of a connected graph leaves,
+when the rest is connected, one of the rest's embeddings with the vertex
+inside one face.  So the graph's systems are the rest's with the vertex
+put into a face whose walk holds all its neighbours, at one corner per
+neighbour, and each is met once.  A parent inherits the face walks of
+its components from its own parent, and only those of the component
+that ``S`` lies in are split.  A component that ``S`` forms by joining
+components or closing a cycle in a tree is grown afresh by the same
+rule (:func:`_fresh_embeddings`): from the one face of its first edge,
+one vertex at a time in the order a search from the new vertex takes
+them, so every prefix is connected.  No search here runs
+the left-right planarity test of :func:`ptl.embedding.embed`.
 
 The tree node is the one source of embeddings for the oracle, the
 direct census and the lemma scans: the oracle's seed reads each
@@ -45,21 +52,13 @@ maximizer's masks from its node, the direct census reads each
 candidate's face walks from its node and builds no plane graph, and
 :func:`_free_planes` makes the scans one plane graph per system of each
 node of the last order from the node's walks, tracing no face again.
-
-Rotation systems are searched for by one enumerator,
-:func:`_rotation_systems`, which inserts edges into corners of one
-face; it serves that fallback and :func:`plane_embeddings`, which
-builds one plane graph per rotation system, for every connected planar
-graph alike (a 3-connected one yields its embedding and its mirror),
-and is the tests' slow arbiter for the lemma scans; neither runs the
-left-right planarity test of :func:`ptl.embedding.embed`.  The two
-component-density scans decompose each plane once.
-Every face, of a partial or a complete rotation system, is read from one
-dart-orbit walk, :func:`ptl.embedding._dart_faces`, and a new vertex
-splits a face walk by one rule, :func:`_split_walk`, in the tree and the
-growth census alike.  The growth census carries graphs with their face
-walks and builds no plane graph.  In both censuses the solid outer faces
-of an embedding come from its 3-faces by one union-find.  Only the
+The two component-density scans decompose each plane once.
+A new vertex splits a face walk by one rule, :func:`_split_walk`, in
+the tree and the growth census alike, so no face is traced here past
+the growth census's drawn seeds.  The growth census carries graphs
+with their face walks and builds no plane graph.  In both censuses the
+solid outer faces of an embedding come from its 3-faces by one
+union-find.  Only the
 growth census tells sphere embeddings apart, by :func:`_sphere_key`; the
 direct census checks every embedding and reads no plane code, so it
 stays independent of the census it certifies.
@@ -106,7 +105,6 @@ from .embedding import (
     Face,
     Graph,
     PlaneGraph,
-    _dart_faces,
     _least_plane_code,
     _orbit_partition,
     _refine_cells,
@@ -134,7 +132,6 @@ __all__ = [
     "exact_planar_turan_orders",
     "naive_planar_turan",
     "outer_variants",
-    "plane_embeddings",
     "random_plane_corpus",
     "scan_h4_component_density",
     "scan_h5_component_density",
@@ -206,22 +203,33 @@ _Node = tuple[Graph, tuple[int, ...], list[tuple[int, ...]], _Recipe]
 _ROOT: _Node = (Graph.from_edges(1, []), (0,), [], ((), 0))
 
 
-def _subset_reps(n: int, gens: Sequence[tuple[int, ...]], size: int) -> list[int]:
+def _subset_reps(
+    n: int, gens: Sequence[tuple[int, ...]], size: int, must: int
+) -> list[int]:
     """One representative per orbit of the vertex subsets of ``0..n-1``
-    with at most ``size`` elements, under the group generated by
-    ``gens``, as a vertex bitmask.
+    with fewer than ``size`` elements, or with ``size`` elements among
+    them every vertex of the bitmask ``must``, under the group generated
+    by ``gens``, as a vertex bitmask.
 
     Each orbit is closed breadth-first under the generators and
     represented by its smallest mask.  The result is sorted, so iteration
-    order is deterministic.  An orbit keeps the size of its subsets, so
-    the bound drops whole orbits and keeps the representatives of the
+    order is deterministic.  An orbit keeps the size of its subsets, and
+    ``must`` must be a union of orbits (the vertices of one degree are),
+    so the bounds drop whole orbits and keep the representatives of the
     rest.
     """
-    masks = sorted(
+    masks = [
         sum(1 << v for v in subset)
-        for k in range(min(size, n) + 1)
+        for k in range(min(size, n + 1))
         for subset in combinations(range(n), k)
-    )
+    ]
+    if must.bit_count() <= size:
+        free = [v for v in range(n) if not must >> v & 1]
+        masks += (
+            must | sum(1 << v for v in subset)
+            for subset in combinations(free, size - must.bit_count())
+        )
+    masks.sort()
     if not gens:
         return masks
     seen: set[int] = set()
@@ -247,31 +255,9 @@ def _subset_reps(n: int, gens: Sequence[tuple[int, ...]], size: int) -> list[int
     return reps
 
 
-def _degree_rejects(g: Graph) -> Callable[[int], bool]:
-    """McKay's degree pre-test, read from the parent ``g``: whether a new
-    vertex joined to the vertex bitmask ``s`` has higher degree than some
-    vertex of the child.
-
-    That holds iff some vertex outside ``s`` has degree below ``|s|``, or
-    some vertex of ``s`` has degree below ``|s| - 1`` (it gains the new
-    vertex as a neighbour).  So with ``delta`` the parent's minimum
-    degree, it holds for ``delta + 1`` vertices iff ``s`` misses a vertex
-    of degree ``delta``, for more always, and for fewer never.
-    """
-    deg = [b.bit_count() for b in g.adj_bits]
-    delta = min(deg)
-    least = sum(1 << v for v, d in enumerate(deg) if d == delta)
-
-    def rejects(s: int) -> bool:
-        k = s.bit_count()
-        return k > delta and (k > delta + 1 or bool(least & ~s))
-
-    return rejects
-
-
-#: The tests a child meets in :meth:`_Augmentation.children`, in order;
-#: a rejected child is counted under the first one it fails.
-FATES = ("degree", "planarity", "domain", "mckay")
+#: The tests an offered child meets in :meth:`_Augmentation.children`, in
+#: order; a rejected child is counted under the first one it fails.
+FATES = ("planarity", "domain", "mckay")
 
 
 @dataclass
@@ -286,17 +272,20 @@ class _Augmentation:
     canonical deletion vertex, the vertex with the first canonical
     label, which has minimum degree.  So every graph of the tree is
     reached from order 1 by adding, at each step, a vertex of minimum
-    degree, and only the subsets of at most the parent's minimum degree
-    plus one are offered.
-    Each child meets, in order, cheapest first: McKay's degree pre-test
-    and planarity if ``planar``, both read from the parent before the
-    child is built; the domain tests; and the rest of McKay's test (the
-    child's root refinement, then one canonical search that also gives
-    the child's labeling and generators).  Every test is exact, so the
-    order changes which tests run, never which children are kept.
-    :attr:`rejected` counts the offered children by the first test they
-    fail (keys :data:`FATES`); the oracle reports the planarity and
-    domain counts together as ``pruned``, which leaves out McKay's.
+    degree.  Only the subsets that pass McKay's degree pre-test are
+    offered: with ``delta`` the parent's minimum degree, those of at most
+    ``delta`` vertices and those of ``delta + 1`` that hold every vertex
+    of degree ``delta``, the ones whose new vertex has the child's
+    minimum degree.
+    Each offered child meets, in order, cheapest first: planarity if
+    ``planar``, read from the parent before the child is built; the
+    domain tests; and the rest of McKay's test (the child's root
+    refinement, then one canonical search that also gives the child's
+    labeling and generators).  Every test is exact, so the order changes
+    which tests run, never which children are kept.  :attr:`rejected`
+    counts the offered children by the first test they fail (keys
+    :data:`FATES`); the oracle reports the planarity and domain counts
+    together as ``pruned``, which leaves out McKay's.
 
     The domain tests drop a child whose :func:`_edge_potential` at
     ``limit`` is below a nonzero ``seed``, then one that contains
@@ -337,30 +326,28 @@ class _Augmentation:
         g, _, gens, recipe = node
         new = g.n
         rejected = self.rejected
-        degree_rejects = _degree_rejects(g)
         kept: list[_Node] = []
         embeddings: tuple[_Embeddings, ...] | None = None
         # The canonical deletion vertex (the vertex carrying the first
         # canonical label) has minimum degree: canonical search ranks
         # vertices by ascending degree in its first refinement and
-        # afterwards only splits cells.  A vertex of minimum degree in
-        # the parent has at most one more in the child, so a new vertex
-        # of degree above that fails McKay's test, and its subsets are
-        # not listed; the pre-test rejects the rest of lower degree.
-        delta = min(b.bit_count() for b in g.adj_bits)
-        # A child that passes the pre-test has minimum degree |S| and
-        # m + |S| edges, and the edge potential grows with both, so a
-        # subset smaller than ``least`` fails the seed unbuilt.
+        # afterwards only splits cells.  So a new vertex of degree above
+        # some other vertex's in the child fails McKay's test, and its
+        # subset is not listed: one of more than delta + 1 vertices, or
+        # of delta + 1 that misses a vertex of degree delta.
+        deg = [b.bit_count() for b in g.adj_bits]
+        delta = min(deg)
+        must = sum(1 << v for v, d in enumerate(deg) if d == delta)
+        # An offered child has minimum degree |S| and m + |S| edges, and
+        # the edge potential grows with both, so a subset smaller than
+        # ``least`` fails the seed unbuilt.
         least = 0
         if self.seed:
             while least <= delta + 1 and _edge_potential(
                 g.m + least, least, new + 1, self.limit
             ) < self.seed:
                 least += 1
-        for s in _subset_reps(g.n, gens, delta + 1):
-            if degree_rejects(s):
-                rejected["degree"] += 1
-                continue
+        for s in _subset_reps(g.n, gens, delta + 1, must):
             if self.planar:
                 if embeddings is None:
                     embeddings = _node_embeddings(g, recipe)
@@ -483,15 +470,34 @@ def _embeddings(comp: int, systems: list[_Walks]) -> _Embeddings:
     return comp, systems, maximal
 
 
-def _searched_embeddings(edges: list[tuple[int, int]]) -> _Embeddings:
-    """The :data:`_Embeddings` of the connected planar graph spanned by
-    ``edges``, from every system of :func:`_rotation_systems`."""
-    verts = sorted({v for e in edges for v in e})
-    systems = [
-        tuple(tuple(verts[v] for v in walk) for walk in _dart_faces(system)[1])
-        for system in _rotation_systems(Graph.spanned_by(edges))
-    ]
-    return _embeddings(sum(1 << v for v in verts), systems)
+def _fresh_embeddings(bits: Sequence[int], v: int) -> _Embeddings | None:
+    """The embeddings of the component of the vertex ``v`` in the graph
+    with the adjacency bitmasks ``bits``, or ``None`` if it is a tree.
+
+    A search from ``v`` takes each vertex after a neighbour taken
+    before it, so every prefix of its order spans a connected graph.  The
+    systems start from the one face of the first two vertices, and each
+    later one is put in by :func:`_split_systems`, joined to its earlier
+    neighbours.
+    """
+    order: list[int] = []
+    comp = frontier = 1 << v
+    while frontier:
+        u = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        order.append(u)
+        fresh = bits[u] & ~comp
+        comp |= fresh
+        frontier |= fresh
+    if sum(bits[u].bit_count() for u in order) < 2 * len(order):
+        return None
+    a, b = order[:2]
+    systems: list[_Walks] = [((a, b),)]
+    seen = 1 << a | 1 << b
+    for u in order[2:]:
+        systems = _split_systems(systems, bits[u] & seen, u)
+        seen |= 1 << u
+    return _embeddings(comp, systems)
 
 
 def _split_walk(walk: tuple[int, ...], corners: Sequence[int], new: int) -> _Walks:
@@ -504,19 +510,19 @@ def _split_walk(walk: tuple[int, ...], corners: Sequence[int], new: int) -> _Wal
     ) + (walk[corners[-1] :] + walk[: corners[0] + 1] + (new,),)
 
 
-def _split_faces(parent: _Embeddings, s: int, new: int) -> _Embeddings:
-    """The embeddings of a component with a new vertex ``new`` joined to
-    the vertex bitmask ``s`` inside it, from the component's own.
+def _split_systems(systems: list[_Walks], s: int, new: int) -> list[_Walks]:
+    """The rotation systems of a connected graph with a new vertex
+    ``new`` joined to its vertex bitmask ``s``, from the face walks
+    ``systems`` of the graph's own.
 
-    Deleting the new vertex from a plane embedding of the child leaves
-    one of the parent's, with the new vertex inside one face; so the
-    child's rotation systems are the parent's with the new vertex put
+    Deleting the new vertex from a plane embedding of the grown graph
+    leaves one of the graph's, with the new vertex inside one face; so
+    the grown graph's systems are the graph's with the new vertex put
     into a face whose walk holds ``s``, at one corner (one occurrence in
-    the walk) per vertex of ``s``, split by :func:`_split_walk`.
-    Distinct corners give distinct systems, so each system of the child
-    is met once.
+    the walk) per vertex of ``s``, split by :func:`_split_walk`.  A corner
+    is a gap in its vertex's rotation, so distinct corners give distinct
+    systems, and each system is met once.
     """
-    comp, systems, _ = parent
     k = s.bit_count()
     derived: list[_Walks] = []
     for walks in systems:
@@ -530,7 +536,7 @@ def _split_faces(parent: _Embeddings, s: int, new: int) -> _Embeddings:
             for corners in product(*where.values()):
                 split = _split_walk(walk, sorted(corners), new)
                 derived.append(walks[:i] + split + walks[i + 1 :])
-    return _embeddings(comp | 1 << new, derived)
+    return derived
 
 
 def _node_embeddings(
@@ -542,10 +548,10 @@ def _node_embeddings(
 
     Components that ``s`` misses are the parent's, unchanged.  When
     ``s`` lies in one of the parent's components with a cycle, that
-    component's embeddings are split by :func:`_split_faces`, with no
-    search.  Otherwise the new vertex joins several components or
-    hangs on a tree, and its component, if that has a cycle, is
-    searched afresh by :func:`_searched_embeddings`.
+    component's systems are split by :func:`_split_systems`.  Otherwise
+    the new vertex joins several components or hangs on a tree, and its
+    component, if that has a cycle, is grown afresh by the same rule
+    (:func:`_fresh_embeddings`).
     """
     inherited, s = recipe
     if not s:
@@ -554,19 +560,11 @@ def _node_embeddings(
     kept = tuple(e for e in inherited if not e[0] & s)
     met = [e for e in inherited if e[0] & s]
     if len(met) == 1 and not s & ~met[0][0]:
-        return kept + (_split_faces(met[0], s, new),)
-    bits = g.adj_bits
-    comp = frontier = 1 << new
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        fresh = bits[v] & ~comp
-        comp |= fresh
-        frontier |= fresh
-    edges = [e for e in g.edges if comp >> e[0] & 1]
-    if len(edges) < comp.bit_count():
-        return kept
-    return kept + (_searched_embeddings(edges),)
+        comp, systems, _ = met[0]
+        grown = _embeddings(comp | 1 << new, _split_systems(systems, s, new))
+    else:
+        grown = _fresh_embeddings(g.adj_bits, new)
+    return kept if grown is None else kept + (grown,)
 
 
 def _cofacial(embeddings: Sequence[_Embeddings], s: int) -> bool:
@@ -656,10 +654,11 @@ class SearchReport:
             counted).
         rejected: Children offered in the augmentation tree and
             rejected, by the first test they fail (keys :data:`FATES`):
-            McKay's degree pre-test, non-planarity, the domain prunes
-            (edge potential, pattern containment) and the rest of
-            McKay's test.  A neighbourhood larger than the parent's
-            minimum degree plus one is never offered.
+            non-planarity, the domain prunes (edge potential, pattern
+            containment) and the rest of McKay's test.  A neighbourhood
+            that fails McKay's degree pre-test is never offered: one
+            larger than the parent's minimum degree plus one, or of that
+            size and missing a vertex of minimum degree.
         elapsed_ms: Wall-clock time; excluded from determinism
             comparisons.
         bound_name: Name of the theorem bound relevant to the pattern
@@ -1242,91 +1241,6 @@ def _is_biconnected(g: Graph) -> bool:
     return all(g.without_vertex(v).is_connected() for v in range(g.n))
 
 
-def _insertion_order(g: Graph) -> list[tuple[int, int, bool]]:
-    """Edges of a connected graph as ``(old, other, is_tree)`` steps.
-
-    Vertices are taken in breadth-first order from 0.  Each new vertex
-    arrives by a tree edge from its first reached neighbour, followed at
-    once by closing edges to its other reached neighbours, so cycles
-    close as early as possible and keep the partial embeddings few.
-    """
-    order = [0]
-    reached = {0}
-    for v in order:
-        for w in sorted(g.adjacency[v]):
-            if w not in reached:
-                reached.add(w)
-                order.append(w)
-    position = {v: i for i, v in enumerate(order)}
-    steps: list[tuple[int, int, bool]] = []
-    for w in order[1:]:
-        earlier = sorted(
-            (u for u in g.adjacency[w] if position[u] < position[w]),
-            key=position.__getitem__,
-        )
-        steps.append((earlier[0], w, True))
-        steps.extend((u, w, False) for u in earlier[1:])
-    return steps
-
-
-def _rotation_systems(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
-    """Every planar rotation system of a connected graph, sorted.
-
-    Edges are added in the order of :func:`_insertion_order`.  A tree
-    edge goes into any corner of its old endpoint; a closing edge joins
-    two corners, one at each endpoint, that lie on one face, and splits
-    that face.  Every prefix therefore stays plane, so each planar rotation
-    system is reached exactly once and none is rejected (the face and
-    corner bookkeeping of Boyer and Myrvold's edge-addition planarity
-    test, JGAA 8(3), 2004).  Each rotation is rotated to start at its
-    smallest neighbour.  A non-planar graph has none.
-
-    Raises:
-        ValueError: If ``g`` is empty or disconnected.
-    """
-    if not g.is_connected():
-        raise ValueError("plane embeddings need a connected graph")
-    steps = _insertion_order(g)
-    rot: list[list[int]] = [[] for _ in range(g.n)]
-    found: list[tuple[tuple[int, ...], ...]] = []
-
-    def extend(k: int) -> None:
-        if k == len(steps):
-            system = []
-            for r in rot:
-                i = r.index(min(r)) if r else 0
-                system.append(tuple(r[i:] + r[:i]))
-            found.append(tuple(system))
-            return
-        u, w, is_tree = steps[k]
-        if is_tree:
-            rot[w].append(u)
-            for i in range(max(1, len(rot[u]))):
-                rot[u].insert(i + 1, w)
-                extend(k + 1)
-                rot[u].remove(w)
-            rot[w].pop()
-            return
-        # Corner i of v sits after rot[v][i], on the face of the dart
-        # leaving v to the next neighbour.
-        face = _dart_faces(rot)[0]
-        ru, rw = rot[u], rot[w]
-        corners_u = [face[u][x] for x in ru[1:] + ru[:1]]
-        corners_w = [face[w][x] for x in rw[1:] + rw[:1]]
-        for i, fu in enumerate(corners_u):
-            for j, fw in enumerate(corners_w):
-                if fu != fw:
-                    continue
-                rot[u].insert(i + 1, w)
-                rot[w].insert(j + 1, u)
-                extend(k + 1)
-                rot[u].remove(w)
-                rot[w].remove(u)
-
-    extend(0)
-    return sorted(found)
-
-
 def certify_solid_tbs_direct(
     max_order: int,
     pattern: "PatternSpec | Graph | str",
@@ -1376,33 +1290,6 @@ def certify_solid_tbs_direct(
 # =========================================================================
 # Corpus construction and lemma-law verification
 # =========================================================================
-
-
-def plane_embeddings(g: Graph) -> Iterator[PlaneGraph]:
-    """Every sphere embedding of a connected planar graph.
-
-    One per rotation system of :func:`_rotation_systems`, once each, in
-    sorted rotation order, whatever the connectivity of ``g``: a
-    3-connected graph yields its embedding and its mirror image.
-    Embeddings equal up to isomorphism or reflection are all yielded.
-    The outer face of the yielded graphs is arbitrary -- callers that
-    care about the inner/outer distinction should fan out with
-    :func:`outer_variants`.  The lemma scans read their planes from the
-    tree (:func:`_free_planes`); this search is the tests' arbiter.
-
-    Args:
-        g: Connected planar graph.
-
-    Raises:
-        ValueError: If ``g`` is empty, disconnected or not planar.  No
-            Kuratowski witness is computed; :func:`ptl.embedding.embed`
-            gives one.
-    """
-    systems = _rotation_systems(g)
-    if not systems:
-        raise ValueError("graph is not planar")
-    for system in systems:
-        yield PlaneGraph.build(g, system)
 
 
 def outer_variants(pg: PlaneGraph) -> Iterator[PlaneGraph]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from plane_reference import plane_embeddings
 from ptl import families, search
 from ptl.embedding import PlaneGraph
 from ptl.patterns import is_free
@@ -311,7 +312,7 @@ def _identity_corpora():
         for n in range(3, 7):
             for g in search.enumerate_graphs(n, connected=True, planar=True):
                 if is_free(g, pattern):
-                    for pg in search.plane_embeddings(g):
+                    for pg in plane_embeddings(g):
                         exhaustive.extend(search.outer_variants(pg))
         yield f"{pattern}-free corpus n<=6", exhaustive
 

@@ -475,3 +475,40 @@ def test_malformed_graph_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", "free", "--pattern", "C3",
                        "--in", str(bad))
     assert code == 2
+
+
+_WITHOUT_NETWORKX = """
+import importlib
+import pkgutil
+import sys
+
+sys.modules["networkx"] = None  # any import of networkx now fails
+import ptl
+from ptl import cli
+
+for info in pkgutil.walk_packages(ptl.__path__, "ptl."):
+    importlib.import_module(info.name)
+for argv in (
+    ["turan", "exact", "--n", "6", "--pattern", "H5"],
+    ["tb", "enumerate", "--pattern", "H4", "--max", "8"],
+    ["family", "gen", "--name", "wheel_ring", "--param", "k=3"],
+):
+    code = cli.main(argv)
+    assert code == 0, (argv, code)
+print("ok")
+"""
+
+
+def test_ptl_needs_no_networkx(tmp_path):
+    # ptl has no runtime dependency: with networkx unimportable, every
+    # module imports and the oracle, the census and a family builder run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ptl.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NETWORKX],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "ok"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 
 from conftest import graphs
+from plane_reference import plane_embeddings
 from ptl import decomposition
 from ptl.decomposition import (
     TriBlock,
@@ -36,7 +37,6 @@ from ptl.patterns import fixture
 from ptl.search import (
     _sphere_key,
     outer_variants,
-    plane_embeddings,
     random_plane_corpus,
     scan_theta_pairs,
 )

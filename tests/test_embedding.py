@@ -16,6 +16,7 @@ from networkx.algorithms.planarity import get_counterexample
 
 import ptl
 from conftest import graphs, mirrored
+from plane_reference import _rotation_systems
 from ptl import families
 from ptl.embedding import (
     Face,
@@ -44,7 +45,7 @@ from ptl.families import (
     wheel_ring,
 )
 from ptl.io import graph6_decode
-from ptl.search import _rotation_systems, enumerate_graphs, random_plane_corpus
+from ptl.search import enumerate_graphs, random_plane_corpus
 
 
 # -- basic embeddings ------------------------------------------------------

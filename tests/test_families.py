@@ -21,7 +21,6 @@ from ptl.families import (
     family_instance,
     k2_plus_matching,
     k2_vee_matching,
-    thm2_equality_split,
     verify_h5_extremal,
     wheel_ring,
 )
@@ -203,14 +202,6 @@ def test_bound_values():
         bound(10, "thm9")
     with pytest.raises(FamilyError):
         bound(0, "thm1")
-
-
-def test_thm2_equality_split():
-    assert thm2_equality_split(20) == (2, 0)
-    assert thm2_equality_split(26) == (2, 1)
-    assert thm2_equality_split(36) == (3, 1)
-    assert thm2_equality_split(16) is None  # needs x >= 2
-    assert thm2_equality_split(7) is None
 
 
 # -- constructions -----------------------------------------------------------

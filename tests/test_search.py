@@ -14,6 +14,7 @@ import networkx as nx
 import pytest
 
 from conftest import mirrored
+from plane_reference import _rotation_systems, plane_embeddings
 from ptl import embedding
 from ptl.decomposition import decompose
 from ptl.embedding import (
@@ -51,17 +52,15 @@ from ptl.search import (
     _Augmentation,
     _arc_runs_ok,
     _cofacial,
-    _degree_rejects,
     _edge_potential,
     _free_planes,
+    _fresh_embeddings,
     _grown_children,
     _is_biconnected,
     _last_level,
     _node_embeddings,
     _on_triangles,
     _prufer_tree_edges,
-    _rotation_systems,
-    _searched_embeddings,
     _solid_outer_faces,
     _sphere_key,
     _subset_reps,
@@ -72,7 +71,6 @@ from ptl.search import (
     exact_planar_turan_orders,
     naive_planar_turan,
     outer_variants,
-    plane_embeddings,
     random_plane_corpus,
     scan_h4_component_density,
     scan_h5_component_density,
@@ -130,45 +128,59 @@ def test_enumerate_planar_order_9_counts():
     assert (total, connected) == (79853, 71885)
 
 
+def _degree_must(g):
+    """The parent's minimum degree and the bitmask of its vertices of
+    that degree, as :meth:`_Augmentation.children` reads them."""
+    deg = list(map(int.bit_count, g.adj_bits))
+    delta = min(deg)
+    return delta, sum(1 << v for v, d in enumerate(deg) if d == delta)
+
+
 def test_degree_pretest_matches_child_degrees():
-    # the pre-test reads the parent's degrees; it must reject exactly the
-    # children whose new vertex has more than the child's minimum degree,
-    # and so every subset larger than the parent's minimum degree plus
-    # one, which the children are not offered
+    # the offered subsets, read from the parent's degrees, are exactly
+    # those whose child gives the new vertex the child's minimum degree
     for n in range(1, 7):
         for g in enumerate_graphs(n, planar=True):
-            rejects = _degree_rejects(g)
-            delta = min(map(int.bit_count, g.adj_bits))
+            delta, must = _degree_must(g)
+            low = []
             for s in range(1 << n):
                 child = g.with_new_vertex(v for v in range(n) if s >> v & 1)
                 bits = child.adj_bits
-                high = bits[n].bit_count() > min(map(int.bit_count, bits))
-                assert rejects(s) == high, (g.edges, s)
-                assert high or s.bit_count() <= delta + 1, (g.edges, s)
+                if bits[n].bit_count() == min(map(int.bit_count, bits)):
+                    low.append(s)
+            assert _subset_reps(n, [], delta + 1, must) == low, g.edges
 
 
 def test_subset_reps_keep_the_small_orbits():
-    # an orbit keeps the size of its subsets, so a size bound drops whole
-    # orbits and keeps the representatives of the rest, in order
+    # an orbit keeps the size of its subsets, and the vertices of one
+    # degree are a union of orbits, so the bounds drop whole orbits and
+    # keep the representatives of the rest, in order
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             gens = canonical_data(g)[1]
-            every = _subset_reps(n, gens, n)
+            every = _subset_reps(n, gens, n, 0)
             for size in range(n + 1):
-                assert _subset_reps(n, gens, size) == [
+                assert _subset_reps(n, gens, size, 0) == [
                     s for s in every if s.bit_count() <= size
                 ], (g.edges, size)
+            delta, must = _degree_must(g)
+            assert _subset_reps(n, gens, delta + 1, must) == [
+                s
+                for s in every
+                if s.bit_count() <= delta
+                or (s.bit_count() == delta + 1 and not must & ~s)
+            ], g.edges
 
 
 def test_every_child_has_one_fate():
     # each offered child is kept or counted under exactly one rejection
     tree = _Augmentation(7, planar=True, spec=as_pattern("C3"))
     nodes = [node for level in tree.levels() for node in level]
-    offered = sum(
-        len(_subset_reps(g.n, gens, min(map(int.bit_count, g.adj_bits)) + 1))
-        for g, _, gens, _ in nodes
-        if g.n < 7
-    )
+    offered = 0
+    for g, _, gens, _ in nodes:
+        if g.n < 7:
+            delta, must = _degree_must(g)
+            offered += len(_subset_reps(g.n, gens, delta + 1, must))
     assert set(tree.rejected) == set(FATES)
     assert all(tree.rejected.values())
     assert offered == sum(tree.rejected.values()) + len(nodes) - 1
@@ -190,7 +202,7 @@ class _MaxDegreeAugmentation(_Augmentation):
         deg = [b.bit_count() for b in g.adj_bits]
         embeddings = _reference_embeddings(g) if self.planar else None
         kept = []
-        for s in _subset_reps(new, gens, new):
+        for s in _subset_reps(new, gens, new, 0):
             k = s.bit_count()
             if k < max(deg) or any(s >> v & 1 and deg[v] >= k for v in range(new)):
                 continue
@@ -327,54 +339,90 @@ def _cyclic_spans(g):
 
 def _reference_embeddings(g):
     """The embeddings of the components of ``g`` with a cycle, each
-    searched from scratch by :func:`_rotation_systems`: the reference
-    for those the tree inherits."""
-    return tuple(map(_searched_embeddings, _cyclic_spans(g)))
-
-
-def _searched_face_cycles(g):
-    """The face cycles of every system of :func:`_rotation_systems` of
-    each component of ``g`` with a cycle, by its vertex bitmask."""
-    out = {}
+    searched from scratch by the edge-insertion arbiter
+    :func:`_rotation_systems`: the reference for those the tree derives
+    by its corner rule."""
+    out = []
     for edges in _cyclic_spans(g):
         verts = sorted({v for e in edges for v in e})
-        out[sum(1 << v for v in verts)] = _face_cycles(
-            [tuple(verts[v] for v in walk) for walk in _dart_faces(system)[1]]
-            for system in search._rotation_systems(Graph.spanned_by(edges))
-        )
-    return out
+        systems = [
+            tuple(tuple(verts[v] for v in walk) for walk in _dart_faces(system)[1])
+            for system in _rotation_systems(Graph.spanned_by(edges))
+        ]
+        out.append(search._embeddings(sum(1 << v for v in verts), systems))
+    return tuple(out)
 
 
 def _assert_embeddings_searched(g, embeddings):
     """``embeddings`` are those of ``g``'s components with a cycle: the
-    same systems, mirror images included, as a search finds, and the
-    masks of :func:`_reference_embeddings`."""
+    same systems, mirror images included, and the same masks as
+    :func:`_reference_embeddings`."""
+    want = _reference_embeddings(g)
     got = {comp: _face_cycles(systems) for comp, systems, _ in embeddings}
     assert len(got) == len(embeddings), g.edges
-    assert got == _searched_face_cycles(g), g.edges
+    assert got == {
+        comp: _face_cycles(systems) for comp, systems, _ in want
+    }, g.edges
     assert sorted((comp, sorted(faces)) for comp, _, faces in embeddings) == sorted(
-        (comp, sorted(faces)) for comp, _, faces in _reference_embeddings(g)
+        (comp, sorted(faces)) for comp, _, faces in want
     ), g.edges
 
 
-def test_inherited_embeddings_match_rotation_systems(monkeypatch):
+def test_inherited_embeddings_match_rotation_systems():
     # every node of the planar tree to order 8, disconnected ones
-    # included, derives its embeddings from its parent's; the face
-    # cycles and the reference masks read one search per component
-    searched = {}
-
-    def once(g):
-        if g not in searched:
-            searched[g] = _rotation_systems(g)
-        return searched[g]
-
-    monkeypatch.setattr(search, "_rotation_systems", once)
+    # included, derives its embeddings from its parent's or grows them
+    # afresh; the face cycles and the masks are the arbiter's
     tree = _Augmentation(8, planar=True)
     for level in tree.levels():
         for g, _, _, recipe in level:
-            embeddings = _node_embeddings(g, recipe)
-            searched.clear()
-            _assert_embeddings_searched(g, embeddings)
+            _assert_embeddings_searched(g, _node_embeddings(g, recipe))
+
+
+def test_fresh_embeddings_match_rotation_systems():
+    # a component grown afresh from each of its vertices, on every
+    # connected planar graph with a cycle to order 7; and on a K4 whose
+    # labels do not start at 0, beside two triangles
+    checked = 0
+    for n in range(3, 8):
+        for g in enumerate_graphs(n, connected=True, planar=True):
+            if g.m < n:
+                continue
+            ((_, want, _),) = _reference_embeddings(g)
+            want = _face_cycles(want)
+            for v in range(n):
+                _, systems, _ = _fresh_embeddings(g.adj_bits, v)
+                assert _face_cycles(systems) == want, (g.edges, v)
+            checked += 1
+    assert checked == 750
+    triangles = [(a + i, a + j) for a in (0, 7) for i, j in ((0, 1), (0, 2), (1, 2))]
+    k4 = [(3 + i, 3 + j) for i, j in combinations(range(4), 2)]
+    g = Graph.from_edges(10, triangles + k4)
+    ((comp, want, _),) = [e for e in _reference_embeddings(g) if e[0] >> 3 & 1]
+    for v in range(3, 7):
+        grown, systems, _ = _fresh_embeddings(g.adj_bits, v)
+        assert grown == comp == 0b1111000
+        assert _face_cycles(systems) == _face_cycles(want), v
+    # a tree component has none
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert _fresh_embeddings(path.adj_bits, 0) is None
+
+
+def _mirror(walks):
+    """The face walks of the mirror image: every walk reversed."""
+    return tuple(walk[::-1] for walk in walks)
+
+
+def test_fresh_embedding_counts_closed_forms():
+    # a cycle has one rotation system; by Whitney, a 3-connected planar
+    # graph has two, an embedding and its mirror image
+    for n in range(3, 9):
+        _, systems, _ = _fresh_embeddings(Graph.cycle(n).adj_bits, 0)
+        assert len(systems) == 1, n
+    for g in (Graph.complete(4), _octahedron(), _cube(), _wheel(5)):
+        for v in range(g.n):
+            _, (first, second), _ = _fresh_embeddings(g.adj_bits, v)
+            assert _face_cycles([_mirror(first)]) == _face_cycles([second])
+            assert _face_cycles([first]) != _face_cycles([second])
 
 
 def test_inherited_embeddings_by_hand():
@@ -494,9 +542,9 @@ def test_oracle_counters_at_order_8():
     # deletion-chain potential and the seeds from order 7; they were
     # 535 / 885 / 658 enumerated under maximum-degree deletion
     pins = {
-        "H4": (48, {"degree": 280, "planarity": 171, "domain": 532, "mckay": 12}),
-        "H5": (87, {"degree": 634, "planarity": 250, "domain": 871, "mckay": 26}),
-        "H6": (74, {"degree": 482, "planarity": 263, "domain": 853, "mckay": 11}),
+        "H4": (48, {"planarity": 171, "domain": 532, "mckay": 12}),
+        "H5": (87, {"planarity": 250, "domain": 871, "mckay": 26}),
+        "H6": (74, {"planarity": 263, "domain": 853, "mckay": 11}),
     }
     for pattern, (enumerated, rejected) in pins.items():
         for workers in (1, 2):
@@ -779,9 +827,8 @@ def test_direct_census_walks_only_free_graphs(monkeypatch):
 
 
 def test_direct_census_reads_embeddings_from_the_tree(monkeypatch):
-    # every candidate's face walks come from its tree node: no rotation
-    # system is searched for by plane_embeddings, and no plane graph is
-    # built
+    # every candidate's face walks come from its tree node: no plane
+    # graph is built
     grown = {
         pattern: enumerate_solid_tbs(7, pattern).found
         for pattern in ("H4", "H5")
@@ -790,7 +837,6 @@ def test_direct_census_reads_embeddings_from_the_tree(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the direct census built a plane graph")
 
-    monkeypatch.setattr(search, "plane_embeddings", refuse)
     monkeypatch.setattr(PlaneGraph, "build", refuse)
     for pattern, found in grown.items():
         direct = certify_solid_tbs_direct(7, pattern)
@@ -967,14 +1013,9 @@ def _sphere_multiset(planes):
     return keys
 
 
-def test_free_planes_match_searched_embeddings(monkeypatch):
+def test_free_planes_match_searched_embeddings():
     # the tree's planes are the searched ones of every free graph with a
-    # cycle that the scan keeps, each sphere embedding once; no plane is
-    # searched for by plane_embeddings
-    def refuse(g):
-        raise AssertionError("a lemma scan searched for embeddings")
-
-    monkeypatch.setattr(search, "plane_embeddings", refuse)
+    # cycle that the scan keeps, each sphere embedding once
     for pattern, orders, keep, count in [
         ("H5", range(3, 7), lambda g: True, 646),
         ("H4", (7,), _on_triangles, 442),
@@ -1047,7 +1088,7 @@ def test_embeddings_match_brute_force_small():
 
 def test_embeddings_match_brute_force_direct_candidates_order_7():
     # _rotation_systems arbitrates the face walks that the tree nodes
-    # inherit, so it is pinned against brute force on the candidates of
+    # derive, so it is pinned against brute force on the candidates of
     # certify_solid_tbs_direct(7, H4|H5) that are not 3-connected: 2-
     # connected, every edge on a triangle
     specs = [as_pattern("H4"), as_pattern("H5")]
@@ -1296,11 +1337,11 @@ def test_plane_embeddings_reject_non_planar_graphs():
 
 def test_plane_embeddings_read_only_rotation_systems(monkeypatch):
     # every embedding, of a 3-connected graph too, comes from
-    # _rotation_systems; the networkx embedder is never asked
+    # _rotation_systems; the left-right embedder is never asked
     def refuse(*args):
         raise AssertionError("plane_embeddings called embed")
 
-    monkeypatch.setattr(search, "embed", refuse)
+    monkeypatch.setattr(embedding, "embed", refuse)
     graphs = [
         g
         for n in range(1, 7)
