@@ -112,14 +112,17 @@ def _read_graphs(path: Path) -> list[Graph | PlaneGraph]:
     if not path.exists():
         raise CliError(f"input file not found: {path}")
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
+        # UnicodeDecodeError is a ValueError; a line file stays bytes, so
+        # its reader names the line of a non-ASCII byte
         if path.suffix == ".json":
+            text = data.decode("utf-8")
             graphs: list[Graph | PlaneGraph] = [load_plane_graph_json(text)]
         else:
-            graphs = list(read_graph_lines(text))
+            graphs = list(read_graph_lines(data))
     except ValueError as exc:
         raise CliError(f"cannot parse {path}: {exc}") from exc
     if not graphs:
@@ -445,6 +448,18 @@ def _check_tb_catalog(pattern: str, workers: int) -> str:
     return f"orders {counts} all match"
 
 
+def _check_direct_census(pattern: str, workers: int) -> str:
+    """The growth census against the independent direct census, orders
+    3..9 (the direct census's limit)."""
+    direct = search.certify_solid_tbs_direct(9, pattern)
+    grown = search.enumerate_solid_tbs(9, pattern, workers=workers).found
+    differ = [k for k in direct if direct[k] != grown[k]]
+    if differ:
+        raise CheckFailure(f"censuses differ at orders {differ}")
+    counts = {k: len(v) for k, v in sorted(direct.items())}
+    return f"orders {counts}: growth census equals direct census"
+
+
 def _check_naive_agreement(pattern: str, workers: int) -> str:
     values = []
     for report in search.exact_planar_turan_orders(5, pattern, workers=workers):
@@ -608,6 +623,7 @@ def _bundle(theorem: str, workers: int) -> list[tuple[str, Callable[[], str]]]:
             ("density-table-H4",
              lambda: _check_density_rows("H4", _EXPECTED_H4_DENSITIES)),
             ("tb-catalog-H4", lambda: _check_tb_catalog("H4", workers)),
+            ("direct-census-H4", lambda: _check_direct_census("H4", workers)),
             ("naive-agreement-C3",
              lambda: _check_naive_agreement("C3", workers)),
             ("naive-agreement-Theta4",
@@ -624,6 +640,7 @@ def _bundle(theorem: str, workers: int) -> list[tuple[str, Callable[[], str]]]:
             ("density-table-H5",
              lambda: _check_density_rows("H5", _EXPECTED_H5_DENSITIES)),
             ("tb-catalog-H5", lambda: _check_tb_catalog("H5", workers)),
+            ("direct-census-H5", lambda: _check_direct_census("H5", workers)),
             ("naive-agreement-H5",
              lambda: _check_naive_agreement("H5", workers)),
             ("small-n-bound", lambda: _check_thm2_small_bound(workers)),

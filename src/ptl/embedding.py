@@ -12,6 +12,10 @@ This module is the structural foundation of the package:
   rotation system (clockwise neighbour order around every vertex) plus a
   designated outer face.  Its faces come from one dart traversal, or
   from the face walks its maker already holds.
+* :func:`_least_plane_code` -- the integer breadth-first plane code of a
+  rotation system and of its mirror image, read straight from face
+  walks; :meth:`PlaneGraph.canonical_plane_code` and the growth census's
+  sphere keys are such codes.
 * :func:`embed` -- planarity test and embedding construction by Brandes'
   left-right planarity test (a first-party port of networkx 3.6.1's that
   gives the same rotations), raising :class:`NonPlanarError` with a
@@ -661,19 +665,29 @@ def _dart_faces(
     return face, walks
 
 
+def _walk_successors(walks: Iterable[Sequence[int]]) -> dict[int, dict[int, int]]:
+    """The rotation successors of the rotation system whose
+    :func:`_dart_faces` walks are ``walks``, given in any order and from
+    any start: ``succ[v][u]`` follows ``u`` in the rotation at ``v``, and
+    the rotation at ``walk[i]`` maps ``walk[i-1]`` to ``walk[i+1]``."""
+    succ: dict[int, dict[int, int]] = {}
+    for walk in walks:
+        for i, v in enumerate(walk):
+            succ.setdefault(v, {})[walk[i - 1]] = walk[(i + 1) % len(walk)]
+    return succ
+
+
 def _walk_rotation(
     n: int, walks: Iterable[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
     """The rotation system on ``0..n-1`` whose :func:`_dart_faces` walks
-    are ``walks``, the inverse of that tracer: the rotation at ``walk[i]``
-    maps ``walk[i-1]`` to ``walk[i+1]``.  Each rotation starts at its
-    smallest neighbour; a vertex on no walk has none."""
-    succ: list[dict[int, int]] = [{} for _ in range(n)]
-    for walk in walks:
-        for i, v in enumerate(walk):
-            succ[v][walk[i - 1]] = walk[(i + 1) % len(walk)]
-    rotation = [[min(nxt)] if nxt else [] for nxt in succ]
-    for r, nxt in zip(rotation, succ):
+    are ``walks``, the inverse of that tracer (see
+    :func:`_walk_successors`).  Each rotation starts at its smallest
+    neighbour; a vertex on no walk has none."""
+    succ = _walk_successors(walks)
+    nexts = [succ.get(v, {}) for v in range(n)]
+    rotation = [[min(nxt)] if nxt else [] for nxt in nexts]
+    for r, nxt in zip(rotation, nexts):
         while len(r) < len(nxt):
             r.append(nxt[r[-1]])
     return tuple(map(tuple, rotation))
@@ -826,17 +840,18 @@ class PlaneGraph:
 
     # -- canonical code ------------------------------------------------------
 
-    def canonical_plane_code(self) -> bytes:
-        """Canonical bytes identifying the embedding with its outer face.
+    def canonical_plane_code(self) -> tuple[int, ...]:
+        """Canonical integer code of the embedding with its outer face.
 
         Two plane graphs get equal codes iff some isomorphism of the
         underlying graphs maps rotations to rotations (up to global
-        reflection) and outer face to outer face.  The code is the least
-        :func:`_least_plane_code` from the darts of the outer face, whose
-        reverses walk the outer face of the mirror image.  A start dart
-        lies on the outer face, so the code fixes it.
+        reflection) and outer face to outer face.  The code is the
+        :func:`_least_plane_code` of the faces from the darts of the outer
+        face, whose reverses walk the outer face of the mirror image.  A
+        start dart lies on the outer face, so the code fixes it.
         """
-        return _least_plane_code(self.rotation, self.outer.darts())
+        walks = [f.walk for f in self.faces()]
+        return _least_plane_code(walks, self.outer.darts())
 
     def to_json(self) -> str:
         """Serialise as an embedding JSON object (see :mod:`ptl.io`)."""
@@ -857,55 +872,42 @@ class PlaneGraph:
         )
 
 
-def _bfs_plane_code(rotation: Sequence[Sequence[int]], start: Dart) -> bytes:
-    """Deterministic relabeling code of a connected rotation system from a
-    start dart.
-
-    Vertices are labeled in discovery order; each vertex's neighbour list
-    is read in rotation order starting from the neighbour through which it
-    was discovered (``start[1]`` for ``start[0]``).  The rows spell the
-    relabeled rotation system, so two codes are equal iff some isomorphism
-    of the rotation systems maps one start dart onto the other.
-    """
-    label = {start[0]: 0}
-    entry = {start[0]: start[1]}
-    queue = [start[0]]
-    rows: list[list[int]] = []
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        rot = rotation[v]
-        k = rot.index(entry[v])
-        row: list[int] = []
-        for u in rot[k:] + rot[:k]:
-            if u not in label:
-                label[u] = len(label)
-                entry[u] = v
-                queue.append(u)
-            row.append(label[u])
-        rows.append(row)
-    return json.dumps(rows, separators=(",", ":")).encode()
-
-
 def _least_plane_code(
-    rotation: Sequence[Sequence[int]], darts: Iterable[Dart]
-) -> bytes:
-    """The least :func:`_bfs_plane_code` from the given darts of a
-    rotation system and from their reverses in its mirror image (every
-    rotation reversed); ``b"K1"`` when there are no darts."""
-    mirror = tuple(tuple(reversed(r)) for r in rotation)
-    return min(
-        (
-            code
-            for u, v in darts
-            for code in (
-                _bfs_plane_code(rotation, (u, v)),
-                _bfs_plane_code(mirror, (v, u)),
-            )
-        ),
-        default=b"K1",
-    )
+    walks: Iterable[Sequence[int]], darts: Iterable[Dart]
+) -> tuple[int, ...]:
+    """The least plane code from the given darts of a connected rotation
+    system, given by its face walks (see :func:`_walk_successors`), and
+    from their reverses in its mirror image; ``()`` with no darts.
+
+    A code labels the vertices in breadth-first discovery order from the
+    dart's tail and lists, per vertex, its degree and then its neighbours'
+    labels in rotation order from the one it was entered by.  Two codes
+    are equal iff some isomorphism of the rotation systems maps one start
+    dart onto the other.  The mirror image reverses every rotation, so its
+    successors are the predecessors.
+    """
+    succ = _walk_successors(walks)
+    pred = {v: {w: u for u, w in nxt.items()} for v, nxt in succ.items()}
+
+    def code(
+        after: dict[int, dict[int, int]], root: int, entry: int
+    ) -> tuple[int, ...]:
+        label = {root: 0}
+        queue = [(root, entry)]
+        out: list[int] = []
+        for v, u in queue:
+            around = after[v]
+            out.append(len(around))
+            for _ in around:
+                if u not in label:
+                    label[u] = len(label)
+                    queue.append((u, v))
+                out.append(label[u])
+                u = around[u]
+        return tuple(out)
+
+    codes = (c for u, v in darts for c in (code(succ, u, v), code(pred, v, u)))
+    return min(codes, default=())
 
 
 # =========================================================================

@@ -34,6 +34,7 @@ from .embedding import (
     Face,
     Graph,
     PlaneGraph,
+    canonical_form,
     embed,
     is_isomorphic,
     plane_graph_from_positions,
@@ -59,6 +60,7 @@ __all__ = [
     "first_inner_quad",
     "augment_with_b2prime",
     "ExtremalStructureReport",
+    "h5_extremal_block",
     "verify_h5_extremal",
     "BoundValue",
     "bound",
@@ -992,6 +994,21 @@ class ExtremalStructureReport:
         return not self.failures
 
 
+@lru_cache(maxsize=None)
+def _h5_extremal_forms() -> dict[bytes, str]:
+    return {
+        canonical_form(catalog_block(name).graph): name
+        for name in ("B5", "B2p")
+    }
+
+
+def h5_extremal_block(graph: Graph) -> str | None:
+    """``"B5"`` or ``"B2p"`` when ``graph`` is a copy of that block, the
+    two shapes of an ``H5``-extremal graph's triangular components, and
+    ``None`` otherwise."""
+    return _h5_extremal_forms().get(canonical_form(graph))
+
+
 def verify_h5_extremal(pg: PlaneGraph) -> ExtremalStructureReport:
     """Check the three structural conditions of ``H5``-extremal graphs.
 
@@ -1004,23 +1021,13 @@ def verify_h5_extremal(pg: PlaneGraph) -> ExtremalStructureReport:
     """
     dec = decompose(pg)
     failures: list[str] = []
-    shapes = {
-        "B5": catalog_block("B5").graph,
-        "B2p": catalog_block("B2p").graph,
-    }
-    names: list[str] = []
-    shapes_ok = True
-    for component in dec.components:
-        sub = Graph.spanned_by(component.edges)
-        for name, reference in shapes.items():
-            if is_isomorphic(sub, reference):
-                names.append(name)
-                break
-        else:
-            names.append("?")
-            shapes_ok = False
+    names = [
+        h5_extremal_block(Graph.spanned_by(component.edges)) or "?"
+        for component in dec.components
+    ]
+    shapes_ok = "?" not in names
     if not shapes_ok:
-        bad = sum(1 for name in names if name == "?")
+        bad = names.count("?")
         failures.append(
             f"{bad} triangular component(s) are neither B5 nor B2p copies"
         )

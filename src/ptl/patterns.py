@@ -217,6 +217,9 @@ class PatternSpec:
 _PARAM_RE = re.compile(
     r"^(C|P|K|W|F|Friendship|MatchingPlus)(\d+)$", re.IGNORECASE
 )
+#: Largest index a parametric pattern name may give; checked before the
+#: graph is built, which for a large index would take all memory.
+_MAX_INDEX = 1000
 
 
 def build_pattern(name: str) -> PatternSpec:
@@ -226,7 +229,8 @@ def build_pattern(name: str) -> PatternSpec:
     ``Theta5``; ``C<k>`` cycles, ``P<k>`` paths, ``K<k>`` complete graphs,
     ``W<k>`` wheels, ``F<k>`` fans; ``Friendship<t>``;
     ``MatchingPlus<t>``; the fixtures ``D1, D2, D3, D11, D12``; and
-    disjoint unions spelled ``A|B`` (e.g. ``C3|Theta4``).
+    disjoint unions spelled ``A|B`` (e.g. ``C3|Theta4``).  A parametric
+    index is at most 1000.
     """
     text = name.strip()
     if "|" in text:
@@ -245,6 +249,11 @@ def build_pattern(name: str) -> PatternSpec:
     m = _PARAM_RE.match(text)
     if m:
         kind, num = m.group(1), int(m.group(2))
+        if num > _MAX_INDEX:
+            raise ValueError(
+                f"bad pattern {name!r}: index {num} exceeds the limit "
+                f"{_MAX_INDEX}"
+            )
         kind_norm = kind.upper() if len(kind) == 1 else kind.capitalize()
         if kind_norm == "Matchingplus":
             kind_norm = "MatchingPlus"

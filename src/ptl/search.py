@@ -58,10 +58,10 @@ the tree and the growth census alike, so no face is traced here past
 the growth census's drawn seeds.  The growth census carries graphs
 with their face walks and builds no plane graph.  In both censuses the
 solid outer faces of an embedding come from its 3-faces by one
-union-find.  Only the
-growth census tells sphere embeddings apart, by :func:`_sphere_key`; the
-direct census checks every embedding and reads no plane code, so it
-stays independent of the census it certifies.
+union-find.  Only the growth census tells sphere embeddings apart, by
+:func:`_sphere_key`, a plane code read from each child's face walks;
+the direct census checks every embedding and reads no plane code, so
+it stays independent of the census it certifies.
 The augmentation tree and the growth census both grow one order at a
 time: each order's nodes are split into static shares, one per worker,
 and the workers return the next order's nodes, as tree nodes or as
@@ -87,6 +87,7 @@ import json
 import os
 import random
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -1063,25 +1064,22 @@ def _grown_children(g: Graph, walks: _Walks, spec: PatternSpec) -> Iterator[_Pla
             yield graph, walks[:i] + _split_walk(walk, sel, new) + walks[i + 1 :]
 
 
-def _sphere_key(rotation: Sequence[Sequence[int]]) -> bytes:
-    """Canonical key of a connected rotation system up to isomorphism and
-    reflection: the least plane code from a dart of it or of its mirror
-    image whose end degrees form the least unordered pair.
+def _sphere_key(walks: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Canonical key, up to isomorphism and reflection, of the connected
+    rotation system with these face walks: the least plane code from a
+    dart of it or of its mirror image whose end degrees form the least
+    unordered pair (each occurrence of a vertex on a walk is one dart out).
 
     Those darts are closed under reversal, as the mirror's codes need,
     and every isomorphism and reflection keeps them, so two systems get
-    equal keys exactly when codes from every dart would.  The key needs
-    no faces, so no outer face either.
+    equal keys exactly when codes from every dart would.
     """
-    deg = [len(r) for r in rotation]
-    pairs = {
-        (v, w): (min(deg[v], deg[w]), max(deg[v], deg[w]))
-        for v, r in enumerate(rotation)
-        for w in r
-    }
-    least = min(pairs.values(), default=None)
+    deg = Counter(chain.from_iterable(walks))
+    darts = [(w[i - 1], v) for w in walks for i, v in enumerate(w)]
+    ends = [sorted((deg[u], deg[v])) for u, v in darts]
+    least = min(ends, default=None)
     return _least_plane_code(
-        rotation, (dart for dart, pair in pairs.items() if pair == least)
+        walks, (dart for dart, pair in zip(darts, ends) if pair == least)
     )
 
 
@@ -1110,7 +1108,7 @@ def _solid_outer_faces(faces: Sequence[Face], m: int) -> list[Face]:
 
 def _tb_worker(
     args: tuple[tuple[_Plane, ...], PatternSpec],
-) -> list[tuple[bytes, _Plane]]:
+) -> list[tuple[tuple[int, ...], _Plane]]:
     """Expand one share of census parents (picklable entry point).
 
     Returns ``(sphere key, child)``, in the order found, for the first
@@ -1118,11 +1116,11 @@ def _tb_worker(
     the members of a class agree on that, so the later ones are skipped.
     """
     parents, spec = args
-    seen: set[bytes] = set()
-    out: list[tuple[bytes, _Plane]] = []
+    seen: set[tuple[int, ...]] = set()
+    out: list[tuple[tuple[int, ...], _Plane]] = []
     for g, walks in parents:
         for child, faces in _grown_children(g, walks, spec):
-            key = _sphere_key(_walk_rotation(child.n, faces))
+            key = _sphere_key(faces)
             if key not in seen:
                 seen.add(key)
                 if _solid_outer_faces([Face(w) for w in faces], child.m):
@@ -1181,7 +1179,8 @@ def enumerate_solid_tbs(
         raise SearchError("worker count must be at least 1")
     start = time.monotonic()
     base = families.catalog_block("B1").plane
-    frontier = {_sphere_key(base.rotation): _graph_walks(base)}
+    seed = _graph_walks(base)
+    frontier = {_sphere_key(seed[1]): seed}
     found: dict[int, tuple[str, ...]] = {
         3: (canonical_form(base.graph).decode("ascii"),)
     }
@@ -1196,7 +1195,8 @@ def enumerate_solid_tbs(
             if order % 2 == 0 and order >= 6:
                 pg = families.catalog_block("B15", order).plane
                 if is_free(pg.graph, spec):
-                    frontier.setdefault(_sphere_key(pg.rotation), _graph_walks(pg))
+                    seed = _graph_walks(pg)
+                    frontier.setdefault(_sphere_key(seed[1]), seed)
             forms = {canonical_form(g).decode("ascii") for g, _ in frontier.values()}
             found[order] = tuple(sorted(forms))
 
@@ -1509,10 +1509,6 @@ def scan_h5_component_density() -> tuple[tuple[str, ...], int]:
         components seen (expected positive -- the law must not hold
         vacuously).
     """
-    allowed = {
-        canonical_form(families.catalog_block(name).graph)
-        for name in ("B5", "B2p")
-    }
     violations: list[str] = []
     hits = 0
     planes = _free_planes("H5", range(3, 7), lambda g: True)
@@ -1530,7 +1526,7 @@ def scan_h5_component_density() -> tuple[tuple[str, ...], int]:
                 )
                 continue
             hits += 1
-            if canonical_form(Graph.spanned_by(comp.edges)) not in allowed:
+            if families.h5_extremal_block(Graph.spanned_by(comp.edges)) is None:
                 violations.append(
                     f"{where} has density 1 and is neither B5 nor B2p"
                 )

@@ -195,6 +195,36 @@ def test_check_pattern_alias(capsys, tmp_path):
     assert code == 0 and out.strip() == "free"
 
 
+def test_check_refuses_a_pattern_index_past_the_limit(capsys, tmp_path):
+    path = tmp_path / "k3.g6"
+    path.write_text("Bw\n")
+    code, out, err = run(capsys, "check", "free", "--pattern", "K1001",
+                         "--in", str(path))
+    assert code == 2 and not out
+    assert "exceeds the limit 1000" in err
+
+
+def test_check_reports_non_ascii_line_files_by_line(capsys, tmp_path):
+    # a line file is read as bytes, whatever the locale's encoding
+    path = tmp_path / "bom.g6"
+    path.write_bytes(b"\xff\xfeBw\n")
+    code, out, err = run(capsys, "check", "free", "--pattern", "C3",
+                         "--in", str(path))
+    assert code == 2 and not out
+    assert f"cannot parse {path}: line 1: non-ASCII character" in err
+
+
+def test_decompose_refuses_json_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(
+        b'{"n": 3, "rotation": [[1, 2], [2, 0], [0, 1]], '
+        b'"outer_face": [0, 1, 2], "note": "\xe9"}'
+    )
+    code, out, err = run(capsys, "decompose", "--in", str(path))
+    assert code == 2 and not out
+    assert f"cannot parse {path}: 'utf-8' codec" in err
+
+
 # -- decompose ------------------------------------------------------------------
 
 def test_decompose_output(capsys, tmp_path):
@@ -418,6 +448,14 @@ def test_tb_enumerate_bad_pattern(capsys):
 
 
 # -- verify ----------------------------------------------------------------------
+
+def test_verify_bundles_certify_the_growth_census():
+    # the direct census at order 7 is pinned in test_search; here only
+    # that thm1 and thm2 run it after their growth census
+    for theorem, pattern in (("thm1", "H4"), ("thm2", "H5")):
+        names = [name for name, _ in cli._bundle(theorem, 1)]
+        assert names[1:3] == [f"tb-catalog-{pattern}", f"direct-census-{pattern}"]
+
 
 def test_verify_c3_line_runs_to_order_10():
     assert _check_c3_line(1) == "ex_P(n, C3) = 2n-4 for n in 5..10"

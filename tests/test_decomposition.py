@@ -131,14 +131,15 @@ def test_d1_configuration_realized():
     # exactly one spherical embedding of the D1 reference graph, up to
     # isomorphism and reflection, realizes both theta configurations
     # disjointly
-    hits: dict[bytes, list] = {}
+    hits: dict[tuple[int, ...], list] = {}
     for pg in plane_embeddings(fixture("D1")):
         report = e_i_analysis(pg, include_outer=True)
         if {(0, 1), (4, 5)} <= set(report.e_i):
             label = classify_theta_pair(pg, (0, 1), (4, 5))
             if label == "D1":
                 survey = theta_pair_survey(pg)
-                hits.setdefault(_sphere_key(pg.rotation), []).append(
+                key = _sphere_key([f.walk for f in pg.faces()])
+                hits.setdefault(key, []).append(
                     [(r.e, r.f, r.shared, r.detached, r.label) for r in survey]
                 )
     assert len(hits) == 1

@@ -21,6 +21,7 @@ from ptl.families import (
     family_instance,
     k2_plus_matching,
     k2_vee_matching,
+    h5_extremal_block,
     verify_h5_extremal,
     wheel_ring,
 )
@@ -265,13 +266,21 @@ def test_verify_h5_extremal_positive():
     assert report.cover_ok
     assert report.face_lengths_ok
     assert not report.failures
-    assert set(report.component_names) <= {"B5", "B2p"}
+    assert report.component_names == ("B5",) * 4 + ("B2p",) * 2
 
 
 def test_verify_h5_extremal_negative():
     report = verify_h5_extremal(k2_plus_matching(10).plane)
     assert not report.ok
     assert report.failures
+    assert report.component_names == ("?",)
+
+
+def test_h5_extremal_block_names_copies():
+    b5 = catalog_block("B5").graph
+    assert h5_extremal_block(b5.relabeled(tuple(reversed(range(b5.n))))) == "B5"
+    assert h5_extremal_block(catalog_block("B2p").graph) == "B2p"
+    assert h5_extremal_block(catalog_block("B1").graph) is None
 
 
 def test_family_instance_dispatch():

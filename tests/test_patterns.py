@@ -62,6 +62,23 @@ def test_union_grammar():
         build_pattern("Bogus9")
 
 
+def test_parametric_index_is_bounded(monkeypatch):
+    # an index past the limit is refused before any graph is built
+    assert build_pattern("C1000").graph.n == 1000
+
+    for kind in ("cycle", "complete"):
+        build = getattr(Graph, kind)
+
+        def guarded(n, build=build):
+            assert n <= 1000, f"built a pattern on {n} vertices"
+            return build(n)
+
+        monkeypatch.setattr(Graph, kind, staticmethod(guarded))
+    for name in ("C1001", "K1001", "c1001|K3"):
+        with pytest.raises(ValueError, match="exceeds the limit 1000"):
+            build_pattern(name)
+
+
 def test_helper_builders():
     assert theta(4).m == 5 and theta(5).m == 6
     with pytest.raises(ValueError):

@@ -803,7 +803,7 @@ def test_direct_census_uses_no_sphere_key(monkeypatch):
         raise AssertionError("the direct census read a plane code")
 
     monkeypatch.setattr(search, "_sphere_key", refuse)
-    monkeypatch.setattr(embedding, "_bfs_plane_code", refuse)
+    monkeypatch.setattr(embedding, "_least_plane_code", refuse)
     for pattern, found in grown.items():
         direct = certify_solid_tbs_direct(7, pattern)
         assert direct == {k: found[k] for k in range(3, 8)}
@@ -990,10 +990,10 @@ def test_free_last_level_matches_filtered_enumeration():
 
 
 def _sphere_multiset(planes):
-    """The planes as a multiset of (canonical form, least plane code of
-    the rotation, not of its mirror, from the darts whose end degrees
-    are least): equal keys mean isomorphic sphere embeddings, with
-    orientation kept."""
+    """The planes as a multiset of (canonical form, least
+    :func:`_reference_rows` of the rotation, not of its mirror, from the
+    darts whose end degrees are least): equal keys mean isomorphic sphere
+    embeddings, with orientation kept."""
     forms = {}
     keys = Counter()
     for pg in planes:
@@ -1005,7 +1005,7 @@ def _sphere_multiset(planes):
         }
         least = min(ends.values())
         code = min(
-            embedding._bfs_plane_code(pg.rotation, dart)
+            _reference_rows(pg.rotation, dart)[0]
             for dart, pair in ends.items()
             if pair == least
         )
@@ -1144,17 +1144,16 @@ def test_embedding_counts_closed_forms():
         assert tuple(mirror) == second
 
 
-def _reference_bfs_code(pg: PlaneGraph, start) -> bytes:
-    """The plane code with the order and the relabeled outer walk in its
-    payload, read from a plane graph."""
-    if start[1] is None:
-        return b"K1"
+def _reference_rows(rotation, start):
+    """The rotation system relabeled in breadth-first discovery order
+    from the dart ``start``, each vertex's neighbours read from the one
+    it was entered by; and the labels."""
     label = {start[0]: 0}
     entry = {start[0]: start[1]}
     queue = [start[0]]
     rows = []
     for v in queue:
-        rot = pg.rotation[v]
+        rot = rotation[v]
         k = rot.index(entry[v])
         row = []
         for u in rot[k:] + rot[:k]:
@@ -1163,7 +1162,16 @@ def _reference_bfs_code(pg: PlaneGraph, start) -> bytes:
                 entry[u] = v
                 queue.append(u)
             row.append(label[u])
-        rows.append(row)
+        rows.append(tuple(row))
+    return tuple(rows), label
+
+
+def _reference_bfs_code(pg: PlaneGraph, start) -> bytes:
+    """The plane code with the order and the relabeled outer walk in its
+    payload, read from a plane graph."""
+    if start[1] is None:
+        return b"K1"
+    rows, label = _reference_rows(pg.rotation, start)
     outer = _min_rotation(tuple(label[v] for v in pg.outer.walk))
     payload = {"n": pg.n, "rows": rows, "outer": outer}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
@@ -1194,7 +1202,7 @@ def test_sphere_key_and_plane_code_partition_as_before():
             for system in _rotation_systems(g)
         ]
         systems += len(planes)
-        keys = [_sphere_key(pg.rotation) for pg in planes]
+        keys = [_sphere_key(_face_walks(pg)) for pg in planes]
         old_keys = [
             min(_reference_plane_code(v) for v in outer_variants(pg))
             for pg in planes
@@ -1209,24 +1217,28 @@ def test_sphere_key_and_plane_code_partition_as_before():
     assert systems == 778
 
 
-def _all_darts_key(rotation) -> bytes:
+def _face_walks(pg: PlaneGraph) -> list[tuple[int, ...]]:
+    return [f.walk for f in pg.faces()]
+
+
+def _all_darts_key(walks) -> tuple[int, ...]:
     """Reference sphere key: the least plane code from every dart."""
     return _least_plane_code(
-        rotation, ((v, w) for v, r in enumerate(rotation) for w in r)
+        walks, ((w[i - 1], v) for w in walks for i, v in enumerate(w))
     )
 
 
 def test_sphere_key_partitions_like_all_darts_key():
     # every rotation system of every connected planar graph with n <= 6
     for n in range(1, 7):
-        rotations = [
-            system
+        systems = [
+            _dart_faces(system)[1]
             for g in enumerate_graphs(n, connected=True, planar=True)
             for system in _rotation_systems(g)
         ]
         assert _same_partition(
-            [_sphere_key(r) for r in rotations],
-            [_all_darts_key(r) for r in rotations],
+            [_sphere_key(w) for w in systems],
+            [_all_darts_key(w) for w in systems],
         )
     # and every grown census child up to order 9, one parent per class
     for pattern in ("H4", "H5"):
@@ -1235,15 +1247,36 @@ def test_sphere_key_partitions_like_all_darts_key():
         parents = [(b1.graph, tuple(f.walk for f in b1.faces()))]
         for _ in range(4, 10):
             children = [c for p in parents for c in _grown_children(*p, spec)]
-            rotations = [_walk_rotation(g.n, walks) for g, walks in children]
-            keys = [_sphere_key(r) for r in rotations]
-            assert _same_partition(keys, [_all_darts_key(r) for r in rotations])
+            keys = [_sphere_key(walks) for _, walks in children]
+            assert _same_partition(
+                keys, [_all_darts_key(walks) for _, walks in children]
+            )
             first = {}
             for key, (g, walks) in zip(keys, children):
                 if _solid_outer_faces([Face(w) for w in walks], g.m):
                     first.setdefault(key, (g, walks))
             parents = list(first.values())
         assert parents
+
+
+def test_sphere_key_reads_walks_in_any_order_and_from_any_start():
+    # every rotation system of every connected planar graph with n <= 6:
+    # each walk started k steps later and the walks reordered, for every k
+    for n in range(2, 7):
+        for g in enumerate_graphs(n, connected=True, planar=True):
+            for system in _rotation_systems(g):
+                walks = _dart_faces(system)[1]
+                key = _sphere_key(walks)
+                first = walks[0]
+                outer = [(first[i - 1], v) for i, v in enumerate(first)]
+                code = _least_plane_code(walks, outer)
+                for k in range(1, max(map(len, walks))):
+                    moved = [
+                        w[k % len(w) :] + w[: k % len(w)]
+                        for w in walks[k:] + walks[:k]
+                    ][:: (-1) ** k]
+                    assert _sphere_key(moved) == key
+                    assert _least_plane_code(moved, outer) == code
 
 
 def _reference_grown_children(pg, spec):
@@ -1307,7 +1340,7 @@ def test_grown_children_skip_supersets_like_full_scan(monkeypatch):
                 for graph, rotation in expected:
                     child = PlaneGraph.build(graph, rotation)
                     if _solid_outer_faces(child.faces(), child.m):
-                        first.setdefault(_sphere_key(child.rotation), child)
+                        first.setdefault(_sphere_key(_face_walks(child)), child)
             parents = list(first.values())
         assert parents
     assert 0 < calls["skip"] < calls["full"]
@@ -1324,7 +1357,7 @@ def test_plane_embeddings_triconnected_unique():
     # reflection
     planes = list(plane_embeddings(Graph.complete(4)))
     assert len(planes) == 2
-    assert len({_sphere_key(pg.rotation) for pg in planes}) == 1
+    assert len({_sphere_key(_face_walks(pg)) for pg in planes}) == 1
 
 
 def test_plane_embeddings_reject_non_planar_graphs():
@@ -1358,7 +1391,7 @@ def test_plane_embeddings_dedupe():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     planes = list(plane_embeddings(star))
     assert len(planes) == 2
-    assert len({_sphere_key(pg.rotation) for pg in planes}) == 1
+    assert len({_sphere_key(_face_walks(pg)) for pg in planes}) == 1
 
 
 def test_outer_variants_cover_faces():
