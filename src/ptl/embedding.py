@@ -226,7 +226,13 @@ class Graph:
         """
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation of the vertex set")
-        return Graph.from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges])
+        # a permutation maps distinct edges to distinct edges
+        edges = []
+        for u, v in self.edges:
+            a, b = perm[u], perm[v]
+            edges.append((a, b) if a < b else (b, a))
+        edges.sort()
+        return Graph(self.n, tuple(edges))
 
     def with_new_vertex(self, neighbors: Iterable[int]) -> "Graph":
         """Add vertex ``n`` adjacent to ``neighbors`` (possibly empty).
@@ -347,6 +353,24 @@ def _refine_cells(adj: Sequence[int], cells: list[int], changed: int) -> list[in
     return cells
 
 
+def _seeded_root(adj: Sequence[int], degrees: Sequence[int]) -> list[int]:
+    """The refined trivial colouring, ``_refine_cells(adj, [full],
+    full)``, with its first pass read from the vertex ``degrees``.
+
+    From the one cell, that pass signs each vertex by its degree alone,
+    so it splits the cell into the degree classes in ascending order; with
+    one class it splits nothing and the colouring is ``[full]``.  Else
+    refinement goes on from those classes with every vertex changed.
+    """
+    classes: dict[int, int] = {}
+    for v, d in enumerate(degrees):
+        classes[d] = classes.get(d, 0) | 1 << v
+    full = (1 << len(degrees)) - 1
+    if len(classes) <= 1:
+        return [full]
+    return _refine_cells(adj, [classes[d] for d in sorted(classes)], full)
+
+
 def _adj_key(n: int, adj: Sequence[int], order: Sequence[int]) -> int:
     """Upper-triangle adjacency bits of the graph relabeled by ``order``.
 
@@ -376,9 +400,10 @@ class _CanonState:
       explored; the search returns to the depth of that prefix.
     * **Orbit pruning.**  A candidate is skipped when the automorphisms
       found so far that fix the current prefix pointwise map it onto a
-      candidate already explored at this node.  The orbits are updated
-      whenever the generator list grows, including inside a sibling's
-      branch.
+      candidate already explored at this node.  Each node keeps one
+      union-find of those orbits and, before each candidate, merges only
+      the automorphisms appended since it last looked, including those
+      found inside a sibling's branch.
 
     A pruned subtree is always the image of one explored earlier, so the
     first leaf in depth-first order reaching the least key is never
@@ -440,7 +465,8 @@ class _CanonState:
                 common += 1
             return common
         explored: list[int] = []
-        roots: list[int] = []
+        # union-find of the orbits, made at the first automorphism
+        orbits: list[int] = []
         known = 0
         rest = target
         while rest:
@@ -448,15 +474,18 @@ class _CanonState:
             rest ^= bit
             v = bit.bit_length() - 1
             if known < len(self.auts):
-                # Orbits under the automorphisms found so far that fix
-                # the prefix pointwise, updated as siblings find more.
+                # Merge the automorphisms found since the last look that
+                # fix the prefix pointwise, as siblings find more.
+                if not orbits:
+                    orbits = list(range(self.n))
+                for a in self.auts[known:]:
+                    if all(a[u] == u for u in fixed):
+                        _union_perm(orbits, a)
                 known = len(self.auts)
-                roots = _orbit_partition(
-                    self.n,
-                    [a for a in self.auts if all(a[u] == u for u in fixed)],
-                )
-            if roots and any(roots[v] == roots[u] for u in explored):
-                continue
+            if orbits:
+                root = _find(orbits, v)
+                if any(_find(orbits, u) == root for u in explored):
+                    continue
             explored.append(v)
             # Individualize v: a cell of its own just below the rest of
             # its old cell.
@@ -474,9 +503,8 @@ def _canon_state(g: Graph, root: list[int] | None = None) -> _CanonState:
         state.best_key = 0
         return state
     if root is None:
-        state.search([(1 << g.n) - 1], [], (1 << g.n) - 1)
-    else:
-        state.search(root, [], 0)
+        root = _seeded_root(g.adj_bits, [b.bit_count() for b in g.adj_bits])
+    state.search(root, [], 0)
     return state
 
 
@@ -486,11 +514,11 @@ def canonical_data(
     """Canonical labeling and automorphism generators from one search.
 
     ``_root`` is for a caller that has already refined the trivial
-    colouring: it must be the colour cells ``_refine_cells(g.adj_bits,
-    [full], full)``, where ``full`` is the bitmask of every vertex.  The
-    search starts by refining its cells, and :func:`_refine_cells`
-    returns equitable cells unchanged, so the result is the same as
-    without them; only that first refinement is saved.
+    colouring: it must be the colour cells :func:`_seeded_root` gives,
+    which equal ``_refine_cells(g.adj_bits, [full], full)``, where
+    ``full`` is the bitmask of every vertex.  Without it the search
+    starts from the same cells, so the result is the same; only their
+    refinement is saved.
 
     Returns:
         ``(perm, gens)`` where ``perm[old] = new`` is the canonical
@@ -516,11 +544,19 @@ def canonical_form(g: Graph) -> bytes:
     """Deterministic canonical byte form (graph6 of the canonical relabel).
 
     Two graphs are isomorphic iff their canonical forms are equal.  The
-    result is stable across runs and platforms.
+    result is stable across runs and platforms.  The search's least key
+    packs the relabeled graph's bits in graph6's column order, so it is
+    the graph6 body, padded with zeros to whole 6-bit groups.
     """
     from . import io as _io  # local import to avoid a module cycle
 
-    return _io.graph6_encode(g.relabeled(canonical_labeling(g)))
+    key = _canon_state(g).best_key
+    assert key is not None
+    nbits = g.n * (g.n - 1) // 2
+    pad = -nbits % 6
+    key <<= pad
+    shifts = range(nbits + pad - 6, -1, -6)
+    return _io._encode_size(g.n) + bytes((key >> k & 63) + 63 for k in shifts)
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
@@ -543,27 +579,41 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return list(_canon_state(g).auts)
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``parent``, halving
+    the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union_perm(parent: list[int], perm: Sequence[int]) -> None:
+    """Join each index to its image under ``perm`` in ``parent``."""
+    for a, b in enumerate(perm):
+        if a != b:
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[ra] = rb
+
+
 def _union_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Union-find over ``0..n-1``: the root of each index after joining
     every pair."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in pairs:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[ra] = rb
-    return [find(v) for v in range(n)]
+    return [_find(parent, v) for v in range(n)]
 
 
 def _orbit_partition(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
     """Orbit roots of ``0..n-1`` under the group generated by ``gens``."""
-    return _union_roots(n, ((v, a[v]) for a in gens for v in range(n)))
+    parent = list(range(n))
+    for a in gens:
+        _union_perm(parent, a)
+    return [_find(parent, v) for v in range(n)]
 
 
 def vertex_orbits(g: Graph) -> list[frozenset[int]]:

@@ -18,10 +18,13 @@ augmentation core, :class:`_Augmentation`, which deletes a vertex of
 minimum degree.  A parent offers only the neighbourhoods that pass
 McKay's degree pre-test, and a child meets its tests cheapest first:
 planarity is read from the parent before the child is built, then come
-the domain tests and the child's refined trivial colouring, and only
-then at most one canonical search, whose labeling and automorphism
-generators decide McKay's test, give the child's subset orbits as a
-parent and relabel it when yielded.  The
+the domain tests and the child's root colouring, refined from its degree
+classes as read from the parent's bitmasks, which rejects most children
+before their graph is built, and only then at most one canonical
+search, whose labeling and automorphism generators decide McKay's test,
+give the child's subset orbits as a parent and relabel it when yielded.
+With ``connected``, :func:`enumerate_graphs` skips, at the last order,
+every subset that misses a component of its parent.  The
 tree is plain data with one traversal, :meth:`_Augmentation.levels`,
 which grows it one order at a time.  The oracle, the direct census and
 the lemma scans take only pattern-free graphs: the tree drops a child
@@ -92,6 +95,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -108,7 +112,7 @@ from .embedding import (
     PlaneGraph,
     _least_plane_code,
     _orbit_partition,
-    _refine_cells,
+    _seeded_root,
     _union_roots,
     _walk_rotation,
     canonical_data,
@@ -150,12 +154,13 @@ class CeilingExceededError(SearchError):
     """Requested order exceeds the configured enumeration ceiling."""
 
 
-#: Order ceiling of :func:`enumerate_graphs` and the lemma scans.
+#: Order ceiling of :func:`enumerate_graphs` and the lemma scans, and
+#: the default one of :func:`certify_solid_tbs_direct`.
 DEFAULT_CEILING = 9
 
 #: Default order ceiling of :func:`exact_planar_turan` and
 #: :func:`exact_planar_turan_orders`, whose pruned trees stay small.
-ORACLE_DEFAULT_CEILING = 11
+ORACLE_DEFAULT_CEILING = 12
 
 #: Default order ceiling of the solid-TB census, for both patterns.
 TB_DEFAULT_CEILING = 16
@@ -281,9 +286,12 @@ class _Augmentation:
     Each offered child meets, in order, cheapest first: planarity if
     ``planar``, read from the parent before the child is built; the
     domain tests; and the rest of McKay's test (the child's root
-    refinement, then one canonical search that also gives the child's
-    labeling and generators).  Every test is exact, so the order changes
-    which tests run, never which children are kept.  :attr:`rejected`
+    refinement, read from its adjacency bitmasks and degrees, which are
+    the parent's with the new vertex added, then one canonical search
+    that also gives the child's labeling and generators).  The child's
+    graph is built for the domain tests if the tree has any, else only
+    once the root refinement passes.  Every test is exact, so the order
+    changes which tests run, never which children are kept.  :attr:`rejected`
     counts the offered children by the first test they fail (keys
     :data:`FATES`); the oracle reports the planarity and domain counts
     together as ``pruned``, which leaves out McKay's.
@@ -322,13 +330,20 @@ class _Augmentation:
         default_factory=lambda: dict.fromkeys(FATES, 0)
     )
 
-    def children(self, node: _Node) -> list[_Node]:
-        """The kept children of ``node``, in subset-representative order."""
+    def children(self, node: _Node, connected: bool = False) -> list[_Node]:
+        """The kept children of ``node``, in subset-representative order.
+
+        With ``connected``, only the connected ones: a subset that misses
+        a component of the parent gives a disconnected child, and it is
+        skipped first, counted under no fate."""
         g, _, gens, recipe = node
         new = g.n
+        bits = g.adj_bits
         rejected = self.rejected
         kept: list[_Node] = []
         embeddings: tuple[_Embeddings, ...] | None = None
+        comps = _components(bits) if connected else []
+        tested = bool(self.seed) or self.spec is not None
         # The canonical deletion vertex (the vertex carrying the first
         # canonical label) has minimum degree: canonical search ranks
         # vertices by ascending degree in its first refinement and
@@ -336,7 +351,7 @@ class _Augmentation:
         # some other vertex's in the child fails McKay's test, and its
         # subset is not listed: one of more than delta + 1 vertices, or
         # of delta + 1 that misses a vertex of degree delta.
-        deg = [b.bit_count() for b in g.adj_bits]
+        deg = [b.bit_count() for b in bits]
         delta = min(deg)
         must = sum(1 << v for v, d in enumerate(deg) if d == delta)
         # An offered child has minimum degree |S| and m + |S| edges, and
@@ -349,6 +364,8 @@ class _Augmentation:
             ) < self.seed:
                 least += 1
         for s in _subset_reps(g.n, gens, delta + 1, must):
+            if any(not s & comp for comp in comps):
+                continue
             if self.planar:
                 if embeddings is None:
                     embeddings = _node_embeddings(g, recipe)
@@ -358,23 +375,36 @@ class _Augmentation:
             if s.bit_count() < least:
                 rejected["domain"] += 1
                 continue
-            child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
-            if self._outside(child):
-                rejected["domain"] += 1
-                continue
+            child = None
+            if tested:
+                child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
+                if self._outside(child):
+                    rejected["domain"] += 1
+                    continue
             # The rest of McKay's test: the new vertex must share an
             # automorphism orbit with the canonical deletion vertex.
             # Refinement and individualization only split cells and keep
             # them in order, so that vertex lies in the first cell of the
             # refined trivial colouring; orbits lie inside the cells of
             # that equitable colouring, so a new vertex outside the first
-            # cell fails without a search.  The search starts from the
-            # same cells, which it does not refine again.
-            full = (1 << child.n) - 1
-            cells = _refine_cells(child.adj_bits, [full], full)
+            # cell fails without a search, read from the child's bitmasks
+            # and degrees before its graph is built.  The search starts
+            # from the same cells, which it does not refine again.
+            child_bits = list(bits)
+            child_deg = deg + [s.bit_count()]
+            rest = s
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                child_bits[v] |= 1 << new
+                child_deg[v] += 1
+            child_bits.append(s)
+            cells = _seeded_root(child_bits, child_deg)
             if not cells[0] >> new & 1:
                 rejected["mckay"] += 1
                 continue
+            if child is None:
+                child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
             perm, child_gens = canonical_data(child, _root=cells)
             target = perm.index(0)
             if target != new:
@@ -471,16 +501,10 @@ def _embeddings(comp: int, systems: list[_Walks]) -> _Embeddings:
     return comp, systems, maximal
 
 
-def _fresh_embeddings(bits: Sequence[int], v: int) -> _Embeddings | None:
-    """The embeddings of the component of the vertex ``v`` in the graph
-    with the adjacency bitmasks ``bits``, or ``None`` if it is a tree.
-
-    A search from ``v`` takes each vertex after a neighbour taken
-    before it, so every prefix of its order spans a connected graph.  The
-    systems start from the one face of the first two vertices, and each
-    later one is put in by :func:`_split_systems`, joined to its earlier
-    neighbours.
-    """
+def _reach(bits: Sequence[int], v: int) -> tuple[int, list[int]]:
+    """The vertex bitmask of the component of ``v`` in the graph with the
+    adjacency bitmasks ``bits``, and its vertices in the order a search
+    from ``v`` takes them, each after a neighbour taken before it."""
     order: list[int] = []
     comp = frontier = 1 << v
     while frontier:
@@ -490,6 +514,32 @@ def _fresh_embeddings(bits: Sequence[int], v: int) -> _Embeddings | None:
         fresh = bits[u] & ~comp
         comp |= fresh
         frontier |= fresh
+    return comp, order
+
+
+def _components(bits: Sequence[int]) -> list[int]:
+    """The vertex bitmasks of the components of the graph with the
+    adjacency bitmasks ``bits``."""
+    comps: list[int] = []
+    left = (1 << len(bits)) - 1
+    while left:
+        comp, _ = _reach(bits, (left & -left).bit_length() - 1)
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
+def _fresh_embeddings(bits: Sequence[int], v: int) -> _Embeddings | None:
+    """The embeddings of the component of the vertex ``v`` in the graph
+    with the adjacency bitmasks ``bits``, or ``None`` if it is a tree.
+
+    A search from ``v`` (:func:`_reach`) takes each vertex after a
+    neighbour taken before it, so every prefix of its order spans a
+    connected graph.  The systems start from the one face of the first
+    two vertices, and each later one is put in by :func:`_split_systems`,
+    joined to its earlier neighbours.
+    """
+    comp, order = _reach(bits, v)
     if sum(bits[u].bit_count() for u in order) < 2 * len(order):
         return None
     a, b = order[:2]
@@ -609,15 +659,16 @@ def enumerate_graphs(
         CeilingExceededError: If ``n`` exceeds :data:`DEFAULT_CEILING`.
         SearchError: If ``n < 1``.
     """
-    for g, perm, _, _ in _last_level(_Augmentation(n, planar=planar)):
-        if not connected or g.is_connected():
-            yield g.relabeled(perm)
+    tree = _Augmentation(n, planar=planar)
+    for g, perm, _, _ in _last_level(tree, connected=connected):
+        yield g.relabeled(perm)
 
 
-def _last_level(tree: _Augmentation) -> Iterable[_Node]:
+def _last_level(tree: _Augmentation, connected: bool = False) -> Iterable[_Node]:
     """The kept nodes of order ``tree.limit``, in preorder, streamed from
-    the order below; the order is checked as :func:`enumerate_graphs`
-    documents."""
+    the order below; with ``connected``, only the connected ones, whose
+    subsets meet every component of their parent.  The order is checked
+    as :func:`enumerate_graphs` documents."""
     n = tree.limit
     if n < 1:
         raise SearchError("order must be at least 1")
@@ -630,7 +681,11 @@ def _last_level(tree: _Augmentation) -> Iterable[_Node]:
     for _ in range(2, n):
         nodes = next(levels)
     if n > 1:  # order n streams: held whole, order 9 quadruples the peak RSS
-        nodes = (child for parent in nodes for child in tree.children(parent))
+        nodes = (
+            child
+            for parent in nodes
+            for child in tree.children(parent, connected=connected)
+        )
     return nodes
 
 
@@ -1016,14 +1071,31 @@ class TBCatalogReport:
         return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _arc_runs_ok(mask: int, length: int) -> bool:
-    """Whether the selected walk positions form cyclic runs of length >= 2
-    (a full selection is one run covering the cycle): every selected
-    position has a selected cyclic neighbour."""
-    full = (1 << length) - 1
-    rotl = (mask << 1 | mask >> (length - 1)) & full
-    rotr = (mask >> 1 | mask << (length - 1)) & full
-    return not mask & ~(rotl | rotr)
+@cache
+def _run_masks(length: int) -> tuple[int, ...]:
+    """The nonzero selections of ``length >= 2`` cyclic walk positions
+    that form cyclic runs of length >= 2 (a full selection is one run
+    covering the cycle), as ascending masks: every selected position has
+    a selected cyclic neighbour.
+
+    The masks grow one position at a time, without and then with it, so
+    each list stays ascending.  A selected position whose lower neighbour
+    is not selected forces the next one; positions 0 and ``length - 1``
+    are neighbours too, so each is checked at the end.
+    """
+    last = length - 1
+    masks = [0, 1]
+    for p in range(1, length):
+        masks = [
+            m for m in masks if p < 2 or not m >> (p - 1) & 1 or m >> (p - 2) & 1
+        ] + [m | 1 << p for m in masks]
+    return tuple(
+        m
+        for m in masks
+        if m
+        and (not m & 1 or m & 2 or m >> last & 1)
+        and (not m >> last & 1 or m >> (last - 1) & 1 or m & 1)
+    )
 
 
 def _grown_children(g: Graph, walks: _Walks, spec: PatternSpec) -> Iterator[_Plane]:
@@ -1051,10 +1123,8 @@ def _grown_children(g: Graph, walks: _Walks, spec: PatternSpec) -> Iterator[_Pla
         if length < 2 or len(set(walk)) != length:
             continue
         bad: list[int] = []
-        for mask in range(1, 1 << length):
-            if not _arc_runs_ok(mask, length) or any(
-                not b & ~mask for b in bad
-            ):
+        for mask in _run_masks(length):
+            if any(not b & ~mask for b in bad):
                 continue
             sel = [p for p in range(length) if mask >> p & 1]
             graph = g.with_new_vertex(walk[p] for p in sel)
@@ -1244,8 +1314,11 @@ def _is_biconnected(g: Graph) -> bool:
 def certify_solid_tbs_direct(
     max_order: int,
     pattern: "PatternSpec | Graph | str",
+    *,
+    ceiling: int | None = None,
 ) -> dict[int, tuple[str, ...]]:
-    """Independent census of pattern-free solid TBs at orders <= 9.
+    """Independent census of pattern-free solid TBs at orders 3 to
+    ``max_order``.
 
     For every connected pattern-free planar graph of order 3 to
     ``max_order`` (every level of the planar augmentation tree, which
@@ -1262,12 +1335,22 @@ def certify_solid_tbs_direct(
     :func:`enumerate_solid_tbs` where their ranges overlap; on
     disagreement this direct census is authoritative.
 
+    Args:
+        max_order: Largest order, ``3 <= max_order <= ceiling``.
+        pattern: Pattern name, spec, or graph.
+        ceiling: Order ceiling; defaults to :data:`DEFAULT_CEILING`.
+
     Returns:
         Per order, the sorted canonical graph6 forms (ASCII).
+
+    Raises:
+        CeilingExceededError: If ``max_order`` exceeds the ceiling.
+        SearchError: If ``max_order < 3``.
     """
-    if max_order > 9:
-        raise SearchError(
-            "direct certification is limited to orders <= 9 "
+    limit = DEFAULT_CEILING if ceiling is None else ceiling
+    if max_order > limit:
+        raise CeilingExceededError(
+            f"direct certification is limited to orders <= {limit} "
             "(it walks every pattern-free planar graph of each order up to "
             "max_order)"
         )

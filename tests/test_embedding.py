@@ -27,6 +27,7 @@ from ptl.embedding import (
     _dart_faces,
     _orbit_partition,
     _refine_cells,
+    _seeded_root,
     _walk_rotation,
     automorphism_generators,
     canonical_data,
@@ -44,7 +45,7 @@ from ptl.families import (
     k2_vee_matching,
     wheel_ring,
 )
-from ptl.io import graph6_decode
+from ptl.io import graph6_decode, graph6_encode
 from ptl.search import enumerate_graphs, random_plane_corpus
 
 
@@ -350,8 +351,8 @@ def test_refine_matches_reference_to_order_7():
         _assert_refines_as_reference(g)
 
 
-def test_refine_matches_reference_on_corpus_families():
-    # the construction families of the benchmark corpus, up to order 40
+def _corpus_family_graphs() -> list[Graph]:
+    """The construction families of the benchmark corpus, up to order 40."""
     members = [k2_plus_matching(n) for n in range(6, 41, 2)]
     members += [k2_vee_matching(n) for n in range(7, 40, 2)]
     members += [apex_outerplanar(n) for n in range(7, 40, 2)]
@@ -359,8 +360,49 @@ def test_refine_matches_reference_on_corpus_families():
     members += [b5_ring_augmented(2, y) for y in range(4)]
     members += [b5_ring_augmented(3, y) for y in range(2)]
     assert max(m.plane.n for m in members) <= 40
-    for member in members:
-        _assert_refines_as_reference(member.plane.graph)
+    return [member.plane.graph for member in members]
+
+
+def test_refine_matches_reference_on_corpus_families():
+    for g in _corpus_family_graphs():
+        _assert_refines_as_reference(g)
+
+
+def test_degree_seeded_root_matches_root_refinement():
+    # the first pass from the trivial colouring splits it into the
+    # degree classes, so refinement may start from them
+    graphs = [*_graphs_to_order_7(), *_corpus_family_graphs()]
+    for g in graphs:
+        degrees = [b.bit_count() for b in g.adj_bits]
+        assert _seeded_root(g.adj_bits, degrees) == _root_cells(g), g.edges
+
+
+def _random_graphs(count: int, max_n: int, seed: int) -> list[Graph]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        p = rng.random()
+        edges = [(a, b) for b in range(n) for a in range(b) if rng.random() < p]
+        out.append(Graph.from_edges(n, edges))
+    return out
+
+
+def test_canonical_form_is_graph6_of_canonical_relabel():
+    # the form is read from the search's least key, not re-encoded
+    graphs = [Graph(0, ()), Graph(1, ()), *_graphs_to_order_7()]
+    graphs += _random_graphs(200, 40, seed=3)
+    for g in graphs:
+        want = graph6_encode(g.relabeled(canonical_labeling(g)))
+        assert canonical_form(g) == want, (g.n, g.edges)
+
+
+def test_relabeled_refuses_non_permutation():
+    g = Graph.path(3)
+    assert g.relabeled([2, 0, 1]).edges == ((0, 1), (0, 2))
+    for perm in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]):
+        with pytest.raises(ValueError, match="permutation"):
+            g.relabeled(perm)
 
 
 def test_canonical_form_separates():

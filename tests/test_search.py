@@ -50,7 +50,6 @@ from ptl.search import (
     SearchError,
     _ROOT,
     _Augmentation,
-    _arc_runs_ok,
     _cofacial,
     _edge_potential,
     _free_planes,
@@ -61,6 +60,7 @@ from ptl.search import (
     _node_embeddings,
     _on_triangles,
     _prufer_tree_edges,
+    _run_masks,
     _solid_outer_faces,
     _sphere_key,
     _subset_reps,
@@ -117,6 +117,47 @@ def test_enumerate_planar_order_8_is_canonical():
         total += 1
         connected += g.is_connected()
     assert (total, connected) == (6966, 5974)
+
+
+def test_connected_enumeration_filters_the_full_one():
+    # the last order skips the subsets that miss a component of their
+    # parent, and keeps the others in the same order
+    full = [g for g in enumerate_graphs(8, planar=True) if g.is_connected()]
+    assert list(enumerate_graphs(8, connected=True, planar=True)) == full
+
+
+def test_children_build_no_graph_before_the_first_cell_test(monkeypatch):
+    # without domain tests a child is built only once its new vertex is
+    # in the first root cell, and each one built is searched once; the
+    # trivial colouring is never refined, its first pass being the
+    # degree classes
+    calls = Counter()
+    build, data = Graph.with_new_vertex, search.canonical_data
+    refine = embedding._refine_cells
+
+    def counted_build(self, nbrs):
+        calls["build"] += 1
+        return build(self, nbrs)
+
+    def counted_data(g, **kwargs):
+        calls["search"] += 1
+        return data(g, **kwargs)
+
+    def checked_refine(adj, cells, changed):
+        full = (1 << len(adj)) - 1
+        assert len(cells) > 1 or changed != full, cells
+        return refine(adj, cells, changed)
+
+    monkeypatch.setattr(Graph, "with_new_vertex", counted_build)
+    monkeypatch.setattr(search, "canonical_data", counted_data)
+    monkeypatch.setattr(embedding, "_refine_cells", checked_refine)
+    for planar, limit in ((True, 7), (False, 6)):
+        calls.clear()
+        tree = _Augmentation(limit, planar=planar)
+        kept = sum(len(level) for level in tree.levels()) - 1
+        assert calls["build"] == calls["search"], (planar, dict(calls))
+        # the McKay rejects that were never built failed the cell test
+        assert tree.rejected["mckay"] > calls["build"] - kept >= 0, planar
 
 
 def test_enumerate_planar_order_9_counts():
@@ -632,8 +673,8 @@ def test_oracle_refuses_patterns_with_a_bridge():
 
 def test_oracle_ceiling():
     # the oracle has its own default ceiling, above the enumeration's;
-    # the checks run at the call, so order 11 is allowed without a search
-    assert (DEFAULT_CEILING, ORACLE_DEFAULT_CEILING) == (9, 11)
+    # the checks run at the call, so order 12 is allowed without a search
+    assert (DEFAULT_CEILING, ORACLE_DEFAULT_CEILING) == (9, 12)
     with pytest.raises(CeilingExceededError):
         exact_planar_turan(ORACLE_DEFAULT_CEILING + 1, "C3")
     exact_planar_turan_orders(ORACLE_DEFAULT_CEILING, "C3")
@@ -731,12 +772,12 @@ def _reference_arc_runs_ok(mask: int, length: int) -> bool:
     return True
 
 
-def test_arc_runs_bit_test_matches_run_loop():
-    for length in range(2, 13):
-        for mask in range(1 << length):
-            assert _arc_runs_ok(mask, length) == _reference_arc_runs_ok(
-                mask, length
-            ), (mask, length)
+def test_run_masks_match_run_loop():
+    # the listing holds exactly the run-shaped masks, in ascending order,
+    # as the census's superset skip and first-of-class order need
+    for length in range(2, 17):
+        want = [m for m in range(1, 1 << length) if _reference_arc_runs_ok(m, length)]
+        assert list(_run_masks(length)) == want, length
 
 
 def test_census_does_not_depend_on_workers():
@@ -848,6 +889,14 @@ def test_direct_census_order_limit():
         certify_solid_tbs_direct(10, "H5")
     with pytest.raises(SearchError):
         certify_solid_tbs_direct(2, "H5")
+
+
+def test_direct_census_takes_a_ceiling():
+    assert certify_solid_tbs_direct(5, "H5", ceiling=5) == certify_solid_tbs_direct(
+        5, "H5"
+    )
+    with pytest.raises(CeilingExceededError, match="orders <= 4"):
+        certify_solid_tbs_direct(5, "H5", ceiling=4)
 
 
 def test_census_opens_one_pool_per_call(monkeypatch):
@@ -1290,7 +1339,7 @@ def _reference_grown_children(pg, spec):
         if length < 2 or len(set(walk)) != length:
             continue
         for mask in range(1, 1 << length):
-            if not _arc_runs_ok(mask, length):
+            if not _reference_arc_runs_ok(mask, length):
                 continue
             sel = [i for i in range(length) if mask >> i & 1]
             graph = pg.graph.with_new_vertex(walk[i] for i in sel)
