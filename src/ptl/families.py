@@ -946,6 +946,10 @@ FAMILY_BUILDERS: dict[str, tuple[tuple[str, ...], Callable[..., FamilyInstance]]
 }
 
 
+#: Largest family parameter; a larger one would build for hours.
+_MAX_PARAM = 1000
+
+
 def family_instance(name: str, **params: int) -> FamilyInstance:
     """Build a family member by name with keyword parameters.
 
@@ -960,6 +964,9 @@ def family_instance(name: str, **params: int) -> FamilyInstance:
         raise FamilyError(
             f"{name} expects parameters {sorted(wanted)}, got {sorted(params)}"
         )
+    for key, value in params.items():
+        if value > _MAX_PARAM:
+            raise FamilyError(f"{name}: {key}={value} exceeds the limit {_MAX_PARAM}")
     return builder(**params)
 
 

@@ -16,9 +16,9 @@ The engines:
 The first, the second and the direct census grow one canonical
 augmentation core, :class:`_Augmentation`, which deletes a vertex of
 minimum degree.  A parent offers only the neighbourhoods that pass
-McKay's degree pre-test, and a child meets its tests cheapest first:
-planarity is read from the parent before the child is built, then come
-the domain tests and the child's root colouring, refined from its degree
+McKay's degree pre-test, keep a planar tree planar and are no smaller
+than the seed allows, and a child meets its tests cheapest first: the
+domain tests, then the child's root colouring, refined from its degree
 classes as read from the parent's bitmasks, which rejects most children
 before their graph is built, and only then at most one canonical
 search, whose labeling and automorphism generators decide McKay's test,
@@ -29,12 +29,12 @@ tree is plain data with one traversal, :meth:`_Augmentation.levels`,
 which grows it one order at a time.  The oracle, the direct census and
 the lemma scans take only pattern-free graphs: the tree drops a child
 that contains the pattern through its new vertex.
-Planarity needs no graph test per child.  If ``G`` is planar and a new
-vertex joins the set ``S``, then ``G`` plus that vertex is planar iff every
+Planarity needs no graph test.  If ``G`` is planar and a new vertex
+joins the set ``S``, then ``G`` plus that vertex is planar iff every
 component of ``G`` that ``S`` meets has some plane embedding with its
-part of ``S`` on one face.  So each planar parent reads, once, the
-maximal face-vertex bitmasks of each component over all its rotation
-systems, and each child is decided by bitmask tests against them.
+part of ``S`` on one face.  So each planar parent lists its
+neighbourhoods from the maximal face-vertex bitmasks of each component
+over all its rotation systems (:func:`_cofacial_subsets`).
 Every rotation system comes from one corner rule, :func:`_split_systems`.
 Deleting a vertex from a plane embedding of a connected graph leaves,
 when the rest is connected, one of the rest's embeddings with the vertex
@@ -209,33 +209,15 @@ _Node = tuple[Graph, tuple[int, ...], list[tuple[int, ...]], _Recipe]
 _ROOT: _Node = (Graph.from_edges(1, []), (0,), [], ((), 0))
 
 
-def _subset_reps(
-    n: int, gens: Sequence[tuple[int, ...]], size: int, must: int
-) -> list[int]:
-    """One representative per orbit of the vertex subsets of ``0..n-1``
-    with fewer than ``size`` elements, or with ``size`` elements among
-    them every vertex of the bitmask ``must``, under the group generated
-    by ``gens``, as a vertex bitmask.
+def _subset_reps(gens: Sequence[tuple[int, ...]], masks: Iterable[int]) -> list[int]:
+    """One representative per orbit of the vertex bitmasks ``masks``, a
+    union of orbits of the group generated by ``gens``: its smallest
+    mask.
 
-    Each orbit is closed breadth-first under the generators and
-    represented by its smallest mask.  The result is sorted, so iteration
-    order is deterministic.  An orbit keeps the size of its subsets, and
-    ``must`` must be a union of orbits (the vertices of one degree are),
-    so the bounds drop whole orbits and keep the representatives of the
-    rest.
+    Each orbit is closed breadth-first under the generators.  The result
+    is sorted, so iteration order is deterministic.
     """
-    masks = [
-        sum(1 << v for v in subset)
-        for k in range(min(size, n + 1))
-        for subset in combinations(range(n), k)
-    ]
-    if must.bit_count() <= size:
-        free = [v for v in range(n) if not must >> v & 1]
-        masks += (
-            must | sum(1 << v for v in subset)
-            for subset in combinations(free, size - must.bit_count())
-        )
-    masks.sort()
+    masks = sorted(masks)
     if not gens:
         return masks
     seen: set[int] = set()
@@ -261,9 +243,37 @@ def _subset_reps(
     return reps
 
 
+def _cofacial_subsets(
+    n: int, embeddings: Sequence[_Embeddings], size: int
+) -> set[int]:
+    """The vertex bitmasks of at most ``size`` of the vertices ``0..n-1``
+    that lie on one maximal face in each component with a cycle, whose
+    ``embeddings`` are given: exactly the sets a new vertex can join in
+    a planar graph with those components and leave it planar.  Every
+    other vertex is free, as a tree's one face holds all its vertices,
+    so without embeddings every subset is listed.
+    Automorphisms keep planarity, so the list is a union of orbits.
+    """
+    free = (1 << n) - 1
+    for comp, _, _ in embeddings:
+        free &= ~comp
+    masks = {0}
+    for faces in [[free]] + [faces for _, _, faces in embeddings]:
+        grown: set[int] = set()
+        for f in faces:
+            subs = list(masks)
+            while f:
+                low = f & -f
+                f ^= low
+                subs += [m | low for m in subs if m.bit_count() < size]
+            grown.update(subs)
+        masks = grown
+    return masks
+
+
 #: The tests an offered child meets in :meth:`_Augmentation.children`, in
 #: order; a rejected child is counted under the first one it fails.
-FATES = ("planarity", "domain", "mckay")
+FATES = ("domain", "mckay")
 
 
 @dataclass
@@ -282,44 +292,39 @@ class _Augmentation:
     offered: with ``delta`` the parent's minimum degree, those of at most
     ``delta`` vertices and those of ``delta + 1`` that hold every vertex
     of degree ``delta``, the ones whose new vertex has the child's
-    minimum degree.
-    Each offered child meets, in order, cheapest first: planarity if
-    ``planar``, read from the parent before the child is built; the
-    domain tests; and the rest of McKay's test (the child's root
-    refinement, read from its adjacency bitmasks and degrees, which are
-    the parent's with the new vertex added, then one canonical search
-    that also gives the child's labeling and generators).  The child's
-    graph is built for the domain tests if the tree has any, else only
-    once the root refinement passes.  Every test is exact, so the order
-    changes which tests run, never which children are kept.  :attr:`rejected`
-    counts the offered children by the first test they fail (keys
-    :data:`FATES`); the oracle reports the planarity and domain counts
-    together as ``pruned``, which leaves out McKay's.
+    minimum degree.  Each offered child meets, in order, cheapest first: the domain
+    tests, and the rest of McKay's test (the child's root refinement,
+    read from its adjacency bitmasks and degrees, which are the parent's
+    with the new vertex added, then one canonical search that also gives
+    the child's labeling and generators).  The child's graph is built
+    for the domain tests if the tree has any, else only once the root
+    refinement passes.  Every test is exact, so the order changes which
+    tests run, never which children are kept.  :attr:`rejected` counts
+    the offered children by the first test they fail (keys
+    :data:`FATES`); the oracle reports the domain count as ``pruned``.
 
     The domain tests drop a child whose :func:`_edge_potential` at
     ``limit`` is below a nonzero ``seed``, then one that contains
     ``spec`` through its new vertex; the root meets them too.  A child's
     potential depends only on its subset's size, so each parent finds
-    once the least size that reaches the seed, and a child with a smaller
-    subset is never built.  So with
+    once the least size that reaches the seed, and a smaller subset is
+    not offered.  So with
     ``spec`` the tree keeps exactly the free graphs and reaches them
     all: freeness is hereditary, and a graph's canonical parent is an
     induced subgraph.
 
-    Planarity is read from the parent's cofacial masks, the maximal
-    face-vertex bitmasks of its components with a cycle over all their
-    rotation systems: a planar parent plus a vertex joined to ``S`` is
-    planar iff, in every component ``S`` meets, ``S`` lies on one face
-    of some embedding.  This needs every parent to be planar, which
-    holds because the tree starts at one vertex and keeps only planar
-    children.  The masks come from the face walks of every rotation
-    system, which each node inherits from its parent rather than
-    searches for (:func:`_node_embeddings`), built when its first child
-    reaches the planarity step.  A kept child carries only the recipe,
-    so the last order, whose nodes never become parents, builds no
-    walks; without ``planar`` no walks are built and the recipes hold
-    none.  The tree and its nodes are plain data, so pool workers
-    receive them whole.
+    With ``planar`` only the cofacial subsets are offered
+    (:func:`_cofacial_subsets`): a planar parent plus a vertex joined to
+    ``S`` is planar iff, in every component ``S`` meets, ``S`` lies on
+    one face of some embedding.  This needs every parent to be planar,
+    which holds because the tree starts at one vertex.  The faces come
+    from the walks of every rotation system, which each node inherits
+    from its parent rather than searches for (:func:`_node_embeddings`),
+    built when its children are listed.  A kept child carries only the
+    recipe, so the last order, whose nodes never become parents, builds
+    no walks; without ``planar`` no walks are built, every subset is
+    listed and the recipes hold none.  The tree and its nodes are plain
+    data, so pool workers receive them whole.
     """
 
     limit: int
@@ -341,39 +346,12 @@ class _Augmentation:
         bits = g.adj_bits
         rejected = self.rejected
         kept: list[_Node] = []
-        embeddings: tuple[_Embeddings, ...] | None = None
+        embeddings = _node_embeddings(g, recipe) if self.planar else ()
         comps = _components(bits) if connected else []
         tested = bool(self.seed) or self.spec is not None
-        # The canonical deletion vertex (the vertex carrying the first
-        # canonical label) has minimum degree: canonical search ranks
-        # vertices by ascending degree in its first refinement and
-        # afterwards only splits cells.  So a new vertex of degree above
-        # some other vertex's in the child fails McKay's test, and its
-        # subset is not listed: one of more than delta + 1 vertices, or
-        # of delta + 1 that misses a vertex of degree delta.
         deg = [b.bit_count() for b in bits]
-        delta = min(deg)
-        must = sum(1 << v for v, d in enumerate(deg) if d == delta)
-        # An offered child has minimum degree |S| and m + |S| edges, and
-        # the edge potential grows with both, so a subset smaller than
-        # ``least`` fails the seed unbuilt.
-        least = 0
-        if self.seed:
-            while least <= delta + 1 and _edge_potential(
-                g.m + least, least, new + 1, self.limit
-            ) < self.seed:
-                least += 1
-        for s in _subset_reps(g.n, gens, delta + 1, must):
+        for s in _subset_reps(gens, self._offered(g, embeddings)):
             if any(not s & comp for comp in comps):
-                continue
-            if self.planar:
-                if embeddings is None:
-                    embeddings = _node_embeddings(g, recipe)
-                if not _cofacial(embeddings, s):
-                    rejected["planarity"] += 1
-                    continue
-            if s.bit_count() < least:
-                rejected["domain"] += 1
                 continue
             child = None
             if tested:
@@ -412,8 +390,35 @@ class _Augmentation:
                 if roots[target] != roots[new]:
                     rejected["mckay"] += 1
                     continue
-            kept.append((child, perm, child_gens, (embeddings or (), s)))
+            kept.append((child, perm, child_gens, (embeddings, s)))
         return kept
+
+    def _offered(self, g: Graph, embeddings: Sequence[_Embeddings]) -> list[int]:
+        """The cofacial neighbourhoods offered to a new vertex of ``g``."""
+        # The canonical deletion vertex (the vertex carrying the first
+        # canonical label) has minimum degree: canonical search ranks
+        # vertices by ascending degree in its first refinement and
+        # afterwards only splits cells.  So a new vertex of degree above
+        # some other vertex's in the child fails McKay's test, and its
+        # subset is not offered: one of more than delta + 1 vertices, or
+        # of delta + 1 that misses a vertex of degree delta.
+        deg = [b.bit_count() for b in g.adj_bits]
+        delta = min(deg)
+        must = sum(1 << v for v, d in enumerate(deg) if d == delta)
+        # An offered child has minimum degree |S| and m + |S| edges, and
+        # the edge potential grows with both, so a subset smaller than
+        # ``least`` would fail the seed.
+        least = 0
+        while least <= delta + 1 and _edge_potential(
+            g.m + least, least, g.n + 1, self.limit
+        ) < self.seed:
+            least += 1
+        return [
+            s
+            for s in _cofacial_subsets(g.n, embeddings, delta + 1)
+            if s.bit_count() >= least
+            and (s.bit_count() <= delta or not must & ~s)
+        ]
 
     def _outside(self, g: Graph) -> bool:
         """The domain tests of a node whose last vertex is the new one."""
@@ -618,18 +623,6 @@ def _node_embeddings(
     return kept if grown is None else kept + (grown,)
 
 
-def _cofacial(embeddings: Sequence[_Embeddings], s: int) -> bool:
-    """Whether the planar parent whose components with a cycle have the
-    ``embeddings`` stays planar with a new vertex joined to the vertex
-    bitmask ``s``: within every component it meets, ``s`` lies on one
-    face.  A tree component has one face, holding all its vertices, so
-    it has no embeddings and never refuses ``s``."""
-    return all(
-        not s & comp or any(not s & comp & ~f for f in faces)
-        for comp, _, faces in embeddings
-    )
-
-
 def enumerate_graphs(
     n: int,
     *,
@@ -710,11 +703,10 @@ class SearchReport:
             counted).
         rejected: Children offered in the augmentation tree and
             rejected, by the first test they fail (keys :data:`FATES`):
-            non-planarity, the domain prunes (edge potential, pattern
-            containment) and the rest of McKay's test.  A neighbourhood
-            that fails McKay's degree pre-test is never offered: one
-            larger than the parent's minimum degree plus one, or of that
-            size and missing a vertex of minimum degree.
+            the domain prunes (edge potential, pattern containment) and
+            the rest of McKay's test.  A child that would be non-planar,
+            fail McKay's degree pre-test or have too few edges for the
+            seed is never offered.
         elapsed_ms: Wall-clock time; excluded from determinism
             comparisons.
         bound_name: Name of the theorem bound relevant to the pattern
@@ -736,8 +728,8 @@ class SearchReport:
 
     @property
     def pruned(self) -> int:
-        """Children discarded as non-planar or by the domain prunes."""
-        return self.rejected["planarity"] + self.rejected["domain"]
+        """Offered children discarded by the domain prunes."""
+        return self.rejected["domain"]
 
     def to_record(self) -> dict:
         """Full JSON-ready record (timing included)."""
@@ -835,22 +827,21 @@ def _extension_bound(
 
     A maximizer is connected and pattern-free, so the extension is
     connected, and free unless it contains the pattern through its new
-    vertex; planarity is read from the embeddings the node inherits
-    (:func:`_node_embeddings`), in its own labels, which the bound does
-    not depend on.  Neighbourhoods are tried largest first, so each
-    maximizer stops at its best one.
+    vertex; the planar ones are listed (:func:`_cofacial_subsets`) from
+    the embeddings the node inherits (:func:`_node_embeddings`), in its
+    own labels, which the bound does not depend on.  Neighbourhoods are
+    tried largest first, so each maximizer stops at its best one.
     """
     best = 0
     for g, _, _, recipe in maximizers:
-        embeddings = _node_embeddings(g, recipe)
-        for k in range(min(g.n, _planar_cap(n) - g.m), max(best - g.m, 0), -1):
-            if any(
-                _cofacial(embeddings, sum(1 << v for v in nbrs))
-                and contains_subgraph_at(g.with_new_vertex(nbrs), spec, g.n)
-                is None
-                for nbrs in combinations(range(g.n), k)
-            ):
-                best = g.m + k
+        size = min(g.n, _planar_cap(n) - g.m)
+        masks = _cofacial_subsets(g.n, _node_embeddings(g, recipe), size)
+        for s in sorted(masks, key=int.bit_count, reverse=True):
+            if g.m + s.bit_count() <= best:
+                break
+            child = g.with_new_vertex(v for v in range(g.n) if s >> v & 1)
+            if contains_subgraph_at(child, spec, g.n) is None:
+                best = child.m
                 break
     return best
 

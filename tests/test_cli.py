@@ -183,6 +183,20 @@ def test_family_gen_repeated_param(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_family_gen_refuses_a_parameter_past_the_limit(capsys, tmp_path):
+    # refused before anything is built: a ring of 10^8 wheels would run
+    # for hours
+    code, out, err = run(
+        capsys, "family", "gen", "--name", "wheel_ring",
+        "--param", "k=99999999", "--out", str(tmp_path),
+    )
+    assert code == 2 and not out
+    assert "k=99999999 exceeds the limit 1000" in err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(families.FamilyError, match="y=1001"):
+        families.family_instance("b5_ring_augmented", x=2, y=1001)
+
+
 def test_check_pattern_alias(capsys, tmp_path):
     code, _, _ = run(
         capsys, "family", "gen", "--name", "k2_plus_matching",

@@ -50,7 +50,7 @@ from ptl.search import (
     SearchError,
     _ROOT,
     _Augmentation,
-    _cofacial,
+    _cofacial_subsets,
     _edge_potential,
     _free_planes,
     _fresh_embeddings,
@@ -179,38 +179,46 @@ def _degree_must(g):
 
 def test_degree_pretest_matches_child_degrees():
     # the offered subsets, read from the parent's degrees, are exactly
-    # those whose child gives the new vertex the child's minimum degree
+    # those whose child gives the new vertex the child's minimum degree;
+    # without embeddings every subset is listed, so planarity drops none
     for n in range(1, 7):
+        tree = _Augmentation(n + 1, planar=False)
         for g in enumerate_graphs(n, planar=True):
-            delta, must = _degree_must(g)
             low = []
             for s in range(1 << n):
                 child = g.with_new_vertex(v for v in range(n) if s >> v & 1)
                 bits = child.adj_bits
                 if bits[n].bit_count() == min(map(int.bit_count, bits)):
                     low.append(s)
-            assert _subset_reps(n, [], delta + 1, must) == low, g.edges
+            assert sorted(tree._offered(g, ())) == low, g.edges
 
 
 def test_subset_reps_keep_the_small_orbits():
-    # an orbit keeps the size of its subsets, and the vertices of one
-    # degree are a union of orbits, so the bounds drop whole orbits and
-    # keep the representatives of the rest, in order
+    # an orbit keeps the size of its subsets, the vertices of one degree
+    # are a union of orbits, and automorphisms keep planarity, so the
+    # size bound, the degree pre-test and the cofacial listing drop whole
+    # orbits and keep the representatives of the rest, in order
     for n in range(1, 7):
+        tree = _Augmentation(n + 1, planar=False)
         for g in enumerate_graphs(n):
             gens = canonical_data(g)[1]
-            every = _subset_reps(n, gens, n, 0)
+            every = _subset_reps(gens, range(1 << n))
             for size in range(n + 1):
-                assert _subset_reps(n, gens, size, 0) == [
-                    s for s in every if s.bit_count() <= size
-                ], (g.edges, size)
+                assert _subset_reps(
+                    gens, [s for s in range(1 << n) if s.bit_count() <= size]
+                ) == [s for s in every if s.bit_count() <= size], (g.edges, size)
             delta, must = _degree_must(g)
-            assert _subset_reps(n, gens, delta + 1, must) == [
+            assert _subset_reps(gens, tree._offered(g, ())) == [
                 s
                 for s in every
                 if s.bit_count() <= delta
                 or (s.bit_count() == delta + 1 and not must & ~s)
             ], g.edges
+            if is_planar(g):
+                cofacial = _cofacial_subsets(n, _reference_embeddings(g), n)
+                assert _subset_reps(gens, cofacial) == [
+                    s for s in every if s in cofacial
+                ], g.edges
 
 
 def test_every_child_has_one_fate():
@@ -218,13 +226,26 @@ def test_every_child_has_one_fate():
     tree = _Augmentation(7, planar=True, spec=as_pattern("C3"))
     nodes = [node for level in tree.levels() for node in level]
     offered = 0
-    for g, _, gens, _ in nodes:
+    for g, _, gens, recipe in nodes:
         if g.n < 7:
-            delta, must = _degree_must(g)
-            offered += len(_subset_reps(g.n, gens, delta + 1, must))
+            embeddings = _node_embeddings(g, recipe)
+            offered += len(_subset_reps(gens, tree._offered(g, embeddings)))
     assert set(tree.rejected) == set(FATES)
     assert all(tree.rejected.values())
     assert offered == sum(tree.rejected.values()) + len(nodes) - 1
+
+
+def _cofacial(embeddings, s):
+    """Whether the planar graph whose components with a cycle have the
+    ``embeddings`` stays planar with a new vertex joined to the vertex
+    bitmask ``s``: within every component it meets, ``s`` lies on one
+    face.  A tree component has one face, holding all its vertices, so
+    it has no embeddings and never refuses ``s``.  The reference for
+    :func:`_cofacial_subsets`, which lists the subsets it accepts."""
+    return all(
+        not s & comp or any(not s & comp & ~f for f in faces)
+        for comp, _, faces in embeddings
+    )
 
 
 class _MaxDegreeAugmentation(_Augmentation):
@@ -234,8 +255,9 @@ class _MaxDegreeAugmentation(_Augmentation):
     child that passes the degree test, planarity and the pattern test
     gets a full canonical search; nothing is counted.  Planarity is
     read from :func:`_reference_embeddings`, searched afresh for every
-    parent, so the reference inherits no embeddings and its nodes carry
-    no recipe."""
+    parent, and tested subset by subset by :func:`_cofacial`, so the
+    reference inherits no embeddings, lists no cofacial subsets and its
+    nodes carry no recipe."""
 
     def children(self, node):
         g, _, gens, _ = node
@@ -243,7 +265,12 @@ class _MaxDegreeAugmentation(_Augmentation):
         deg = [b.bit_count() for b in g.adj_bits]
         embeddings = _reference_embeddings(g) if self.planar else None
         kept = []
-        for s in _subset_reps(new, gens, new, 0):
+        every = (
+            sum(1 << v for v in subset)
+            for k in range(new + 1)
+            for subset in combinations(range(new), k)
+        )
+        for s in _subset_reps(gens, every):
             k = s.bit_count()
             if k < max(deg) or any(s >> v & 1 and deg[v] >= k for v in range(new)):
                 continue
@@ -330,14 +357,19 @@ def test_edge_potential_bounds_every_deletion_chain():
 
 def test_cofacial_masks_agree_with_networkx():
     # every planar graph with n <= 6, disconnected ones included, plus a
-    # new vertex joined to every subset of its vertices
+    # new vertex joined to every subset of its vertices: the listed
+    # subsets are exactly those whose child is planar, and the reference
+    # accepts exactly those
     for n in range(1, 7):
         for g in enumerate_graphs(n, planar=True):
             embeddings = _reference_embeddings(g)
-            for s in range(1 << n):
-                nbrs = [v for v in range(n) if s >> v & 1]
-                child = g.with_new_vertex(nbrs)
-                assert _cofacial(embeddings, s) == is_planar(child), (g.edges, nbrs)
+            planar = {
+                s
+                for s in range(1 << n)
+                if is_planar(g.with_new_vertex(v for v in range(n) if s >> v & 1))
+            }
+            assert _cofacial_subsets(n, embeddings, n) == planar, g.edges
+            assert {s for s in range(1 << n) if _cofacial(embeddings, s)} == planar
     k4 = Graph.complete(4)
     k23 = Graph.from_edges(5, [(u, w) for u in (0, 1) for w in (2, 3, 4)])
     forest = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5)])
@@ -347,7 +379,9 @@ def test_cofacial_masks_agree_with_networkx():
         (forest, (1, 2, 3, 5, 6), True),  # meets all three trees
     ):
         s = sum(1 << v for v in nbrs)
-        assert _cofacial(_reference_embeddings(g), s) is planar
+        embeddings = _reference_embeddings(g)
+        assert (s in _cofacial_subsets(g.n, embeddings, len(nbrs))) is planar
+        assert _cofacial(embeddings, s) is planar
         assert is_planar(g.with_new_vertex(nbrs)) is planar
 
 
@@ -581,11 +615,14 @@ def test_oracle_within_literature_bounds():
 def test_oracle_counters_at_order_8():
     # the work of the order-8 runs under minimum-degree deletion, the
     # deletion-chain potential and the seeds from order 7; they were
-    # 535 / 885 / 658 enumerated under maximum-degree deletion
+    # 535 / 885 / 658 enumerated under maximum-degree deletion.  Only
+    # cofacial subsets no smaller than the seed allows are offered, so
+    # no child fails planarity and the domain counts hold only the edge
+    # potentials and pattern tests of the children built
     pins = {
-        "H4": (48, {"planarity": 171, "domain": 532, "mckay": 12}),
-        "H5": (87, {"planarity": 250, "domain": 871, "mckay": 26}),
-        "H6": (74, {"planarity": 263, "domain": 853, "mckay": 11}),
+        "H4": (48, {"domain": 71, "mckay": 12}),
+        "H5": (87, {"domain": 146, "mckay": 26}),
+        "H6": (74, {"domain": 147, "mckay": 11}),
     }
     for pattern, (enumerated, rejected) in pins.items():
         for workers in (1, 2):
@@ -704,7 +741,7 @@ def test_fate_counts_do_not_depend_on_workers():
     for report in reports:
         rejected = report.to_record()["rejected"]
         assert rejected == report.rejected and set(rejected) == set(FATES)
-        assert report.pruned == rejected["planarity"] + rejected["domain"]
+        assert report.pruned == rejected["domain"]
         assert report.to_record()["pruned"] == report.pruned
 
 
