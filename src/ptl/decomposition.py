@@ -13,7 +13,12 @@ decomposition together with:
   (:func:`theta_of_edge`) and the classification of how two such
   configurations overlap (:func:`classify_theta_pair`);
 * hole detection and the *solid* version of a block, where every hole
-  bounded by a 3-cycle is reclassified as a 3-face (:func:`solidify`);
+  bounded by a 3-cycle is reclassified as a 3-face (:func:`solidify`).
+  A block's faces are traced on the host's rotation restricted to the
+  block's own vertices and edges; its outer face is the one reached by
+  walking host faces outward from the host's outer face, across edges
+  outside the block, to the first block edge, and its other faces that
+  are not its 3-faces are its holes;
 * exact triangle densities ``delta / |vertices|`` as
   :class:`fractions.Fraction` values.
 
@@ -102,19 +107,22 @@ class EIReport:
 
 def e_i_analysis(pg: PlaneGraph, include_outer: bool = True) -> EIReport:
     """Partition the edges of ``pg`` by incident 3-face count."""
-    triangles = set(three_faces(pg, include_outer=include_outer))
+    # per face id: whether it is a counted 3-face
+    counted = [
+        f.is_triangle() and (include_outer or f != pg.outer) for f in pg.faces()
+    ]
     e_i: set[Edge] = set()
     e_prime: set[Edge] = set()
     for e in pg.graph.edges:
-        f1, f2 = pg.faces_of_edge(e)
-        count = (f1 in triangles) + (f2 in triangles)
+        u, v = e
+        count = counted[pg._face_id(u, v)] + counted[pg._face_id(v, u)]
         if count == 2:
             e_i.add(e)
         elif count == 1:
             e_prime.add(e)
     return EIReport(
         include_outer=include_outer,
-        f3=len(triangles),
+        f3=sum(counted),
         e_i=frozenset(e_i),
         e_prime=frozenset(e_prime),
     )
@@ -358,59 +366,76 @@ class Decomposition:
     junctions: frozenset[int]
 
 
-def _triangle_classes(triangles: Sequence[Face]) -> list[list[Face]]:
-    """3-faces grouped into blocks: two share a block when a chain of
-    3-faces, consecutive ones sharing an edge, links them.  Classes come
-    in order of their first member."""
+def _triangle_classes(edge_sets: Sequence[frozenset[Edge]]) -> list[list[int]]:
+    """The indices of 3-faces, given by their edge sets, grouped into
+    blocks: two share a block when a chain of 3-faces, consecutive ones
+    sharing an edge, links them.  Classes come in order of their first
+    member, each in index order."""
     by_edge: dict[Edge, list[int]] = {}
-    for i, f in enumerate(triangles):
-        for e in f.edge_set:
+    for i, edges in enumerate(edge_sets):
+        for e in edges:
             by_edge.setdefault(e, []).append(i)
     root = _union_roots(
-        len(triangles), ((m[0], o) for m in by_edge.values() for o in m[1:])
+        len(edge_sets), ((m[0], o) for m in by_edge.values() for o in m[1:])
     )
-    classes: dict[int, list[Face]] = {}
-    for i, f in enumerate(triangles):
-        classes.setdefault(root[i], []).append(f)
+    classes: dict[int, list[int]] = {}
+    for i, r in enumerate(root):
+        classes.setdefault(r, []).append(i)
     return list(classes.values())
 
 
-def _block_from_class(pg: PlaneGraph, faces: list[Face]) -> TriBlock:
-    """The block of one class of inner 3-faces, its holes traced on the
-    host's rotation restricted to the block's edges.
+def _outer_dart(pg: PlaneGraph, edges: set[Edge]) -> tuple[int, int]:
+    """A dart of one of the block's ``edges`` on the block's outer face:
+    the first met walking host faces outward from the host's outer face
+    across edges outside the block.  Those host faces all lie in the
+    block's outer face."""
+    faces = pg.faces()
+    walk = pg.outer.walk
+    start = pg._face_id(walk[0], walk[1])
+    seen = {start}
+    queue = [start]
+    for fid in queue:
+        walk = faces[fid].walk
+        u = walk[-1]
+        for v in walk:
+            if normalize_edge(u, v) in edges:
+                return u, v
+            across = pg._face_id(v, u)
+            if across not in seen:
+                seen.add(across)
+                queue.append(across)
+            u = v
+    raise AssertionError("no block edge is reachable from the outer face")
 
-    Host faces merge into regions across the edges outside the block.  The
-    block face whose darts bound the host outer face's region is the
-    block's outer face; every other block face that is not one of
-    ``faces`` is a hole.
+
+def _block_from_class(pg: PlaneGraph, faces: list[Face]) -> TriBlock:
+    """The block of one class of inner 3-faces, its faces traced on the
+    host's rotation restricted to the block's own vertices and edges.
+
+    The block face of the dart :func:`_outer_dart` finds is the block's
+    outer face; every other block face that is not one of ``faces`` is a
+    hole.
     """
     vertices: set[int] = set()
     edges: set[Edge] = set()
     for f in faces:
-        vertices |= f.vertices
+        vertices.update(f.walk)
         edges |= f.edge_set
-    host_faces, face_of = pg._traced
-    region = _union_roots(
-        len(host_faces),
-        [
-            (face_of[u][v], face_of[v][u])
-            for u, v in pg.graph.edges
-            if (u, v) not in edges
-        ],
-    )
-    outer_region = region[host_faces.index(pg.outer)]
-    _, walks = _dart_faces(
-        [
-            tuple(u for u in rot if normalize_edge(v, u) in edges)
-            for v, rot in enumerate(pg.rotation)
-        ]
-    )
+    order = sorted(vertices)
+    index = {v: i for i, v in enumerate(order)}
+    rotation = [
+        [index[u] for u in pg.rotation[v] if normalize_edge(v, u) in edges]
+        for v in order
+    ]
+    ids, walks = _dart_faces(rotation)
+    a, b = _outer_dart(pg, edges)
+    outer = ids[index[a]][rotation[index[a]].index(index[b])]
     face_set = set(faces)
     holes: list[Face] = []
-    for walk in walks:
-        if region[face_of[walk[0]][walk[1]]] == outer_region:
+    for fid, walk in enumerate(walks):
+        if fid == outer:
             continue
-        face = Face(_min_rotation(tuple(walk)))
+        face = Face(_min_rotation(tuple(order[i] for i in walk)))
         if face not in face_set:
             holes.append(face)
     return TriBlock(
@@ -433,9 +458,10 @@ def decompose(pg: PlaneGraph, solid: bool = True) -> Decomposition:
         solid: Reclassify 3-cycle holes as 3-faces in every block
             (the default; pass ``False`` for the raw blocks).
     """
+    triangles = three_faces(pg, include_outer=False)
     blocks = [
-        _block_from_class(pg, faces)
-        for faces in _triangle_classes(three_faces(pg, include_outer=False))
+        _block_from_class(pg, [triangles[i] for i in members])
+        for members in _triangle_classes([f.edge_set for f in triangles])
     ]
     if solid:
         blocks = [solidify(b) for b in blocks]

@@ -190,8 +190,12 @@ class Graph:
         )
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Whether ``uv`` is an edge."""
-        return v in self.adjacency[u]
+        """Whether ``uv`` is an edge; ``False`` for a ``v`` out of range.
+
+        It reads :attr:`adj_bits`, so it never builds the neighbour sets
+        of :attr:`adjacency`.
+        """
+        return v >= 0 and self.adj_bits[u] >> v & 1 == 1
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (the 0-vertex graph is not)."""
@@ -251,6 +255,16 @@ class Graph:
             raise ValueError(f"repeated neighbour in {nbrs}")
         new_edges = tuple((u, n) for u in nbrs)
         return Graph(n + 1, tuple(sorted(self.edges + new_edges)))
+
+    def _with_new_vertex_bits(self, bits: Sequence[int]) -> "Graph":
+        """:meth:`with_new_vertex` on the neighbours whose bitmask is
+        ``bits[-1]``, keeping ``bits`` as the child's :attr:`adj_bits`.
+        The caller derived them from this graph's, so they are not
+        computed again from the edge list."""
+        s = bits[-1]
+        child = self.with_new_vertex(v for v in range(self.n) if s >> v & 1)
+        child.__dict__["adj_bits"] = tuple(bits)  # fills the cached property
+        return child
 
     def without_vertex(self, v: int) -> "Graph":
         """Delete vertex ``v`` and relabel ``v+1..n-1`` down by one."""
@@ -637,7 +651,7 @@ def _min_rotation(walk: tuple[int, ...]) -> tuple[int, ...]:
     return min(walk[i:] + walk[:i] for i in range(len(walk)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """A face of a plane graph, stored as its boundary vertex walk.
 
@@ -646,6 +660,10 @@ class Face:
     counterclockwise, the outer face clockwise.  Walks of faces incident
     to bridges repeat vertices.  An isolated-vertex graph has the single
     face ``Face((0,))`` of length 0.
+
+    The walk is all a face holds: it has slots and no ``__dict__``, so
+    nothing derived from the walk is cached on it, and a caller that
+    reads :attr:`edge_set` more than once keeps its own copy.
     """
 
     walk: tuple[int, ...]
@@ -660,7 +678,7 @@ class Face:
         """Vertices on the face boundary."""
         return frozenset(self.walk)
 
-    @cached_property
+    @property
     def edge_set(self) -> frozenset[Edge]:
         """Distinct edges on the face boundary."""
         k = len(self.walk)
@@ -687,32 +705,35 @@ class Face:
 
 def _dart_faces(
     rotation: Sequence[Sequence[int]],
-) -> tuple[list[dict[int, int]], list[list[int]]]:
+) -> tuple[list[list[int]], list[list[int]]]:
     """The faces of a rotation system, possibly partial, by one walk over
     the dart orbits.
 
-    Returns ``(face, walks)``: ``face[u][v]`` is the id of the face of
-    dart ``(u, v)`` and ``walks[i]`` lists the tails of face ``i``'s darts
-    in traversal order.  Faces are numbered in the order they are first
-    reached, trying the darts of each vertex in rotation order; vertices
-    without neighbours lie on no walk.
+    Returns ``(ids, walks)``: ``ids[u][i]`` is the id of the face of dart
+    ``(u, rotation[u][i])``, aligned with the rotation, and ``walks[i]``
+    lists the tails of face ``i``'s darts in traversal order.  Faces are
+    numbered in the order they are first reached, trying the darts of
+    each vertex in rotation order; vertices without neighbours lie on no
+    walk.
     """
-    succ = [dict(zip(r, r[1:] + r[:1])) for r in rotation]
-    face: list[dict[int, int]] = [{} for _ in rotation]
+    # after[v][u]: the index in rotation[v] of the neighbour after u
+    after = [dict(zip(r, [*range(1, len(r)), 0])) for r in rotation]
+    ids = [[-1] * len(r) for r in rotation]
     walks: list[list[int]] = []
-    for v0, r0 in enumerate(rotation):
-        for w0 in r0:
-            if w0 in face[v0]:
+    for v0, row0 in enumerate(ids):
+        for i0, fid in enumerate(row0):
+            if fid >= 0:
                 continue
             fid = len(walks)
             walk: list[int] = []
-            u, v = v0, w0
-            while v not in face[u]:
-                face[u][v] = fid
+            u, i, row = v0, i0, row0
+            while row[i] < 0:
+                row[i] = fid
                 walk.append(u)
-                u, v = v, succ[v][u]
+                v = rotation[u][i]
+                u, i, row = v, after[v][u], ids[v]
             walks.append(walk)
-    return face, walks
+    return ids, walks
 
 
 def _walk_successors(walks: Iterable[Sequence[int]]) -> dict[int, dict[int, int]]:
@@ -767,8 +788,13 @@ class PlaneGraph:
         outer: The designated outer (unbounded) face; must be one of the
             faces induced by the rotation system.
 
-    Every plane graph is made by :meth:`_from_walks`, which keeps its
-    faces and the face of each dart in ``_traced``, or by :meth:`with_outer`.
+    Every plane graph is made by :meth:`_from_traced`, directly or
+    through :meth:`_from_walks`, or by :meth:`with_outer`.  Its
+    ``_traced`` is the pair ``(faces, ids)``: the faces in the order
+    :meth:`faces` gives, and per vertex ``v`` one tuple of face ids
+    aligned with ``rotation[v]``, ``ids[v][i]`` being the index in
+    ``faces`` of the face of dart ``(v, rotation[v][i])``
+    (:meth:`_face_id`).
     """
 
     graph: Graph
@@ -809,7 +835,7 @@ class PlaneGraph:
                     f"rotation at vertex {v} does not list its neighbours"
                 )
         rot = tuple(tuple(r) for r in rotation)
-        return PlaneGraph._from_walks(graph, rot, _dart_faces(rot)[1], outer_walk)
+        return PlaneGraph._from_traced(graph, rot, *_dart_faces(rot), outer_walk)
 
     @staticmethod
     def _from_walks(
@@ -820,12 +846,29 @@ class PlaneGraph:
     ) -> "PlaneGraph":
         """The plane graph of ``rotation`` from the :func:`_dart_faces`
         walks its producer holds, in any order and from any start; its
-        faces follow them (K1, with none, has ``Face((0,))``).  Only
-        Euler's formula and ``outer_walk`` (see :meth:`build`) are checked."""
-        face: list[dict[int, int]] = [{} for _ in range(graph.n)]
+        faces follow them.  The face ids of the darts are read from the
+        walks; see :meth:`_from_traced` for what is checked."""
+        at = [{w: i for i, w in enumerate(r)} for r in rotation]
+        ids = [[-1] * len(r) for r in rotation]
         for fid, walk in enumerate(walks):
-            for i, v in enumerate(walk):
-                face[walk[i - 1]][v] = fid
+            u = walk[-1]
+            for v in walk:
+                ids[u][at[u][v]] = fid
+                u = v
+        return PlaneGraph._from_traced(graph, rotation, ids, walks, outer_walk)
+
+    @staticmethod
+    def _from_traced(
+        graph: Graph,
+        rotation: tuple[tuple[int, ...], ...],
+        ids: Sequence[Sequence[int]],
+        walks: Sequence[Sequence[int]],
+        outer_walk: Sequence[int] | None = None,
+    ) -> "PlaneGraph":
+        """The plane graph of ``rotation`` from the ``(ids, walks)`` of
+        :func:`_dart_faces` (K1, with no walk, has ``Face((0,))``).  Only
+        Euler's formula, checked before ``ids`` is kept, and
+        ``outer_walk`` (see :meth:`build`) are checked."""
         faces = tuple(Face(_min_rotation(tuple(w))) for w in walks)
         if not graph.m:  # K1: one face, with no dart
             faces = (Face((0,)),)
@@ -843,7 +886,7 @@ class PlaneGraph:
                 raise ValueError(
                     f"walk {tuple(outer_walk)} is not a face of the embedding"
                 )
-        return PlaneGraph(graph, rotation, outer, (faces, face))
+        return PlaneGraph(graph, rotation, outer, (faces, tuple(map(tuple, ids))))
 
     # -- faces -------------------------------------------------------------
 
@@ -877,8 +920,13 @@ class PlaneGraph:
         u, v = e
         if not self.graph.has_edge(u, v):
             raise ValueError(f"{e} is not an edge")
-        faces, face = self._traced
-        return (faces[face[u][v]], faces[face[v][u]])
+        faces = self._traced[0]
+        return (faces[self._face_id(u, v)], faces[self._face_id(v, u)])
+
+    def _face_id(self, u: int, v: int) -> int:
+        """The index in :meth:`faces` of the face of dart ``(u, v)``,
+        which must be a dart of the embedding."""
+        return self._traced[1][u][self.rotation[u].index(v)]
 
     # -- derived embeddings --------------------------------------------------
 
@@ -1357,7 +1405,7 @@ def embed(g: Graph) -> PlaneGraph:
             Graph.from_edges(g.n, _kuratowski_edges(g)),
         )
     rotation = tuple(_lr_rotation(*state))
-    return PlaneGraph._from_walks(g, rotation, _dart_faces(rotation)[1])
+    return PlaneGraph._from_traced(g, rotation, *_dart_faces(rotation))
 
 
 def is_planar(g: Graph) -> bool:
@@ -1430,5 +1478,4 @@ def plane_graph_from_positions(
         raise ValueError("isolated vertex in a multi-vertex drawing")
     b = max(g.adjacency[a], key=lambda u: angle(a, u))
     pg = PlaneGraph.build(g, rotation)
-    faces, face = pg._traced
-    return pg.with_outer(faces[face[a][b]])
+    return pg.with_outer(pg.faces()[pg._face_id(a, b)])

@@ -188,7 +188,10 @@ def fixture(name: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+@functools.cache
 def _fixed_patterns() -> dict[str, Graph]:
+    """The named patterns by name, built once; callers only read the
+    table, and a :class:`Graph` is immutable."""
     return {
         "H1": Graph.complete(4),
         "H2": _h2(),

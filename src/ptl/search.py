@@ -353,9 +353,19 @@ class _Augmentation:
         for s in _subset_reps(gens, self._offered(g, embeddings)):
             if any(not s & comp for comp in comps):
                 continue
+            # The child's bitmasks and degrees, from the parent's.
+            child_bits = list(bits)
+            child_deg = deg + [s.bit_count()]
+            rest = s
+            while rest:
+                v = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                child_bits[v] |= 1 << new
+                child_deg[v] += 1
+            child_bits.append(s)
             child = None
             if tested:
-                child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
+                child = g._with_new_vertex_bits(child_bits)
                 if self._outside(child):
                     rejected["domain"] += 1
                     continue
@@ -368,21 +378,12 @@ class _Augmentation:
             # cell fails without a search, read from the child's bitmasks
             # and degrees before its graph is built.  The search starts
             # from the same cells, which it does not refine again.
-            child_bits = list(bits)
-            child_deg = deg + [s.bit_count()]
-            rest = s
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                child_bits[v] |= 1 << new
-                child_deg[v] += 1
-            child_bits.append(s)
             cells = _seeded_root(child_bits, child_deg)
             if not cells[0] >> new & 1:
                 rejected["mckay"] += 1
                 continue
             if child is None:
-                child = g.with_new_vertex(v for v in range(new) if s >> v & 1)
+                child = g._with_new_vertex_bits(child_bits)
             perm, child_gens = canonical_data(child, _root=cells)
             target = perm.index(0)
             if target != new:
@@ -1158,10 +1159,11 @@ def _solid_outer_faces(faces: Sequence[Face], m: int) -> list[Face]:
     chain.)
     """
     triangles = [f for f in faces if f.is_triangle()]
+    edge_sets = [t.edge_set for t in triangles]
     result: list[Face] = []
     for outer in faces:
-        inner = [t for t in triangles if t != outer]
-        covered = {e for t in inner for e in t.edge_set}
+        inner = [es for t, es in zip(triangles, edge_sets) if t != outer]
+        covered = {e for es in inner for e in es}
         if len(covered) == m and len(_triangle_classes(inner)) == 1:
             result.append(outer)
     return result

@@ -82,10 +82,9 @@ def _rotation_systems(g: Graph) -> list[tuple[tuple[int, ...], ...]]:
             return
         # Corner i of v sits after rot[v][i], on the face of the dart
         # leaving v to the next neighbour.
-        face = _dart_faces(rot)[0]
-        ru, rw = rot[u], rot[w]
-        corners_u = [face[u][x] for x in ru[1:] + ru[:1]]
-        corners_w = [face[w][x] for x in rw[1:] + rw[:1]]
+        ids = _dart_faces(rot)[0]
+        corners_u = ids[u][1:] + ids[u][:1]
+        corners_w = ids[w][1:] + ids[w][:1]
         for i, fu in enumerate(corners_u):
             for j, fw in enumerate(corners_w):
                 if fu != fw:

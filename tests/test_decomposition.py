@@ -224,7 +224,7 @@ def _octahedron_with_inner_pendant():
     target = next(
         f
         for f in pg.faces()
-        if f.is_triangle and not (f.edge_set & pendant_face.edge_set)
+        if f.is_triangle() and not (f.edge_set & pendant_face.edge_set)
     )
     return pg.with_outer(target)
 
@@ -298,11 +298,11 @@ def _restricted_block(pg: PlaneGraph, faces: list[Face]) -> TriBlock:
     graph = Graph.from_edges(
         len(vertices), [(index[u], index[v]) for u, v in edges]
     )
-    host_faces, face_of = pg._traced
+    host_faces = pg.faces()
     region = _union_roots(
         len(host_faces),
         [
-            (face_of[u][v], face_of[v][u])
+            (pg._face_id(u, v), pg._face_id(v, u))
             for u, v in pg.graph.edges
             if (u, v) not in edges
         ],
@@ -312,7 +312,7 @@ def _restricted_block(pg: PlaneGraph, faces: list[Face]) -> TriBlock:
     outer = [
         f
         for f in sub.faces()
-        if region[face_of[vertices[f.walk[0]]][vertices[f.walk[1]]]]
+        if region[pg._face_id(vertices[f.walk[0]], vertices[f.walk[1]])]
         == outer_region
     ]
     assert len(outer) == 1
@@ -360,3 +360,21 @@ def test_decompose_matches_restricted_plane_route(monkeypatch):
     blocks = [b for bs, _, _ in traced for b in bs]
     assert len(blocks) > len(variants)
     assert not all(b.is_solid for b in blocks)
+
+
+def test_analyses_read_no_neighbour_sets():
+    # embedding, decomposing, both edge partitions and the faces of every
+    # edge test edges on Graph.adj_bits; none builds Graph.adjacency
+    planes = list(random_plane_corpus(100, max_n=14, seed=5))
+    planes += [family_instance(name, **kw).plane for name, kw in _FAMILY_MEMBERS]
+    for plane in planes:
+        g = Graph.from_edges(plane.n, plane.graph.edges)
+        pg = embed(g)
+        decompose(pg, solid=False)
+        decompose(pg)
+        e_i_analysis(pg, include_outer=True)
+        e_i_analysis(pg, include_outer=False)
+        for e in g.edges:
+            pg.faces_of_edge(e)
+        assert "adjacency" not in g.__dict__
+    assert not g.has_edge(0, -1) and not g.has_edge(0, g.n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -598,6 +599,26 @@ def test_faces_match_reference_tracer():
                         assert pg.faces_of_edge((u, v)) == sides
                     checked += 1
     assert checked == 2 * 778
+
+
+def test_faces_hold_their_walks_alone():
+    face = Face((0, 1, 2))
+    assert not hasattr(face, "__dict__")
+    assert face.edge_set == frozenset({(0, 1), (1, 2), (0, 2)})
+
+
+def test_faces_and_plane_graphs_pickle():
+    planes = [embed(Graph.from_edges(1, []))]
+    planes += random_plane_corpus(30, max_n=12, seed=2)
+    planes.append(wheel_ring(3).plane)
+    for pg in planes:
+        back = pickle.loads(pickle.dumps(pg))
+        assert back == pg and back.faces() == pg.faces()
+        assert back._traced == pg._traced
+        for e in pg.graph.edges:
+            assert back.faces_of_edge(e) == pg.faces_of_edge(e)
+        for face in pg.faces():
+            assert pickle.loads(pickle.dumps(face)) == face
 
 
 def test_walk_rotation_inverts_dart_faces():

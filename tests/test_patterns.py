@@ -218,6 +218,12 @@ def test_as_pattern_round_trips():
     assert wrapped.graph.m == 4
 
 
+def test_named_patterns_are_built_once():
+    # the table of named patterns is built on the first lookup only
+    for name in ("H1", "H6", "theta4", "D12"):
+        assert as_pattern(name).graph is as_pattern(name).graph
+
+
 def test_fixture_names():
     for name in ("D1", "D2", "D3", "D11", "D12"):
         g = fixture(name)

@@ -233,6 +233,8 @@ def test_every_child_has_one_fate():
     assert set(tree.rejected) == set(FATES)
     assert all(tree.rejected.values())
     assert offered == sum(tree.rejected.values()) + len(nodes) - 1
+    # the bitmasks a kept child got from its parent's are its own
+    assert all(g.adj_bits == Graph(g.n, g.edges).adj_bits for g, *_ in nodes)
 
 
 def _cofacial(embeddings, s):
